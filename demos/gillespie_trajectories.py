@@ -49,7 +49,7 @@ def main() -> None:
 
     minority = parse_polarity_string("mmm", 7)
     run = simulate(start, minority, SimConfig(max_events=20_000), seed=7)
-    zs = [2.0 * event.count_x1 / N_AGENTS - 1.0 for event in run.events]
+    zs = [2.0 * count / N_AGENTS - 1.0 for count in run.counts]
     out = write_trajectory("trajectory_mmm.csv", run)
     print(
         f"all-minority: after {run.n_events} events z stays in "

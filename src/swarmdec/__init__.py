@@ -22,12 +22,10 @@ from .drift import (
 )
 from .hypergeom import PmfTable, pmf, pmf_bruteforce, pmf_table
 from .model import (
-    FlipDirection,
     NoiseSpec,
     RulePolarity,
     RuleSet,
     SwarmState,
-    apply_noise_flip,
     apply_rule,
     enumerate_rulesets,
     signed_weight,
@@ -48,16 +46,11 @@ from .schema import (
     schema_of_ruleset,
 )
 from .ssa import (
+    EVENT_LABELS,
     FrozenSystemError,
-    NoiseFlip,
-    NullDraw,
-    Propensities,
-    RuleFired,
     SimConfig,
     Trajectory,
-    TrajectoryEvent,
     draw_group_composition,
-    propensities,
     simulate,
     step,
     trajectory_csv_lines,
@@ -68,17 +61,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DriftCurve",
+    "EVENT_LABELS",
     "FixedPoint",
-    "FlipDirection",
     "FrozenSystemError",
-    "NoiseFlip",
     "NoiseSpec",
-    "NullDraw",
     "PmfTable",
-    "Propensities",
     "Reaction",
     "ReactionSchema",
-    "RuleFired",
     "RulePolarity",
     "RuleSet",
     "SchemaError",
@@ -88,10 +77,8 @@ __all__ = [
     "Stability",
     "SwarmState",
     "Trajectory",
-    "TrajectoryEvent",
     "analytic_drift",
     "analytic_drift_curve",
-    "apply_noise_flip",
     "apply_rule",
     "draw_group_composition",
     "empirical_drift",
@@ -106,7 +93,6 @@ __all__ = [
     "pmf",
     "pmf_bruteforce",
     "pmf_table",
-    "propensities",
     "reaction_text",
     "rule_firing_probabilities",
     "ruleset_of_schema",

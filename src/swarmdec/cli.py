@@ -22,11 +22,13 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .drift import (
@@ -49,13 +51,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import (
-    FrozenSystemError,
-    SimConfig,
-    event_label,
-    simulate,
-    trajectory_csv_lines,
-)
+from .ssa import FrozenSystemError, SimConfig, simulate, trajectory_csv_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,12 +159,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_utf8(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path}: not UTF-8 text ({exc})") from exc
+
+
 def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+    try:
+        data = json.loads(_read_utf8(path, "config file"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
     for key, value in data.items():
@@ -254,7 +256,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
     elif schema_arg is not None:
-        text = Path(schema_arg).read_text(encoding="utf-8")
+        text = _read_utf8(schema_arg, "schema file")
         try:
             rules = ruleset_of_schema(parse_schema(text))
         except SchemaError as exc:
@@ -297,8 +299,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         events = 100_000
     if events is not None and events < 1:
         raise ConfigError(f"--events must be >= 1, got {events}")
-    if t_max is not None and not t_max > 0:
-        raise ConfigError(f"--t-max must be > 0, got {t_max}")
+    if t_max is not None and not 0 < t_max < math.inf:
+        raise ConfigError(f"--t-max must be finite and > 0, got {t_max}")
 
     initial: SwarmState | None = None
     if command == "simulate":
@@ -359,13 +361,32 @@ def _provenance(
     return " ".join(parts)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+#: Lines joined per write call in :func:`_write_text`.
+_WRITE_CHUNK_LINES = 8192
+
+
+def _new_file_mode(path: Path) -> int:
+    """Mode a plain ``open(path, "w")`` would leave: kept or ``0o666 & ~umask``."""
+    with contextlib.suppress(FileNotFoundError):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _write_text(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, atomically: in bounded
+    chunks to a temp file in the target directory, then renamed."""
     directory = path.parent if str(path.parent) else Path(".")
+    mode = _new_file_mode(path)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            lines = iter(lines)
+            while chunk := list(islice(lines, _WRITE_CHUNK_LINES)):
+                fh.write("\n".join(chunk))
+                fh.write("\n")
+            os.fchmod(fd, mode)
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -379,23 +400,23 @@ def _empirical_path(out: Path) -> Path:
     return Path(str(out) + ".empirical.csv")
 
 
-def _curve_csv(curve, provenance: str) -> str:
+def _curve_csv(curve, provenance: str) -> list[str]:
     lines = [provenance, "z,dzdt"]
     lines.extend(f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-_GNUPLOT_PRELUDE = (
-    "set datafile separator \",\"\n"
-    "set datafile commentschars \"#\"\n"
-    "set key autotitle columnhead\n"
-    "set grid\n"
-)
+_GNUPLOT_PRELUDE = [
+    'set datafile separator ","',
+    'set datafile commentschars "#"',
+    "set key autotitle columnhead",
+    "set grid",
+]
 
 
 def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
-    script = f"# swarmdec {__version__} gnuplot companion\n" + _GNUPLOT_PRELUDE + body
-    _write_text(cfg.plot_script, script)
+    header = f"# swarmdec {__version__} gnuplot companion"
+    _write_text(cfg.plot_script, [header, *_GNUPLOT_PRELUDE, body])
 
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
@@ -436,11 +457,11 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
         )
         if cfg.empirical:
             body += f', \\\n     "{_empirical_path(cfg.out)}" using 1:2 with points title "{title} (sampled)"'
-        _write_plot_script(cfg, body + "\n")
+        _write_plot_script(cfg, body)
     return EXIT_OK
 
 
-def _probs_csv(cfg: ExperimentConfig, empirical: bool) -> str:
+def _probs_csv(cfg: ExperimentConfig, empirical: bool) -> list[str]:
     header = _provenance(
         agents=cfg.agents,
         group=cfg.group,
@@ -460,7 +481,7 @@ def _probs_csv(cfg: ExperimentConfig, empirical: bool) -> str:
             table = rule_firing_probabilities(cfg.agents, cfg.group, count)
         row = ",".join(f"{p:.17g}" for p in table.probabilities)
         lines.append(f"{z:.17g},{row}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_probs(cfg: ExperimentConfig) -> int:
@@ -472,7 +493,7 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
             'set xlabel "z"\nset ylabel "firing probability"\n'
             f'plot for [i=2:{cfg.group + 2}] "{cfg.out}" using 1:i with lines'
         )
-        _write_plot_script(cfg, body + "\n")
+        _write_plot_script(cfg, body)
     return EXIT_OK
 
 
@@ -485,7 +506,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         record_null_draws=not cfg.elide_nulls,
         stop_at_consensus=cfg.stop_at_consensus,
     )
-    trajectory = simulate(cfg.initial, cfg.rules, sim_config, cfg.seed)
+    try:
+        trajectory = simulate(cfg.initial, cfg.rules, sim_config, cfg.seed)
+    except ValueError as exc:  # the total event rate overflows
+        raise ConfigError(str(exc)) from exc
     header = _provenance(
         agents=cfg.agents,
         group=cfg.group,
@@ -499,18 +523,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stop_at_consensus=cfg.stop_at_consensus,
         elide_nulls=cfg.elide_nulls,
     )
-    _write_text(cfg.out, "\n".join(trajectory_csv_lines(trajectory, header)) + "\n")
-
-    counts = Counter(event_label(event.kind) for event in trajectory.events)
-    counts["null"] = trajectory.n_events - len(trajectory.events) + counts.get("null", 0)
+    _write_text(cfg.out, trajectory_csv_lines(trajectory, header))
     summary = {
         "final_count_x1": trajectory.final_state.count_x1,
         "final_z": trajectory.final_state.z,
         "final_time": trajectory.final_time,
         "n_events": trajectory.n_events,
-        "event_counts": {
-            label: counts.get(label, 0) for label in ("rule", "noise12", "noise21", "null")
-        },
+        "event_counts": trajectory.event_counts(),
         "seed": cfg.seed,
     }
     print(json.dumps(summary, sort_keys=True))
@@ -519,7 +538,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             'set xlabel "time"\nset ylabel "z"\n'
             f'plot "{cfg.out}" using 1:5 with steps title "z(t)"'
         )
-        _write_plot_script(cfg, body + "\n")
+        _write_plot_script(cfg, body)
     return EXIT_OK
 
 
@@ -541,22 +560,23 @@ def cmd_fixed_points(cfg: ExperimentConfig) -> int:
         seed=cfg.seed,
         grid=cfg.grid,
     )
-    _write_text(cfg.out, header + "\n" + json.dumps(payload, indent=2) + "\n")
+    _write_text(cfg.out, [header, json.dumps(payload, indent=2)])
     return EXIT_OK
 
 
 def cmd_rulesets(cfg: ExperimentConfig) -> int:
-    blocks = []
+    lines: list[str] = []
     for rules in enumerate_rulesets(cfg.group):
+        if lines:
+            lines.append("")
+        lines.append(rules.label)
         schema_text = format_schema(schema_of_ruleset(rules))
-        indented = "".join(f"  {line}\n" for line in schema_text.splitlines())
-        blocks.append(f"{rules.label}\n{indented}")
-    listing = "\n".join(blocks)
+        lines.extend(f"  {line}" for line in schema_text.splitlines())
     if cfg.out is not None:
         header = _provenance(agents=None, group=cfg.group, rules=None, epsilon=None, seed=None)
-        _write_text(cfg.out, header + "\n" + listing)
+        _write_text(cfg.out, [header, *lines])
     else:
-        sys.stdout.write(listing)
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -635,11 +655,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         _check_noise_superposition(),
     ]
     report = {"version": __version__, "checks": checks, "passed": all(c["passed"] for c in checks)}
-    text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
+    text = json.dumps(report, indent=2)
+    sys.stdout.write(text + "\n")
     if cfg.out is not None:
         header = _provenance(agents=None, group=None, rules=None, epsilon=None, seed=None)
-        _write_text(cfg.out, header + "\n" + text)
+        _write_text(cfg.out, [header, text])
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -663,10 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return _HANDLERS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"swarmdec: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FrozenSystemError as exc:
+    except (ConfigError, FrozenSystemError) as exc:
         print(f"swarmdec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

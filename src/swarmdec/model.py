@@ -16,18 +16,17 @@ so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "FlipDirection",
     "NoiseSpec",
     "RulePolarity",
     "RuleSet",
     "SwarmState",
-    "apply_noise_flip",
     "apply_rule",
     "enumerate_rulesets",
     "signed_weight",
@@ -41,13 +40,6 @@ class RulePolarity(Enum):
 
     MAJORITY = "M"
     MINORITY = "m"
-
-
-class FlipDirection(Enum):
-    """Direction of a spontaneous noise-driven opinion flip."""
-
-    X1_TO_X2 = "x1->x2"
-    X2_TO_X1 = "x2->x1"
 
 
 @dataclass(frozen=True)
@@ -141,6 +133,11 @@ class RuleSet:
             return 0
         return signed_weight(k, self.group_size, self.polarity_at(k))
 
+    @functools.cached_property
+    def signed_weights(self) -> tuple[int, ...]:
+        """:meth:`signed_weight` of every composition ``k = 0..G``."""
+        return tuple(self.signed_weight(k) for k in range(self.group_size + 1))
+
     def complement(self) -> "RuleSet":
         """The rule set with every polarity flipped."""
         flipped = tuple(
@@ -206,17 +203,6 @@ def apply_rule(
             f"{state.count_x1} of {state.n_agents}"
         )
     return SwarmState(state.n_agents, new_count)
-
-
-def apply_noise_flip(state: SwarmState, direction: FlipDirection) -> SwarmState:
-    """State after one spontaneous opinion flip in the given direction."""
-    if direction is FlipDirection.X1_TO_X2:
-        if state.count_x1 < 1:
-            raise ValueError("no X1 agent available to flip")
-        return SwarmState(state.n_agents, state.count_x1 - 1)
-    if state.count_x1 > state.n_agents - 1:
-        raise ValueError("no X2 agent available to flip")
-    return SwarmState(state.n_agents, state.count_x1 + 1)
 
 
 def enumerate_rulesets(group_size: int) -> list[RuleSet]:

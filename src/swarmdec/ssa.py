@@ -6,11 +6,19 @@ Three event channels compete as independent Poisson clocks:
 * noise flips X1 -> X2, at rate ``noise_rate * K``;
 * noise flips X2 -> X1, at rate ``noise_rate * (N - K)``.
 
-Waiting times are exponential in the total propensity and the channel
-is chosen proportionally to its rate.  A group event draws ``G`` agents
-uniformly without replacement; the composition ``k`` (number of X1
-opinions drawn) selects the rule that fires.  Uniform draws
-(``k = 0`` or ``k = G``) convert nobody and are recorded as null events.
+The total propensity ``(rule_rate + noise_rate) * N`` does not depend on
+``K``: waiting times are exponential in it and the channel is chosen
+proportionally to its rate.  A group event draws ``G`` agents one by one
+without replacement (a sequential urn on integer picks, independent of
+:func:`swarmdec.hypergeom.pmf`); the composition ``k`` (number of X1
+opinions drawn) selects the rule that fires.  Uniform draws (``k = 0``
+or ``k = G``) convert nobody and are recorded as null events.
+
+Randomness comes in whole blocks of :data:`BLOCK_EVENTS` events:
+exponentials, channel uniforms and the urn picks, whose bounds
+``N, N-1, ..., N-G+1`` do not depend on ``K`` either.  A same-seed run
+that stops earlier is therefore an exact prefix of a longer one.  The
+record is kept as columns (:class:`Trajectory`).
 
 With ``rule_rate = 0.5`` and ``noise_rate = epsilon / 2`` the expected
 motion of ``z = 2K/N - 1`` per unit time equals the analytic drift
@@ -23,37 +31,38 @@ concurrently, each with its own generator (seed ``base + index``).
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import (
-    FlipDirection,
-    RuleSet,
-    SwarmState,
-    apply_noise_flip,
-    apply_rule,
-)
+from .model import RuleSet, SwarmState
 
 __all__ = [
-    "EventKind",
+    "BLOCK_EVENTS",
+    "EVENT_LABELS",
     "FrozenSystemError",
-    "NoiseFlip",
-    "NullDraw",
-    "Propensities",
-    "RuleFired",
+    "NOISE12",
+    "NOISE21",
+    "NULL",
+    "RULE",
     "SimConfig",
     "Trajectory",
-    "TrajectoryEvent",
     "draw_group_composition",
-    "event_label",
-    "propensities",
     "simulate",
     "step",
     "trajectory_csv_lines",
     "verify_trajectory",
 ]
+
+#: Event kinds: the CSV label of each kind code stored in ``Trajectory.kinds``.
+EVENT_LABELS = ("rule", "null", "noise12", "noise21")
+RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
+
+#: Events per block of random draws in :func:`simulate`.
+BLOCK_EVENTS = 256
 
 
 class FrozenSystemError(RuntimeError):
@@ -78,14 +87,14 @@ class SimConfig:
     stop_at_consensus: bool = False
 
     def __post_init__(self) -> None:
-        if self.rule_rate < 0:
-            raise ValueError(f"rule rate must be >= 0, got {self.rule_rate}")
-        if self.noise_rate < 0:
-            raise ValueError(f"noise rate must be >= 0, got {self.noise_rate}")
+        if not 0 <= self.rule_rate < math.inf:
+            raise ValueError(f"rule rate must be finite and >= 0, got {self.rule_rate}")
+        if not 0 <= self.noise_rate < math.inf:
+            raise ValueError(f"noise rate must be finite and >= 0, got {self.noise_rate}")
         if self.max_events is not None and self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events}")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.max_events is None and self.t_max is None and not self.stop_at_consensus:
             raise ValueError(
                 "unbounded run: set max_events, t_max or stop_at_consensus"
@@ -98,111 +107,116 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Propensities:
-    """Instantaneous event rates of the three channels."""
-
-    group_event: float
-    noise_x1_to_x2: float
-    noise_x2_to_x1: float
-
-    @property
-    def total(self) -> float:
-        return self.group_event + self.noise_x1_to_x2 + self.noise_x2_to_x1
-
-
-def propensities(state: SwarmState, config: SimConfig) -> Propensities:
-    """Event rates at a state: ``r*N`` for groups, ``c*K`` / ``c*(N-K)`` for noise."""
-    return Propensities(
-        config.rule_rate * state.n_agents,
-        config.noise_rate * state.count_x1,
-        config.noise_rate * state.count_x2,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class RuleFired:
-    """A group draw with composition ``k`` whose rule converted one agent."""
-
-    k: int
-
-
-@dataclass(frozen=True, slots=True)
-class NullDraw:
-    """A uniform group draw (``k`` is 0 or G); nothing changes."""
-
-    k: int
-
-
-@dataclass(frozen=True, slots=True)
-class NoiseFlip:
-    """A spontaneous single-agent flip."""
-
-    direction: FlipDirection
-
-
-EventKind = Union[RuleFired, NullDraw, NoiseFlip]
-
-_NOISE_LABELS = {
-    FlipDirection.X1_TO_X2: "noise12",
-    FlipDirection.X2_TO_X1: "noise21",
-}
-
-
-def event_label(kind: EventKind) -> str:
-    """CSV label of an event kind: rule, null, noise12 or noise21."""
-    if isinstance(kind, RuleFired):
-        return "rule"
-    if isinstance(kind, NullDraw):
-        return "null"
-    return _NOISE_LABELS[kind.direction]
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryEvent:
-    time: float
-    kind: EventKind
-    count_x1: int  # after the event
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Recorded event sequence of one simulation run.
+    """Recorded events of one simulation run, stored as columns.
 
+    Recorded event ``i`` happened at ``times[i]``, has kind code
+    ``kinds[i]`` (an index into :data:`EVENT_LABELS`), group composition
+    ``ks[i]`` (0 for noise flips) and leaves ``counts[i]`` agents holding
+    X1.  The columns are :class:`array.array` objects: doubles for the
+    times, unsigned integers just wide enough for the rest.
     ``n_events`` counts every event including null draws that were not
-    recorded; ``final_time``/``final_state`` describe the run's end even
-    when the tail of the record is elided.
+    recorded; ``final_time``/``final_state`` describe the run's end
+    even when the tail of the record is elided.
     """
 
     initial_state: SwarmState
     seed: int
-    events: tuple[TrajectoryEvent, ...]
+    times: array
+    kinds: array
+    ks: array
+    counts: array
     final_state: SwarmState
     final_time: float
     n_events: int
+
+    def event_counts(self) -> dict[str, int]:
+        """Events per kind label, elided null draws included."""
+        counts = {label: self.kinds.count(code) for code, label in enumerate(EVENT_LABELS)}
+        counts["null"] += self.n_events - len(self.kinds)
+        return counts
+
+
+def _urn(picks: Sequence[int], favorable: int) -> int:
+    """X1 agents among urn picks: ``picks[j]`` is uniform over the ``N - j``
+    agents left, of which those below ``favorable`` hold X1 (integer
+    comparison, so the count follows the hypergeometric law exactly)."""
+    hits = 0
+    for pick in picks:
+        if pick < favorable:
+            hits += 1
+            favorable -= 1
+    return hits
+
+
+def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
+    """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
+    return np.arange(n_agents, n_agents - group_size, -1)
 
 
 def draw_group_composition(
     rng: np.random.Generator, n_agents: int, count_x1: int, group_size: int
 ) -> int:
-    """Sequential urn draw: pick ``G`` agents one by one, count X1 picks.
-
-    Each pick is uniform over the remaining agents (integer comparison,
-    no floating-point bias), so the returned composition follows the
-    hypergeometric law exactly.
-    """
+    """Sequential urn draw: pick ``G`` agents one by one, count X1 picks."""
     if group_size > n_agents:
         raise ValueError(
             f"cannot draw {group_size} agents from a swarm of {n_agents}"
         )
-    hits = 0
-    remaining = n_agents
-    favorable = count_x1
-    for _ in range(group_size):
-        if rng.integers(remaining) < favorable:
-            hits += 1
-            favorable -= 1
-        remaining -= 1
-    return hits
+    return _urn(rng.integers(_pick_bounds(n_agents, group_size)).tolist(), count_x1)
+
+
+def _int_column(largest: int) -> array:
+    """Empty unsigned column just wide enough for values up to ``largest``."""
+    return next(array(code) for code in "BHIQ" if largest < 256 ** array(code).itemsize)
+
+
+def _events(
+    count: int,
+    n: int,
+    rules: RuleSet | None,
+    config: SimConfig,
+    rng: np.random.Generator,
+    block: int,
+) -> Iterator[tuple[float, int, int, int]]:
+    """Endless events ``(dt, kind, k, count_after)`` starting from ``count``.
+
+    Raises :class:`FrozenSystemError` when the total propensity vanishes
+    and ValueError for an impossible or overflowing configuration, both
+    on the first ``next``.
+    """
+    if rules is not None and rules.group_size > n:
+        raise ValueError(f"group size {rules.group_size} exceeds swarm size {n}")
+    a_group = config.rule_rate * n
+    if a_group > 0 and rules is None:
+        raise ValueError("rule_rate > 0 requires a rule set")
+    noise = config.noise_rate
+    # The X1 -> X2 threshold a_group + noise*K is this very expression at
+    # K = N, so u = uniform*total < total never picks X2 -> X1 at K = N.
+    total = a_group + noise * n
+    if total == math.inf:
+        raise ValueError(
+            f"total event rate (rule_rate + noise_rate) * N overflows for N = {n}"
+        )
+    if total <= 0:
+        raise FrozenSystemError("all propensities are zero; the system is frozen")
+    group_size = rules.group_size if rules is not None else 0
+    weights = rules.signed_weights if rules is not None else ()
+    bounds = _pick_bounds(n, group_size)
+    while True:
+        dts = (rng.standard_exponential(block) / total).tolist()
+        us = (rng.random(block) * total).tolist()
+        picks = rng.integers(bounds, size=(block, group_size)).tolist()
+        for dt, u, group in zip(dts, us, picks):
+            if u < a_group:
+                k = _urn(group, count)
+                delta = weights[k]
+                kind = RULE if delta else NULL
+            elif u < a_group + noise * count:
+                k, delta, kind = 0, -1, NOISE12
+            else:
+                k, delta, kind = 0, 1, NOISE21
+            count += delta
+            yield dt, kind, k, count
 
 
 def step(
@@ -210,41 +224,17 @@ def step(
     rules: RuleSet | None,
     config: SimConfig,
     rng: np.random.Generator,
-) -> tuple[float, EventKind, SwarmState]:
-    """Advance by one event; returns ``(dt, event, new_state)``.
+) -> tuple[float, int, int, SwarmState]:
+    """Advance by one event; returns ``(dt, kind, k, new_state)``.
 
-    ``rules`` may be None only when ``rule_rate`` is zero (noise-only
-    system).  Raises :class:`FrozenSystemError` when the total
-    propensity vanishes.
+    ``kind`` is a code into :data:`EVENT_LABELS` and ``k`` the group
+    composition (0 for noise flips).  ``rules`` may be None only when
+    ``rule_rate`` is zero (noise-only system).  Raises
+    :class:`FrozenSystemError` when the total propensity vanishes.
     """
     n = state.n_agents
-    if rules is not None and rules.group_size > n:
-        raise ValueError(
-            f"group size {rules.group_size} exceeds swarm size {n}"
-        )
-    a_group = config.rule_rate * n
-    if a_group > 0 and rules is None:
-        raise ValueError("rule_rate > 0 requires a rule set")
-    a_12 = config.noise_rate * state.count_x1
-    a_21 = config.noise_rate * state.count_x2
-    total = a_group + a_12 + a_21
-    if total <= 0:
-        raise FrozenSystemError("all propensities are zero; the system is frozen")
-
-    dt = rng.exponential() / total
-    u = rng.random() * total
-    if u < a_group:
-        # Composition of G agents drawn without replacement.
-        k = int(rng.hypergeometric(state.count_x1, state.count_x2, rules.group_size))
-        if k == 0 or k == rules.group_size:
-            return dt, NullDraw(k), state
-        new_state = apply_rule(state, k, rules.group_size, rules.polarity_at(k))
-        return dt, RuleFired(k), new_state
-    if u < a_group + a_12:
-        direction = FlipDirection.X1_TO_X2
-    else:
-        direction = FlipDirection.X2_TO_X1
-    return dt, NoiseFlip(direction), apply_noise_flip(state, direction)
+    dt, kind, k, count = next(_events(state.count_x1, n, rules, config, rng, 1))
+    return dt, kind, k, SwarmState(n, count)
 
 
 def simulate(
@@ -256,29 +246,39 @@ def simulate(
     """Run the simulation from ``initial`` until a stopping bound hits.
 
     The run is reproducible: identical inputs and seed give an
-    identical trajectory.  Null draws still advance time and count
-    toward ``max_events`` when ``record_null_draws`` is off; they are
-    merely dropped from the record.
+    identical trajectory, and a same-seed run with a smaller bound is a
+    prefix of it.  Null draws still advance time and count toward
+    ``max_events`` when ``record_null_draws`` is off; they are merely
+    dropped from the record.
     """
-    rng = np.random.default_rng(seed)
-    state = initial
+    n = initial.n_agents
+    count = initial.count_x1
+    max_events = config.max_events if config.max_events is not None else math.inf
+    t_max = config.t_max if config.t_max is not None else math.inf
+    stops = (0, n) if config.stop_at_consensus else ()
+    record_nulls = config.record_null_draws
+    times, kinds, ks, counts = array("d"), array("B"), _int_column(n), _int_column(n)
+    add_time, add_kind, add_k, add_count = times.append, kinds.append, ks.append, counts.append
     t = 0.0
     n_events = 0
-    events: list[TrajectoryEvent] = []
-    while True:
-        if config.stop_at_consensus and state.is_consensus:
-            break
-        if config.max_events is not None and n_events >= config.max_events:
-            break
-        dt, kind, next_state = step(state, rules, config, rng)
-        if config.t_max is not None and t + dt > config.t_max:
-            break
-        t += dt
-        state = next_state
-        n_events += 1
-        if config.record_null_draws or not isinstance(kind, NullDraw):
-            events.append(TrajectoryEvent(t, kind, state.count_x1))
-    return Trajectory(initial, seed, tuple(events), state, t, n_events)
+    if count not in stops:
+        rng = np.random.default_rng(seed)
+        for dt, kind, k, count_after in _events(count, n, rules, config, rng, BLOCK_EVENTS):
+            if t + dt > t_max:
+                break
+            t += dt
+            n_events += 1
+            count = count_after
+            if record_nulls or kind != NULL:
+                add_time(t)
+                add_kind(kind)
+                add_k(k)
+                add_count(count)
+            if n_events >= max_events or count in stops:
+                break
+    return Trajectory(
+        initial, seed, times, kinds, ks, counts, SwarmState(n, count), t, n_events
+    )
 
 
 def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
@@ -290,29 +290,30 @@ def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
     count = trajectory.initial_state.count_x1
     n = trajectory.initial_state.n_agents
     last_time = 0.0
-    for i, event in enumerate(trajectory.events):
-        if not event.time > last_time:
-            raise ValueError(f"event {i}: time {event.time} does not increase")
-        last_time = event.time
-        kind = event.kind
-        if isinstance(kind, NullDraw):
-            delta = 0
-        elif isinstance(kind, RuleFired):
+    rows = zip(trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
+    for i, (time, kind, k, recorded) in enumerate(rows):
+        if not time > last_time:
+            raise ValueError(f"event {i}: time {time} does not increase")
+        last_time = time
+        if kind == RULE:
             if rules is None:
                 raise ValueError("rule events in a trajectory without rules")
-            delta = rules.signed_weight(kind.k)
-        else:
-            delta = -1 if kind.direction is FlipDirection.X1_TO_X2 else 1
-        count += delta
+            count += rules.signed_weight(k)
+        elif kind == NOISE12:
+            count -= 1
+        elif kind == NOISE21:
+            count += 1
+        elif kind != NULL:
+            raise ValueError(f"event {i}: unknown kind code {kind}")
         if not 0 <= count <= n:
             raise ValueError(f"event {i}: count {count} leaves [0, {n}]")
-        if count != event.count_x1:
+        if count != recorded:
             raise ValueError(
-                f"event {i}: recorded count {event.count_x1}, replay gives {count}"
+                f"event {i}: recorded count {recorded}, replay gives {count}"
             )
     # Elided events are null draws, which never change the count, so the
     # final state must match the last recorded count unconditionally.
-    if trajectory.events and trajectory.events[-1].count_x1 != trajectory.final_state.count_x1:
+    if trajectory.counts and trajectory.counts[-1] != trajectory.final_state.count_x1:
         raise ValueError("final state disagrees with the last recorded event")
 
 
@@ -332,9 +333,14 @@ def trajectory_csv_lines(
         yield provenance
     yield CSV_HEADER
     n = trajectory.initial_state.n_agents
-    for event in trajectory.events:
-        kind = event.kind
-        label = event_label(kind)
-        k_field = "" if isinstance(kind, NoiseFlip) else str(kind.k)
-        z = 2.0 * event.count_x1 / n - 1.0
-        yield f"{event.time:.17g},{label},{k_field},{event.count_x1},{z:.17g}"
+    # Everything after the time depends only on (kind, k, count).
+    suffixes: dict[tuple[int, int, int], str] = {}
+    keys = zip(trajectory.kinds, trajectory.ks, trajectory.counts)
+    for time, key in zip(trajectory.times, keys):
+        suffix = suffixes.get(key)
+        if suffix is None:
+            kind, k, count = key
+            k_field = "" if kind in (NOISE12, NOISE21) else k
+            z = 2.0 * count / n - 1.0
+            suffix = suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
+        yield f"{time:.17g}{suffix}"

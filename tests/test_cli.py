@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -30,6 +32,14 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def assert_config_error(code, capsys, out):
+    """Exit 2 with exactly one ``swarmdec:`` line and no output file."""
+    assert code == EXIT_CONFIG
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("swarmdec: ")
+    assert not out.exists()
 
 
 def read_json_with_header(path):
@@ -230,6 +240,55 @@ class TestSimulate:
         assert all(row[1] != "null" for row in rows)
 
 
+    def test_event_counts_with_elided_nulls(self, tmp_path, capsys):
+        args = ["simulate", "--rules", "MMm", "--epsilon", "0.1", "--events", "4000",
+                "--seed", "8"]
+        full, elided = tmp_path / "full.csv", tmp_path / "elided.csv"
+        assert main([*args, "--out", str(full)]) == EXIT_OK
+        full_summary = json.loads(capsys.readouterr().out)
+        assert main([*args, "--elide-nulls", "--out", str(elided)]) == EXIT_OK
+        elided_summary = json.loads(capsys.readouterr().out)
+        _, _, full_rows = read_csv(full)
+        _, _, elided_rows = read_csv(elided)
+        tallies = {label: 0 for label in ("rule", "null", "noise12", "noise21")}
+        for row in full_rows:
+            tallies[row[1]] += 1
+        assert tallies["null"] > 0 and tallies["rule"] > 0
+        assert full_summary["event_counts"] == tallies
+        assert elided_summary == full_summary
+        assert elided_rows == [row for row in full_rows if row[1] != "null"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-max", "inf"], ["--t-max", "nan"], ["--rule-rate", "1e308"],
+         ["--epsilon", "1e308", "--events", "10"]],
+    )
+    def test_unbounded_or_overflowing_run_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--rules", "MMM", *flags, "--out", str(out)])
+        assert_config_error(code, capsys, out)
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        out = tmp_path / "d.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["drift", "--rules", "M", "--grid", "11", "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_overwrite_keeps_mode(self, tmp_path):
+        out = tmp_path / "d.csv"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        assert main(["drift", "--rules", "M", "--grid", "11", "--out", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+        assert out.read_text().startswith("# swarmdec ")
+
+
 class TestFixedPoints:
     def test_all_minority(self, tmp_path):
         out = tmp_path / "fp.json"
@@ -336,6 +395,13 @@ class TestConfigFileAndEnvironment:
         config.write_text("{not json")
         assert main(["drift", "--config", str(config)]) == EXIT_CONFIG
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes('{"rules": "MM\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--config", str(config), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWARMDEC_SEED", "77")
         out = tmp_path / "c.csv"
@@ -386,6 +452,14 @@ class TestSchemaFileInput:
             ["drift", "--schema", str(schema_path), "--out", str(tmp_path / "d.csv")]
         )
         assert code == EXIT_CONFIG
+
+
+    def test_non_utf8_schema_file(self, tmp_path, capsys):
+        schema_path = tmp_path / "rules.txt"
+        schema_path.write_bytes(("# r\u00e8gles\n" + MMm_SCHEMA).encode("latin-1"))
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--schema", str(schema_path), "--out", str(out)])
+        assert_config_error(code, capsys, out)
 
 
 class TestArgparseBehaviour:

@@ -1,12 +1,10 @@
 import pytest
 
 from swarmdec.model import (
-    FlipDirection,
     NoiseSpec,
     RulePolarity,
     RuleSet,
     SwarmState,
-    apply_noise_flip,
     apply_rule,
     enumerate_rulesets,
     signed_weight,
@@ -117,18 +115,6 @@ class TestApplyRule:
         # k = 1 cannot be drawn from an all-X2 swarm; flags a caller bug.
         with pytest.raises(ValueError):
             apply_rule(SwarmState(5, 0), 1, 5, M)
-
-
-class TestApplyNoiseFlip:
-    def test_directions(self):
-        assert apply_noise_flip(SwarmState(101, 50), FlipDirection.X1_TO_X2).count_x1 == 49
-        assert apply_noise_flip(SwarmState(101, 0), FlipDirection.X2_TO_X1).count_x1 == 1
-
-    def test_infeasible(self):
-        with pytest.raises(ValueError):
-            apply_noise_flip(SwarmState(101, 0), FlipDirection.X1_TO_X2)
-        with pytest.raises(ValueError):
-            apply_noise_flip(SwarmState(101, 101), FlipDirection.X2_TO_X1)
 
 
 class TestRuleSet:

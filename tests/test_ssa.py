@@ -1,21 +1,22 @@
 import math
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmdec.model import FlipDirection, SwarmState
+from swarmdec.model import SwarmState
 from swarmdec.schema import parse_polarity_string
 from swarmdec.ssa import (
+    EVENT_LABELS,
+    NOISE12,
+    NOISE21,
+    NULL,
+    RULE,
     FrozenSystemError,
-    NoiseFlip,
-    NullDraw,
-    RuleFired,
     SimConfig,
-    TrajectoryEvent,
     draw_group_composition,
-    event_label,
-    propensities,
     simulate,
     step,
     trajectory_csv_lines,
@@ -50,6 +51,12 @@ class TestSimConfig:
             {"max_events": 0},
             {"t_max": 0.0},
             {},  # unbounded
+            {"rule_rate": math.nan, "max_events": 1},
+            {"rule_rate": math.inf, "max_events": 1},
+            {"noise_rate": math.nan, "max_events": 1},
+            {"noise_rate": math.inf, "max_events": 1},
+            {"t_max": math.inf},
+            {"t_max": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
@@ -61,21 +68,63 @@ class TestSimConfig:
 
 
 class TestPropensities:
+    # The total rate (r + c) * N sets each waiting time exactly: dt is the
+    # first standard exponential of the event's block divided by it.
+    @staticmethod
+    def first_event(state, rules, config, seed):
+        dt, kind, _, _ = step(state, rules, config, np.random.default_rng(seed))
+        return dt, kind, np.random.default_rng(seed).standard_exponential(1)[0]
+
     def test_rule_only(self):
-        p = propensities(SwarmState(101, 0), SimConfig(rule_rate=0.5, max_events=1))
-        assert (p.group_event, p.noise_x1_to_x2, p.noise_x2_to_x1) == (50.5, 0.0, 0.0)
+        config = SimConfig(rule_rate=0.5, max_events=1)
+        dt, kind, e = self.first_event(SwarmState(101, 0), MMM, config, 1)
+        assert dt == e / 50.5
+        assert kind == NULL
 
     def test_noise_only(self):
         config = SimConfig(rule_rate=0.0, noise_rate=0.05, max_events=1)
-        p = propensities(SwarmState(101, 101), config)
-        assert p.group_event == 0.0
-        assert p.noise_x1_to_x2 == pytest.approx(5.05, abs=1e-12)
-        assert p.noise_x2_to_x1 == 0.0
+        for seed in range(20):
+            dt, kind, e = self.first_event(SwarmState(101, 101), None, config, seed)
+            assert dt == e / (0.05 * 101)
+            assert kind == NOISE12
 
     def test_total(self):
         config = SimConfig(rule_rate=0.5, noise_rate=0.01, max_events=1)
-        p = propensities(SwarmState(101, 40), config)
-        assert p.total == p.group_event + p.noise_x1_to_x2 + p.noise_x2_to_x1
+        dt, _, e = self.first_event(SwarmState(101, 40), MMM, config, 3)
+        assert dt == e / (0.5 * 101 + 0.01 * 101)
+
+    def test_overflowing_total_rate(self):
+        config = SimConfig(rule_rate=1e308, max_events=1)
+        with pytest.raises(ValueError, match="overflows"):
+            simulate(SwarmState(101, 51), MMM, config, seed=0)
+        with pytest.raises(ValueError, match="overflows"):
+            step(SwarmState(101, 51), MMM, config, np.random.default_rng(0))
+
+    def test_channel_frequencies_and_waiting_times(self):
+        # Held at K = 40 of 101 with r = 0.5, c = 0.2, the channels fire
+        # with probabilities r*N, c*K, c*(N-K) over the total (r+c)*N, and
+        # dt*(r+c)*N is a unit exponential.  Bounds are 5 standard errors.
+        n, count, r, c = 101, 40, 0.5, 0.2
+        config = SimConfig(rule_rate=r, noise_rate=c, max_events=1)
+        rng = np.random.default_rng(11)
+        state = SwarmState(n, count)
+        draws = 20_000
+        tallies = dict.fromkeys(EVENT_LABELS, 0)
+        scaled_dt = 0.0
+        for _ in range(draws):
+            dt, kind, _, _ = step(state, MMM, config, rng)
+            tallies[EVENT_LABELS[kind]] += 1
+            scaled_dt += dt * (r + c) * n
+        total = (r + c) * n
+        for labels, rate in (
+            (("rule", "null"), r * n),
+            (("noise12",), c * count),
+            (("noise21",), c * (n - count)),
+        ):
+            p = rate / total
+            observed = sum(tallies[label] for label in labels) / draws
+            assert abs(observed - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+        assert abs(scaled_dt / draws - 1.0) <= 5 / math.sqrt(draws)
 
 
 class TestDrawGroupComposition:
@@ -117,16 +166,16 @@ class TestStep:
         state = SwarmState(101, 101)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            dt, kind, new_state = step(state, MMM, config, rng)
-            assert kind == NullDraw(7)
+            dt, kind, k, new_state = step(state, MMM, config, rng)
+            assert (kind, k) == (NULL, 7)
             assert new_state == state
             assert dt > 0
 
     def test_noise_only_steps(self):
         config = SimConfig(rule_rate=0.0, noise_rate=0.2, max_events=1)
         rng = np.random.default_rng(4)
-        dt, kind, new_state = step(SwarmState(101, 101), None, config, rng)
-        assert kind == NoiseFlip(FlipDirection.X1_TO_X2)
+        dt, kind, k, new_state = step(SwarmState(101, 101), None, config, rng)
+        assert kind == NOISE12
         assert new_state.count_x1 == 100
 
     def test_determinism(self):
@@ -150,9 +199,9 @@ class TestStep:
         counts = np.zeros(g + 1, dtype=int)
         steps = 10**6
         for _ in range(steps):
-            _, kind, _ = step(state, MMm, config, rng)
-            if isinstance(kind, RuleFired):
-                counts[kind.k] += 1
+            _, kind, k, _ = step(state, MMm, config, rng)
+            if kind == RULE:
+                counts[k] += 1
         table = pmf_table(n, state.count_x1, g)
         interior_mass = math.fsum(table.probabilities[1:g])
         fired = counts.sum()
@@ -168,13 +217,13 @@ class TestSimulate:
         trajectory = simulate(SwarmState(101, 0), MMM, config, seed=0)
         assert trajectory.n_events == 10_000
         assert trajectory.final_state.count_x1 == 0
-        assert all(event.count_x1 == 0 for event in trajectory.events)
+        assert set(trajectory.counts) == {0}
         assert trajectory.final_time > 0
 
     def test_elided_nulls_still_advance_time_and_count(self):
         config = SimConfig(max_events=500, record_null_draws=False)
         trajectory = simulate(SwarmState(101, 0), MMM, config, seed=0)
-        assert trajectory.events == ()
+        assert len(trajectory.times) == len(trajectory.counts) == 0
         assert trajectory.n_events == 500
         assert trajectory.final_time > 0
 
@@ -188,16 +237,14 @@ class TestSimulate:
         config = SimConfig(max_events=200)
         a = simulate(SwarmState(101, 51), MMM, config, seed=1)
         b = simulate(SwarmState(101, 51), MMM, config, seed=2)
-        assert a.events != b.events
+        assert a.times != b.times
 
     def test_trajectory_invariants_and_replay(self):
         config = SimConfig(noise_rate=0.05, max_events=5_000)
         trajectory = simulate(SwarmState(101, 51), MMm, config, seed=7)
-        times = [event.time for event in trajectory.events]
+        times = trajectory.times
         assert all(b > a for a, b in zip(times, times[1:]))
-        counts = [trajectory.initial_state.count_x1] + [
-            event.count_x1 for event in trajectory.events
-        ]
+        counts = [trajectory.initial_state.count_x1, *trajectory.counts]
         assert all(abs(b - a) <= 1 for a, b in zip(counts, counts[1:]))
         assert trajectory.final_state.n_agents == 101
         verify_trajectory(trajectory, MMm)
@@ -205,14 +252,10 @@ class TestSimulate:
     def test_replay_detects_tampering(self):
         config = SimConfig(max_events=100)
         trajectory = simulate(SwarmState(101, 51), MMM, config, seed=7)
-        event = trajectory.events[10]
-        bad_event = TrajectoryEvent(event.time, event.kind, 100)
-        tampered = replace(
-            trajectory,
-            events=trajectory.events[:10] + (bad_event,) + trajectory.events[11:],
-        )
+        counts = array("q", trajectory.counts)
+        counts[10] = 100
         with pytest.raises(ValueError):
-            verify_trajectory(tampered, MMM)
+            verify_trajectory(replace(trajectory, counts=counts), MMM)
 
     def test_absorption_from_center(self):
         config = SimConfig(max_events=10**6, stop_at_consensus=True)
@@ -225,13 +268,42 @@ class TestSimulate:
         config = SimConfig(stop_at_consensus=True)
         trajectory = simulate(SwarmState(101, 101), MMM, config, seed=0)
         assert trajectory.n_events == 0
-        assert trajectory.events == ()
+        assert len(trajectory.times) == 0
 
     def test_t_max_bound(self):
         config = SimConfig(noise_rate=0.01, t_max=2.0)
         trajectory = simulate(SwarmState(101, 51), MMM, config, seed=5)
         assert trajectory.final_time <= 2.0
-        assert all(event.time <= 2.0 for event in trajectory.events)
+        assert all(time <= 2.0 for time in trajectory.times)
+
+    @pytest.mark.parametrize(
+        "shorter",
+        [{"max_events": 3_000}, {"max_events": 1}, {"t_max": 25.0}, {"t_max": 1e-3}],
+    )
+    def test_shorter_run_is_exact_prefix(self, shorter):
+        # Randomness is drawn in whole blocks, so where a run stops never
+        # changes the events before it.
+        base = SimConfig(noise_rate=0.05, max_events=10_000)
+        full = simulate(SwarmState(101, 51), MMm, base, seed=17)
+        part = simulate(SwarmState(101, 51), MMm, replace(base, **shorter), seed=17)
+        rows = len(part.times)
+        assert rows < len(full.times)
+        assert part.n_events == rows
+        for column in ("times", "kinds", "ks", "counts"):
+            assert getattr(part, column) == getattr(full, column)[:rows]
+        assert part.final_time == (full.times[rows - 1] if rows else 0.0)
+
+    def test_record_memory_per_event(self):
+        # Columns take 8 bytes for the time plus 1 to 8 for each integer
+        # field per event; per-event objects took about 160.
+        config = SimConfig(noise_rate=0.05, max_events=200_000)
+        tracemalloc.start()
+        try:
+            simulate(SwarmState(101, 51), MMm, config, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.max_events < 40
 
     def test_frozen_propagates(self):
         config = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=10)
@@ -258,10 +330,10 @@ class TestSimulate:
         config = SimConfig(max_events=10**6)
         trajectory = simulate(SwarmState(101, 51), rules, config, seed=11)
         t_prev, z_prev, acc = 0.0, trajectory.initial_state.z, 0.0
-        for event in trajectory.events:
-            acc += z_prev * (event.time - t_prev)
-            t_prev = event.time
-            z_prev = 2.0 * event.count_x1 / 101 - 1.0
+        for time, count in zip(trajectory.times, trajectory.counts):
+            acc += z_prev * (time - t_prev)
+            t_prev = time
+            z_prev = 2.0 * count / 101 - 1.0
         time_average = acc / trajectory.final_time
         assert -0.15 <= time_average <= 0.15
 
@@ -286,15 +358,29 @@ class TestTrajectoryCsv:
             assert -1.0 <= float(z_s) <= 1.0
         assert "rule" in labels
 
+    def test_rows_match_direct_formatting(self):
+        n = 101
+        config = SimConfig(noise_rate=0.1, max_events=20_000)
+        trajectory = simulate(SwarmState(n, 51), MMm, config, seed=29)
+        assert set(trajectory.kinds) == {RULE, NULL, NOISE12, NOISE21}
+        rows = list(trajectory_csv_lines(trajectory))[1:]
+        assert len(rows) == 20_000
+        columns = zip(trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
+        for row, (t, kind, k, count) in zip(rows, columns):
+            label = EVENT_LABELS[kind]
+            k_field = "" if label.startswith("noise") else str(k)
+            z = 2.0 * count / n - 1.0
+            assert row == f"{t:.17g},{label},{k_field},{count},{z:.17g}"
+
     def test_seventeen_significant_digits(self):
         config = SimConfig(max_events=5)
         trajectory = simulate(SwarmState(101, 51), MMM, config, seed=1)
         row = list(trajectory_csv_lines(trajectory))[1]
         time_s = row.split(",")[0]
-        assert float(time_s) == trajectory.events[0].time
+        assert float(time_s) == trajectory.times[0]
 
     def test_event_labels(self):
-        assert event_label(RuleFired(3)) == "rule"
-        assert event_label(NullDraw(0)) == "null"
-        assert event_label(NoiseFlip(FlipDirection.X1_TO_X2)) == "noise12"
-        assert event_label(NoiseFlip(FlipDirection.X2_TO_X1)) == "noise21"
+        assert EVENT_LABELS[RULE] == "rule"
+        assert EVENT_LABELS[NULL] == "null"
+        assert EVENT_LABELS[NOISE12] == "noise12"
+        assert EVENT_LABELS[NOISE21] == "noise21"
