@@ -182,11 +182,7 @@ def empirical_drift(
     if rules is None and rule_rate != 0:
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
-    weights = (
-        np.array([rules.signed_weight(k) for k in range(rules.group_size + 1)])
-        if rules is not None
-        else None
-    )
+    weights = np.array(rules.signed_weights) if rules is not None else None
     zs: list[float] = []
     estimates: list[float] = []
     for count in range(n_agents + 1):
