@@ -167,7 +167,7 @@ def draw_group_composition(
 
 def _int_column(largest: int) -> array:
     """Empty unsigned column just wide enough for values up to ``largest``."""
-    return next(array(code) for code in "BHIQ" if largest < 256 ** array(code).itemsize)
+    return next((array(c) for c in "BHI" if largest < 256 ** array(c).itemsize), array("Q"))
 
 
 def _events(
