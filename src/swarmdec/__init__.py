@@ -26,11 +26,9 @@ from .model import (
     RulePolarity,
     RuleSet,
     SwarmState,
-    apply_rule,
     enumerate_rulesets,
     signed_weight,
     state_of_z,
-    z_of,
 )
 from .schema import (
     Reaction,
@@ -79,7 +77,6 @@ __all__ = [
     "Trajectory",
     "analytic_drift",
     "analytic_drift_curve",
-    "apply_rule",
     "draw_group_composition",
     "empirical_drift",
     "empirical_firing_probabilities",
@@ -103,5 +100,4 @@ __all__ = [
     "step",
     "trajectory_csv_lines",
     "verify_trajectory",
-    "z_of",
 ]

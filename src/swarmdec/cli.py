@@ -42,7 +42,15 @@ from .drift import (
     rule_firing_probabilities,
 )
 from .hypergeom import pmf, pmf_bruteforce
-from .model import NoiseSpec, RuleSet, SwarmState, enumerate_rulesets, state_of_z
+from .model import (
+    NoiseSpec,
+    RuleSet,
+    SwarmState,
+    check_group_size,
+    check_swarm_size,
+    enumerate_rulesets,
+    state_of_z,
+)
 from .schema import (
     SchemaError,
     format_schema,
@@ -63,26 +71,32 @@ SEED_ENV_VAR = "SWARMDEC_SEED"
 _FILE_COMMANDS = ("drift", "probs", "simulate", "fixed-points")
 _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
 
-_CONFIG_KEYS = {
-    "agents": int,
-    "group": int,
-    "rules": str,
-    "schema": str,
-    "epsilon": float,
-    "rule_rate": float,
-    "seed": int,
-    "out": str,
-    "grid": int,
-    "samples": int,
-    "events": int,
-    "t_max": float,
-    "empirical": bool,
-    "init_z": float,
-    "init_k": int,
-    "stop_at_consensus": bool,
-    "elide_nulls": bool,
-    "plot_script": str,
-}
+#: Every experiment option as ``(name, type, help, simulate-only)``: the flag
+#: ``--name`` and, unless the type is None (``--config`` itself), the config
+#: file key ``name``.  Listed in ``--help`` order.
+_OPTIONS = (
+    ("agents", int, "swarm size N, odd (default 101)", False),
+    ("group", int, "group size G, odd (inferred from --rules when omitted)", False),
+    ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False),
+    ("schema", str, "path to a reaction schema file (alternative to --rules)", False),
+    ("epsilon", float, "noise level (default 0)", False),
+    ("rule_rate", float, "group interaction rate per agent (default 0.5)", False),
+    ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False),
+    ("out", str, "output file path", False),
+    ("grid", int, "number of z grid points", False),
+    ("samples", int, "Monte Carlo samples per state", False),
+    ("events", int, "maximum number of simulated events", False),
+    ("t_max", float, "maximum simulated time", False),
+    ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False),
+    ("config", None, "JSON file with the same keys; flags take precedence", False),
+    ("plot_script", str, "also write a gnuplot script for the output file", False),
+    ("init_z", float, "initial order parameter (default 0)", True),
+    ("init_k", int, "initial X1 count (alternative to --init-z)", True),
+    ("stop_at_consensus", bool, "stop as soon as |z| = 1", True),
+    ("elide_nulls", bool, "do not record null draws (time still advances)", True),
+)
+
+_CONFIG_KEYS = {name: kind for name, kind, _, _ in _OPTIONS if kind is not None}
 
 
 class ConfigError(Exception):
@@ -123,21 +137,14 @@ class ExperimentConfig:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--agents", type=int, help="swarm size N, odd (default 101)")
-    common.add_argument("--group", type=int, help="group size G, odd (inferred from --rules when omitted)")
-    common.add_argument("--rules", help="polarity string such as MMm, or 'none' for the noise-only system")
-    common.add_argument("--schema", help="path to a reaction schema file (alternative to --rules)")
-    common.add_argument("--epsilon", type=float, help="noise level (default 0)")
-    common.add_argument("--rule-rate", type=float, dest="rule_rate", help="group interaction rate per agent (default 0.5)")
-    common.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--grid", type=int, help="number of z grid points")
-    common.add_argument("--samples", type=int, help="Monte Carlo samples per state")
-    common.add_argument("--events", type=int, help="maximum number of simulated events")
-    common.add_argument("--t-max", type=float, dest="t_max", help="maximum simulated time")
-    common.add_argument("--empirical", action=argparse.BooleanOptionalAction, help="also write a Monte Carlo estimate to a sibling .empirical.csv file")
-    common.add_argument("--config", help="JSON file with the same keys; flags take precedence")
-    common.add_argument("--plot-script", dest="plot_script", help="also write a gnuplot script for the output file")
+    simulate_only = argparse.ArgumentParser(add_help=False)
+    for name, kind, help_text, sim_only in _OPTIONS:
+        target = simulate_only if sim_only else common
+        flag = f"--{name.replace('_', '-')}"
+        if kind is bool:
+            target.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
+        else:
+            target.add_argument(flag, type=kind, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="swarmdec",
@@ -148,11 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("drift", parents=[common], help="write the dz/dt vs z curve as CSV")
     sub.add_parser("probs", parents=[common], help="write rule firing probabilities per state as CSV")
-    p_sim = sub.add_parser("simulate", parents=[common], help="run one Gillespie simulation, write the trajectory CSV")
-    p_sim.add_argument("--init-z", type=float, dest="init_z", help="initial order parameter (default 0)")
-    p_sim.add_argument("--init-k", type=int, dest="init_k", help="initial X1 count (alternative to --init-z)")
-    p_sim.add_argument("--stop-at-consensus", action=argparse.BooleanOptionalAction, dest="stop_at_consensus", help="stop as soon as |z| = 1")
-    p_sim.add_argument("--elide-nulls", action=argparse.BooleanOptionalAction, dest="elide_nulls", help="do not record null draws (time still advances)")
+    sub.add_parser("simulate", parents=[common, simulate_only], help="run one Gillespie simulation, write the trajectory CSV")
     sub.add_parser("fixed-points", parents=[common], help="locate drift zeros and their stability, write JSON")
     sub.add_parser("rulesets", parents=[common], help="list every rule set for a group size")
     sub.add_parser("validate", parents=[common], help="run internal cross-checks, write a JSON report")
@@ -220,8 +223,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         return file_cfg.get(name, default)
 
     agents = pick("agents", 101)
-    if agents <= 0 or agents % 2 == 0:
-        raise ConfigError(f"--agents must be a positive odd integer, got {agents}")
+    try:
+        check_swarm_size(agents)
+    except ValueError as exc:
+        raise ConfigError(f"--agents: {exc}") from exc
 
     epsilon = pick("epsilon", 0.0)
     if epsilon < 0 or not math.isfinite(epsilon):
@@ -271,8 +276,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             )
         group = rules.group_size
     if group is not None:
-        if group < 3 or group % 2 == 0:
-            raise ConfigError(f"--group must be an odd integer >= 3, got {group}")
+        try:
+            check_group_size(group)
+        except ValueError as exc:
+            raise ConfigError(f"--group: {exc}") from exc
         if group > agents:
             raise ConfigError(f"--group {group} exceeds --agents {agents}")
 
@@ -361,6 +368,11 @@ def _provenance(
     return " ".join(parts)
 
 
+def _run_header(cfg: ExperimentConfig, **extra) -> str:
+    """Provenance line naming the run's swarm, rules, noise and seed, then ``extra``."""
+    return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.epsilon, cfg.seed, **extra)
+
+
 #: Lines joined per write call in :func:`_write_text`.
 _WRITE_CHUNK_LINES = 8192
 
@@ -421,33 +433,17 @@ def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
     curve = analytic_drift_curve(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
-    header = _provenance(
-        agents=cfg.agents,
-        group=cfg.group,
-        rules=cfg.rules_label,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
-        grid=cfg.grid,
-    )
-    _write_text(cfg.out, _curve_csv(curve, header))
+    rule_rate = 0.0 if cfg.pure_noise else cfg.rule_rate
+    if cfg.empirical:  # sampled first, so that a failure leaves no file behind
+        try:
+            emp = empirical_drift(
+                cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=rule_rate
+            )
+        except ValueError as exc:  # the total event rate overflows
+            raise ConfigError(str(exc)) from exc
+    _write_text(cfg.out, _curve_csv(curve, _run_header(cfg, grid=cfg.grid)))
     if cfg.empirical:
-        emp = empirical_drift(
-            cfg.agents,
-            cfg.rules,
-            cfg.noise,
-            cfg.samples,
-            cfg.seed,
-            rule_rate=0.0 if cfg.pure_noise else cfg.rule_rate,
-        )
-        emp_header = _provenance(
-            agents=cfg.agents,
-            group=cfg.group,
-            rules=cfg.rules_label,
-            epsilon=cfg.epsilon,
-            seed=cfg.seed,
-            samples=cfg.samples,
-            rule_rate=0.0 if cfg.pure_noise else cfg.rule_rate,
-        )
+        emp_header = _run_header(cfg, samples=cfg.samples, rule_rate=rule_rate)
         _write_text(_empirical_path(cfg.out), _curve_csv(emp, emp_header))
     if cfg.plot_script:
         title = cfg.rules_label or "drift"
@@ -510,12 +506,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         trajectory = simulate(cfg.initial, cfg.rules, sim_config, cfg.seed)
     except ValueError as exc:  # the total event rate overflows
         raise ConfigError(str(exc)) from exc
-    header = _provenance(
-        agents=cfg.agents,
-        group=cfg.group,
-        rules=cfg.rules_label,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
+    header = _run_header(
+        cfg,
         rule_rate=sim_config.rule_rate,
         events=cfg.events,
         t_max=cfg.t_max,
@@ -552,14 +544,7 @@ def cmd_fixed_points(cfg: ExperimentConfig) -> int:
         }
         for fp in points
     ]
-    header = _provenance(
-        agents=cfg.agents,
-        group=cfg.group,
-        rules=cfg.rules_label,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
-        grid=cfg.grid,
-    )
+    header = _run_header(cfg, grid=cfg.grid)
     _write_text(cfg.out, [header, json.dumps(payload, indent=2)])
     return EXIT_OK
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
 from .hypergeom import PmfTable, pmf_table
-from .model import NoiseSpec, RuleSet, state_of_z
+from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, lattice_z, state_of_z
 
 __all__ = [
     "DriftCurve",
@@ -46,6 +47,9 @@ __all__ = [
 _BISECT_TOL = 1e-9
 #: Slope magnitude below which a fixed point is classified as marginal.
 _MARGINAL_SLOPE_TOL = 1e-10
+#: Group draws per ``rng.hypergeometric`` call in the empirical samplers,
+#: which bounds their memory whatever the number of samples.
+_DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class FixedPoint:
 
 def lattice_z_values(n_agents: int) -> tuple[float, ...]:
     """The reachable order-parameter values ``2K/N - 1`` for ``K = 0..N``."""
-    return tuple(2.0 * k / n_agents - 1.0 for k in range(n_agents + 1))
+    return tuple(lattice_z(k, n_agents) for k in range(n_agents + 1))
 
 
 def analytic_drift(
@@ -139,6 +143,15 @@ def analytic_drift_curve(
     )
 
 
+def _hypergeometric_chunks(
+    rng: np.random.Generator, good: int, bad: int, group_size: int, draws: int
+) -> Iterator[np.ndarray]:
+    """``rng.hypergeometric(good, bad, group_size, size=draws)`` in chunks of
+    at most :data:`_DRAW_CHUNK`; their concatenation is the one-shot draw."""
+    for start in range(0, draws, _DRAW_CHUNK):
+        yield rng.hypergeometric(good, bad, group_size, size=min(_DRAW_CHUNK, draws - start))
+
+
 def _split_events(
     rng: np.random.Generator, samples: int, a_group: float, a_12: float, a_21: float
 ) -> tuple[int, int, int]:
@@ -171,10 +184,9 @@ def empirical_drift(
 
     Each state uses its own generator seeded from ``(seed, K)``, so the
     curve is independent of evaluation order and states may be computed
-    concurrently.
+    concurrently.  Raises ValueError when the total event rate overflows.
     """
-    if n_agents <= 0 or n_agents % 2 == 0:
-        raise ValueError(f"swarm size must be a positive odd integer, got {n_agents}")
+    check_swarm_size(n_agents)
     if samples_per_state < 1:
         raise ValueError(f"samples_per_state must be >= 1, got {samples_per_state}")
     if rule_rate < 0:
@@ -183,14 +195,12 @@ def empirical_drift(
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
     weights = np.array(rules.signed_weights) if rules is not None else None
-    zs: list[float] = []
     estimates: list[float] = []
     for count in range(n_agents + 1):
-        zs.append(2.0 * count / n_agents - 1.0)
         a_group = rule_rate * n_agents
         a_12 = c * count
         a_21 = c * (n_agents - count)
-        total = a_group + a_12 + a_21
+        total = check_event_rate(a_group + a_12 + a_21, n_agents)
         if total == 0.0:
             estimates.append(0.0)
             continue
@@ -198,14 +208,12 @@ def empirical_drift(
         n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
         delta_sum = n_21 - n_12
         if n_group > 0:
-            ks = rng.hypergeometric(
-                count, n_agents - count, rules.group_size, size=n_group
-            )
-            delta_sum += int(weights[ks].sum())
+            for ks in _hypergeometric_chunks(rng, count, n_agents - count, rules.group_size, n_group):
+                delta_sum += int(weights[ks].sum())
         mean_step = delta_sum / samples_per_state
         estimates.append((2.0 / n_agents) * mean_step * total)
     return DriftCurve(
-        tuple(zs),
+        lattice_z_values(n_agents),
         tuple(estimates),
         n_agents,
         noise.epsilon,
@@ -234,8 +242,9 @@ def empirical_firing_probabilities(
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng([seed, count_x1])
-    ks = rng.hypergeometric(count_x1, n_agents - count_x1, group_size, size=draws)
-    counts = np.bincount(ks, minlength=group_size + 1)
+    counts = np.zeros(group_size + 1, dtype=np.int64)
+    for ks in _hypergeometric_chunks(rng, count_x1, n_agents - count_x1, group_size, draws):
+        counts += np.bincount(ks, minlength=group_size + 1)
     return PmfTable(group_size, tuple(float(c) / draws for c in counts))
 
 

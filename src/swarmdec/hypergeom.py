@@ -50,7 +50,7 @@ class PmfTable:
         return self.probabilities[k]
 
 
-def _validate(n_agents: int, count_x1: int, group_size: int) -> None:
+def _validate(n_agents: int, count_x1: int, group_size: int, k: int) -> None:
     if not 0 <= count_x1 <= n_agents:
         raise ValueError(
             f"count_x1 must lie in [0, {n_agents}], got {count_x1}"
@@ -59,6 +59,8 @@ def _validate(n_agents: int, count_x1: int, group_size: int) -> None:
         raise ValueError(
             f"group size must lie in [1, {n_agents}], got {group_size}"
         )
+    if not 0 <= k <= group_size:
+        raise ValueError(f"composition k must lie in [0, {group_size}], got {k}")
 
 
 def pmf(n_agents: int, count_x1: int, group_size: int, k: int) -> float:
@@ -74,9 +76,7 @@ def pmf(n_agents: int, count_x1: int, group_size: int, k: int) -> float:
     Compositions outside the feasible support (more X1 than the
     population holds, or more X2 than it holds) have probability 0.
     """
-    _validate(n_agents, count_x1, group_size)
-    if not 0 <= k <= group_size:
-        raise ValueError(f"composition k must lie in [0, {group_size}], got {k}")
+    _validate(n_agents, count_x1, group_size, k)
     if k > count_x1 or group_size - k > n_agents - count_x1:
         return 0.0
     favorable = math.comb(count_x1, k) * math.comb(
@@ -106,9 +106,7 @@ def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int, k: int) -> flo
             f"subset enumeration is limited to N <= {_BRUTEFORCE_MAX_N}, "
             f"got {n_agents}"
         )
-    _validate(n_agents, count_x1, group_size)
-    if not 0 <= k <= group_size:
-        raise ValueError(f"composition k must lie in [0, {group_size}], got {k}")
+    _validate(n_agents, count_x1, group_size, k)
     population = [1] * count_x1 + [0] * (n_agents - count_x1)
     hits = sum(
         1

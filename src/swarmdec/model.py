@@ -27,12 +27,40 @@ __all__ = [
     "RulePolarity",
     "RuleSet",
     "SwarmState",
-    "apply_rule",
+    "check_event_rate",
+    "check_group_size",
+    "check_swarm_size",
     "enumerate_rulesets",
+    "lattice_z",
     "signed_weight",
     "state_of_z",
-    "z_of",
 ]
+
+
+def check_swarm_size(n_agents: int) -> None:
+    """Raise ValueError unless ``n_agents`` is a positive odd integer."""
+    if n_agents <= 0 or n_agents % 2 == 0:
+        raise ValueError(f"swarm size must be a positive odd integer, got {n_agents}")
+
+
+def check_group_size(group_size: int) -> None:
+    """Raise ValueError unless ``group_size`` is an odd integer >= 3."""
+    if group_size < 3 or group_size % 2 == 0:
+        raise ValueError(f"group size must be an odd integer >= 3, got {group_size}")
+
+
+def lattice_z(count_x1: int, n_agents: int) -> float:
+    """Order parameter ``z_K = 2K/N - 1`` of the lattice state ``K``."""
+    return 2.0 * count_x1 / n_agents - 1.0
+
+
+def check_event_rate(total: float, n_agents: int) -> float:
+    """The summed rate ``total`` of all event channels; ValueError if it overflows."""
+    if total == math.inf:
+        raise ValueError(
+            f"total event rate (rule_rate + noise_rate) * N overflows for N = {n_agents}"
+        )
+    return total
 
 
 class RulePolarity(Enum):
@@ -54,10 +82,7 @@ class SwarmState:
     count_x1: int
 
     def __post_init__(self) -> None:
-        if self.n_agents <= 0 or self.n_agents % 2 == 0:
-            raise ValueError(
-                f"swarm size must be a positive odd integer, got {self.n_agents}"
-            )
+        check_swarm_size(self.n_agents)
         if not 0 <= self.count_x1 <= self.n_agents:
             raise ValueError(
                 f"count_x1 must lie in [0, {self.n_agents}], got {self.count_x1}"
@@ -70,7 +95,7 @@ class SwarmState:
     @property
     def z(self) -> float:
         """Order parameter x1-fraction minus x2-fraction, in [-1, 1]."""
-        return 2.0 * self.count_x1 / self.n_agents - 1.0
+        return lattice_z(self.count_x1, self.n_agents)
 
     @property
     def is_consensus(self) -> bool:
@@ -104,8 +129,7 @@ class RuleSet:
 
     def __post_init__(self) -> None:
         g = self.group_size
-        if g < 3 or g % 2 == 0:
-            raise ValueError(f"group size must be an odd integer >= 3, got {g}")
+        check_group_size(g)
         expected = (g - 1) // 2
         if len(self.polarities) != expected:
             raise ValueError(
@@ -147,11 +171,6 @@ class RuleSet:
         return RuleSet(self.group_size, flipped)
 
 
-def z_of(state: SwarmState) -> float:
-    """Order parameter ``2*K/N - 1`` of a swarm state."""
-    return 2.0 * state.count_x1 / state.n_agents - 1.0
-
-
 def state_of_z(n_agents: int, z: float) -> SwarmState:
     """Nearest lattice state for a continuous order parameter.
 
@@ -186,35 +205,13 @@ def signed_weight(k: int, group_size: int, polarity: RulePolarity) -> int:
     return -toward_majority
 
 
-def apply_rule(
-    state: SwarmState, k: int, group_size: int, polarity: RulePolarity
-) -> SwarmState:
-    """State after firing the rule for a group with ``k`` X1 opinions.
-
-    Raises ValueError if the update would leave ``[0, N]``; that can only
-    happen when the caller supplies a composition that is infeasible for
-    the current state.
-    """
-    delta = signed_weight(k, group_size, polarity)
-    new_count = state.count_x1 + delta
-    if not 0 <= new_count <= state.n_agents:
-        raise ValueError(
-            f"firing at composition k={k} is infeasible for count_x1="
-            f"{state.count_x1} of {state.n_agents}"
-        )
-    return SwarmState(state.n_agents, new_count)
-
-
 def enumerate_rulesets(group_size: int) -> list[RuleSet]:
     """All ``2 ** ((G-1)/2)`` rule sets for a group size, in label order.
 
     Labels sort with 'M' before 'm', so the listing starts with the
     all-majority set and ends with the all-minority one.
     """
-    if group_size < 3 or group_size % 2 == 0:
-        raise ValueError(
-            f"group size must be an odd integer >= 3, got {group_size}"
-        )
+    check_group_size(group_size)
     slots = (group_size - 1) // 2
     return [
         RuleSet(group_size, combo)

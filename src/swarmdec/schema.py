@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RulePolarity, RuleSet
+from .model import RulePolarity, RuleSet, check_group_size, signed_weight
 
 __all__ = [
     "Reaction",
@@ -106,14 +106,69 @@ class Reaction:
         return self.rhs_x1 - self.lhs_x1
 
 
-def _implied_polarity(reaction: Reaction) -> RulePolarity:
-    # Majority rule <=> the minority side shrinks.
-    k, g = reaction.lhs_x1, reaction.group_size
-    if k in (0, g):
-        raise ValueError("uniform groups imply no rule polarity")
-    minority_is_x1 = 2 * k < g
-    shrinks = reaction.delta_x1 == (-1 if minority_is_x1 else 1)
-    return RulePolarity.MAJORITY if shrinks else RulePolarity.MINORITY
+def _implied_polarity(k: int, group_size: int, delta_x1: int) -> RulePolarity:
+    """Polarity of the rule that moves the X1 count by ``delta_x1`` at ``k``."""
+    majority = signed_weight(k, group_size, RulePolarity.MAJORITY) == delta_x1
+    return RulePolarity.MAJORITY if majority else RulePolarity.MINORITY
+
+
+def _check_rows(group_size: int, rows: list[tuple[int | None, int, int, int, int]]) -> None:
+    """Raise :class:`SchemaValidationError` unless ``rows`` form a valid schema.
+
+    Each row is ``(line, lhs_x1, lhs_x2, rhs_x1, rhs_x2)``; ``line`` is the
+    1-based source line, or None for rows that did not come from text.
+    """
+    g = group_size
+    try:
+        check_group_size(g)
+    except ValueError as exc:
+        raise SchemaValidationError(
+            str(exc), reason="arity", line=rows[0][0] if rows else None
+        ) from None
+    deltas: dict[int, int] = {}
+    for line, l1, l2, r1, r2 in rows:
+        if l1 + l2 != g or r1 + r2 != g:
+            raise SchemaValidationError(
+                f"coefficients must sum to the group size {g} on "
+                f"both sides (got {l1 + l2} -> {r1 + r2})",
+                reason="arity",
+                line=line,
+            )
+        if abs(r1 - l1) != 1:
+            raise SchemaValidationError(
+                f"exactly one agent must flip per reaction (X1 count changes "
+                f"by {r1 - l1})",
+                reason="step",
+                line=line,
+            )
+        if l1 in (0, g):
+            raise SchemaValidationError(
+                f"composition {l1} admits no conversion (group is uniform)",
+                reason="composition",
+                line=line,
+            )
+        if l1 in deltas:
+            raise SchemaValidationError(
+                f"two reactions share composition {l1}",
+                reason="duplicate-composition",
+                line=line,
+            )
+        deltas[l1] = r1 - l1
+    if len(deltas) != g - 1:
+        missing = sorted(set(range(1, g)) - set(deltas))
+        raise SchemaValidationError(
+            f"schema must cover every composition 1..{g - 1}; missing {missing}",
+            reason="missing-composition",
+        )
+    for k in range(1, (g + 1) // 2):
+        left = _implied_polarity(k, g, deltas[k])
+        right = _implied_polarity(g - k, g, deltas[g - k])
+        if left is not right:
+            raise SchemaValidationError(
+                f"compositions {k} and {g - k} imply different "
+                f"polarities ({left.value} vs {right.value})",
+                reason="asymmetry",
+            )
 
 
 @dataclass(frozen=True)
@@ -124,47 +179,8 @@ class ReactionSchema:
     reactions: tuple[Reaction, ...]
 
     def __post_init__(self) -> None:
-        g = self.group_size
-        if g < 3 or g % 2 == 0:
-            raise SchemaValidationError(
-                f"group size must be an odd integer >= 3, got {g}", reason="arity"
-            )
-        for reaction in self.reactions:
-            if reaction.group_size != g:
-                raise SchemaValidationError(
-                    f"reaction at composition {reaction.composition} has group "
-                    f"size {reaction.group_size}, expected {g}",
-                    reason="arity",
-                )
-        seen: dict[int, Reaction] = {}
-        for reaction in self.reactions:
-            k = reaction.composition
-            if not 1 <= k <= g - 1:
-                raise SchemaValidationError(
-                    f"composition {k} admits no conversion (group is uniform)",
-                    reason="composition",
-                )
-            if k in seen:
-                raise SchemaValidationError(
-                    f"two reactions share composition {k}",
-                    reason="duplicate-composition",
-                )
-            seen[k] = reaction
-        if len(seen) != g - 1:
-            missing = sorted(set(range(1, g)) - set(seen))
-            raise SchemaValidationError(
-                f"schema must cover every composition 1..{g - 1}; "
-                f"missing {missing}",
-                reason="missing-composition",
-            )
-        for k in range(1, (g + 1) // 2):
-            left, right = _implied_polarity(seen[k]), _implied_polarity(seen[g - k])
-            if left is not right:
-                raise SchemaValidationError(
-                    f"compositions {k} and {g - k} imply different polarities "
-                    f"({left.value} vs {right.value})",
-                    reason="asymmetry",
-                )
+        rows = [(None, r.lhs_x1, r.lhs_x2, r.rhs_x1, r.rhs_x2) for r in self.reactions]
+        _check_rows(self.group_size, rows)
 
 
 def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
@@ -282,75 +298,17 @@ def parse_schema(text: str) -> ReactionSchema:
         raise SchemaValidationError(
             "schema contains no reactions", reason="missing-composition"
         )
-
     group_size = rows[0][1] + rows[0][2]
-    if group_size < 3 or group_size % 2 == 0:
-        raise SchemaValidationError(
-            f"group size must be an odd integer >= 3, got {group_size}",
-            reason="arity",
-            line=rows[0][0],
-        )
-
-    reactions: list[Reaction] = []
-    compositions: set[int] = set()
-    for line_no, l1, l2, r1, r2 in rows:
-        if l1 + l2 != group_size or r1 + r2 != group_size:
-            raise SchemaValidationError(
-                f"coefficients must sum to the group size {group_size} on "
-                f"both sides (got {l1 + l2} -> {r1 + r2})",
-                reason="arity",
-                line=line_no,
-            )
-        if abs(r1 - l1) != 1:
-            raise SchemaValidationError(
-                f"exactly one agent must flip per reaction (X1 count changes "
-                f"by {r1 - l1})",
-                reason="step",
-                line=line_no,
-            )
-        if l1 in (0, group_size):
-            raise SchemaValidationError(
-                f"composition {l1} admits no conversion (group is uniform)",
-                reason="composition",
-                line=line_no,
-            )
-        if l1 in compositions:
-            raise SchemaValidationError(
-                f"two reactions share composition {l1}",
-                reason="duplicate-composition",
-                line=line_no,
-            )
-        compositions.add(l1)
-        reactions.append(Reaction(l1, l2, r1, r2))
-
-    if len(reactions) != group_size - 1:
-        missing = sorted(set(range(1, group_size)) - compositions)
-        raise SchemaValidationError(
-            f"schema must cover every composition 1..{group_size - 1}; "
-            f"missing {missing}",
-            reason="missing-composition",
-        )
-
-    by_composition = {r.composition: r for r in reactions}
-    for k in range(1, (group_size + 1) // 2):
-        left = _implied_polarity(by_composition[k])
-        right = _implied_polarity(by_composition[group_size - k])
-        if left is not right:
-            raise SchemaValidationError(
-                f"compositions {k} and {group_size - k} imply different "
-                f"polarities ({left.value} vs {right.value})",
-                reason="asymmetry",
-            )
-
-    return ReactionSchema(group_size, tuple(reactions))
+    _check_rows(group_size, rows)
+    return ReactionSchema(group_size, tuple(Reaction(*row[1:]) for row in rows))
 
 
 def ruleset_of_schema(schema: ReactionSchema) -> RuleSet:
     """Extract the polarity assignment of a validated schema."""
-    by_composition = {r.composition: r for r in schema.reactions}
+    deltas = {r.composition: r.delta_x1 for r in schema.reactions}
     g = schema.group_size
     polarities = tuple(
-        _implied_polarity(by_composition[m]) for m in range(1, (g - 1) // 2 + 1)
+        _implied_polarity(m, g, deltas[m]) for m in range(1, (g - 1) // 2 + 1)
     )
     return RuleSet(g, polarities)
 
@@ -389,10 +347,7 @@ def format_schema(schema: ReactionSchema) -> str:
 
 def parse_polarity_string(s: str, group_size: int) -> RuleSet:
     """Rule set encoded as one 'M'/'m' per minority count, e.g. ``MMm``."""
-    if group_size < 3 or group_size % 2 == 0:
-        raise ValueError(
-            f"group size must be an odd integer >= 3, got {group_size}"
-        )
+    check_group_size(group_size)
     expected = (group_size - 1) // 2
     if len(s) != expected:
         raise ValueError(
@@ -401,13 +356,11 @@ def parse_polarity_string(s: str, group_size: int) -> RuleSet:
         )
     polarities = []
     for i, ch in enumerate(s):
-        if ch == "M":
-            polarities.append(RulePolarity.MAJORITY)
-        elif ch == "m":
-            polarities.append(RulePolarity.MINORITY)
-        else:
+        try:
+            polarities.append(RulePolarity(ch))
+        except ValueError:
             raise ValueError(
                 f"invalid polarity character {ch!r} at position {i}; "
                 "expected 'M' or 'm'"
-            )
+            ) from None
     return RuleSet(group_size, tuple(polarities))

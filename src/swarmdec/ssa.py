@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import RuleSet, SwarmState
+from .model import RuleSet, SwarmState, check_event_rate, lattice_z
 
 __all__ = [
     "BLOCK_EVENTS",
@@ -151,6 +151,8 @@ def _urn(picks: Sequence[int], favorable: int) -> int:
 
 def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
     """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
+    if group_size > n_agents:
+        raise ValueError(f"group size {group_size} exceeds swarm size {n_agents}")
     return np.arange(n_agents, n_agents - group_size, -1)
 
 
@@ -158,10 +160,6 @@ def draw_group_composition(
     rng: np.random.Generator, n_agents: int, count_x1: int, group_size: int
 ) -> int:
     """Sequential urn draw: pick ``G`` agents one by one, count X1 picks."""
-    if group_size > n_agents:
-        raise ValueError(
-            f"cannot draw {group_size} agents from a swarm of {n_agents}"
-        )
     return _urn(rng.integers(_pick_bounds(n_agents, group_size)).tolist(), count_x1)
 
 
@@ -184,24 +182,18 @@ def _events(
     and ValueError for an impossible or overflowing configuration, both
     on the first ``next``.
     """
-    if rules is not None and rules.group_size > n:
-        raise ValueError(f"group size {rules.group_size} exceeds swarm size {n}")
+    group_size = rules.group_size if rules is not None else 0
+    bounds = _pick_bounds(n, group_size)
     a_group = config.rule_rate * n
     if a_group > 0 and rules is None:
         raise ValueError("rule_rate > 0 requires a rule set")
     noise = config.noise_rate
     # The X1 -> X2 threshold a_group + noise*K is this very expression at
     # K = N, so u = uniform*total < total never picks X2 -> X1 at K = N.
-    total = a_group + noise * n
-    if total == math.inf:
-        raise ValueError(
-            f"total event rate (rule_rate + noise_rate) * N overflows for N = {n}"
-        )
+    total = check_event_rate(a_group + noise * n, n)
     if total <= 0:
         raise FrozenSystemError("all propensities are zero; the system is frozen")
-    group_size = rules.group_size if rules is not None else 0
     weights = rules.signed_weights if rules is not None else ()
-    bounds = _pick_bounds(n, group_size)
     while True:
         dts = (rng.standard_exponential(block) / total).tolist()
         us = (rng.random(block) * total).tolist()
@@ -341,6 +333,6 @@ def trajectory_csv_lines(
         if suffix is None:
             kind, k, count = key
             k_field = "" if kind in (NOISE12, NOISE21) else k
-            z = 2.0 * count / n - 1.0
+            z = lattice_z(count, n)
             suffix = suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
         yield f"{time:.17g}{suffix}"

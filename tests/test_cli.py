@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,9 +7,11 @@ import stat
 import pytest
 
 from swarmdec.cli import (
+    _CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -124,6 +127,13 @@ class TestDrift:
              str(tmp_path / "no_such_dir" / "x.csv")]
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("flags", [["--rule-rate", "1e308"], ["--epsilon", "1e308"]])
+    def test_empirical_overflowing_rate_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--rules", "MMm", "--empirical", *flags, "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_script(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -362,6 +372,56 @@ class TestValidate:
         assert file_report["passed"] is True
 
 
+#: (file name, sha256, arguments) of the README's analytic data sets.  The
+#: digests pin every byte of the provenance lines, number formats and JSON
+#: layout, so a refactor that changes any of them fails here; RNG-dependent
+#: outputs are left out because their bytes follow numpy's generators.
+GOLDEN_OUTPUTS = [
+    ("g5_quiet.csv", "90239293a91a25c251451df2a8d8d43d19371ddfb43b83cd40d2a3c1b97d1491",
+     ["drift", "--agents", "101", "--rules", "Mm", "--epsilon", "0", "--grid", "201"]),
+    ("g5_noisy.csv", "73fc84c182b579576502263638f6dd93fa71c04312479fa2c7d81322d907eb9d",
+     ["drift", "--agents", "101", "--rules", "Mm", "--epsilon", "0.1", "--grid", "201"]),
+    ("g5_probs.csv", "d87a387e492295ecf6c82a03997d0f115756865f8bd511aa6e5e1ec222694772",
+     ["probs", "--agents", "101", "--group", "5"]),
+    *[
+        (f"g7_{label}.csv", digest,
+         ["drift", "--agents", "101", "--rules", label, "--epsilon", "0", "--grid", "201"])
+        for label, digest in [
+            ("MMM", "035f5510d529fc538d710941aa96925246bd95a158b422b9dbc7dbe3c6efd2c0"),
+            ("MMm", "f322e48f849161e746b5327bbd7ba700e6975b9abb016a425aef087ba015f3ef"),
+            ("MmM", "a88b542e53c29f336294a31579cea651cd4ab546767f2826077facabcb80840b"),
+            ("Mmm", "99a80b7a30b17d58c6c88e5f3587d8cd4891a2682f71f0745e5d11da0328b1e7"),
+            ("mMM", "d30be1d0a7f16779f4b32cf25c2dcdfa460803b341d6d4ee84a570626c3b65db"),
+            ("mMm", "9c9a363f442eab3731217bb31cc71e73bf6c4edccb74c3b87e640ca14a3a222b"),
+            ("mmM", "d353a543ad961986b2c8e13020fbd3f8ebd97481c5c37216c48af39daa27ff5a"),
+            ("mmm", "89779a6bf81d1c39af68edfa406a099653a6bd57df0b93129b61ca5e6f6eb84e"),
+        ]
+    ],
+    ("pure_noise.csv", "e35c8030889214a3f6dacd04f8da479a146d100c8226a5106a0636ab00f763ac",
+     ["drift", "--rules", "none", "--epsilon", "0.1"]),
+    ("fp_quiet.json", "84d652afec67b66708b6e59a7f78d735c104481b2f45564035b8a7f92b7befc1",
+     ["fixed-points", "--rules", "MMM", "--epsilon", "0"]),
+    ("fp_noisy.json", "f2dfb1a93dbb51fdb85c91ecf487513bf588506abad9aa9e13f655093e71e920",
+     ["fixed-points", "--rules", "MMM", "--epsilon", "0.1"]),
+    ("rulesets_g7.txt", "8f9e474bd5400f7f77a75d0f7b8b07ec27e8cf737236c86a88cf42cc9e43e4fb",
+     ["rulesets", "--group", "7"]),
+    ("validate.json", "c9823b0219b2917bfedacca6102b552235703a74543bc4b886f412a9043f7b9a",
+     ["validate"]),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "name, digest, args", GOLDEN_OUTPUTS, ids=[name for name, _, _ in GOLDEN_OUTPUTS]
+    )
+    def test_readme_output_bytes(self, tmp_path, monkeypatch, capsys, name, digest, args):
+        monkeypatch.delenv("SWARMDEC_SEED", raising=False)
+        out = tmp_path / name
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestConfigFileAndEnvironment:
     def test_config_file_supplies_defaults(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -468,3 +528,18 @@ class TestArgparseBehaviour:
 
     def test_unknown_flag(self):
         assert main(["drift", "--definitely-not-a-flag"]) == EXIT_CONFIG
+
+    def test_flags_and_config_keys(self):
+        assert _CONFIG_KEYS == {
+            "agents": int, "group": int, "rules": str, "schema": str, "epsilon": float,
+            "rule_rate": float, "seed": int, "out": str, "grid": int, "samples": int,
+            "events": int, "t_max": float, "empirical": bool, "init_z": float,
+            "init_k": int, "stop_at_consensus": bool, "elide_nulls": bool,
+            "plot_script": str,
+        }
+        simulate_only = {"init_z", "init_k", "stop_at_consensus", "elide_nulls"}
+        for command in ("drift", "probs", "simulate", "fixed-points", "rulesets", "validate"):
+            expected = set(_CONFIG_KEYS) | {"command", "config"}
+            if command != "simulate":
+                expected -= simulate_only
+            assert set(vars(build_parser().parse_args([command]))) == expected

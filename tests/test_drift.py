@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from swarmdec import drift
 from swarmdec.drift import (
     DriftCurve,
     FixedPoint,
@@ -146,6 +149,18 @@ class TestEmpiricalDrift:
         with pytest.raises(ValueError):
             empirical_drift(100, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
 
+    @pytest.mark.parametrize("epsilon, rule_rate", [(0.0, 1e308), (1e308, 0.5), (1e308, 0.0)])
+    def test_overflowing_rate_rejected(self, epsilon, rule_rate):
+        rules = parse_polarity_string("MMm", 7)
+        with pytest.raises(ValueError, match="overflows"):
+            empirical_drift(101, rules, NoiseSpec(epsilon), 10, seed=0, rule_rate=rule_rate)
+
+    def test_chunked_draws_match_one_shot(self, monkeypatch):
+        rules = parse_polarity_string("MM", 5)
+        one_shot = empirical_drift(11, rules, NoiseSpec(0.1), 5000, seed=4)
+        monkeypatch.setattr(drift, "_DRAW_CHUNK", 997)  # several chunks per state
+        assert empirical_drift(11, rules, NoiseSpec(0.1), 5000, seed=4) == one_shot
+
     def test_frozen_states_report_zero(self):
         curve = empirical_drift(11, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
         assert set(curve.dzdt) == {0.0}
@@ -193,6 +208,27 @@ class TestFiringProbabilities:
     def test_empirical_validation(self):
         with pytest.raises(ValueError):
             empirical_firing_probabilities(101, 7, 51, draws=0, seed=1)
+
+    def test_empirical_chunks_equal_one_shot_draws(self, monkeypatch):
+        monkeypatch.setattr(drift, "_DRAW_CHUNK", 997)
+        draws = 10 * 997 + 3
+        table = empirical_firing_probabilities(101, 7, 40, draws=draws, seed=6)
+        ks = np.random.default_rng([6, 40]).hypergeometric(40, 61, 7, size=draws)
+        expected = tuple(float(c) / draws for c in np.bincount(ks, minlength=8))
+        assert table.probabilities == expected
+
+
+def test_sampler_memory_is_bounded():
+    # One-shot sampling would hold 8 bytes per draw (16 MB for each call
+    # here); chunked draws hold at most a chunk at a time.
+    tracemalloc.start()
+    try:
+        empirical_firing_probabilities(101, 7, 51, draws=2_000_000, seed=1)
+        empirical_drift(3, parse_polarity_string("M", 3), NO_NOISE, 2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestFixedPoints:

@@ -5,11 +5,9 @@ from swarmdec.model import (
     RulePolarity,
     RuleSet,
     SwarmState,
-    apply_rule,
     enumerate_rulesets,
     signed_weight,
     state_of_z,
-    z_of,
 )
 
 M = RulePolarity.MAJORITY
@@ -32,11 +30,11 @@ class TestSwarmState:
 
 class TestZMapping:
     def test_z_of_extrema(self):
-        assert z_of(SwarmState(101, 101)) == 1.0
-        assert z_of(SwarmState(101, 0)) == -1.0
+        assert SwarmState(101, 101).z == 1.0
+        assert SwarmState(101, 0).z == -1.0
 
     def test_z_of_center(self):
-        assert z_of(SwarmState(101, 51)) == 2 * 51 / 101 - 1
+        assert SwarmState(101, 51).z == 2 * 51 / 101 - 1
 
     def test_state_of_z_extrema(self):
         assert state_of_z(101, 1.0).count_x1 == 101
@@ -55,7 +53,7 @@ class TestZMapping:
     def test_round_trip_on_lattice(self):
         for count in range(102):
             state = SwarmState(101, count)
-            assert state_of_z(101, z_of(state)) == state
+            assert state_of_z(101, state.z) == state
 
 
 class TestSignedWeight:
@@ -96,25 +94,6 @@ class TestSignedWeight:
         for polarity in (M, m):
             for k in range(g + 1):
                 assert abs(signed_weight(k, g, polarity)) <= 1
-
-
-class TestApplyRule:
-    def test_examples(self):
-        state = SwarmState(101, 50)
-        assert apply_rule(state, 3, 7, M).count_x1 == 49
-        assert apply_rule(state, 3, 7, m).count_x1 == 51
-
-    def test_uniform_group_is_noop(self):
-        state = SwarmState(101, 101)
-        assert apply_rule(state, 7, 7, M) == state
-
-    def test_population_conserved(self):
-        assert apply_rule(SwarmState(101, 50), 4, 7, M).n_agents == 101
-
-    def test_infeasible_composition(self):
-        # k = 1 cannot be drawn from an all-X2 swarm; flags a caller bug.
-        with pytest.raises(ValueError):
-            apply_rule(SwarmState(5, 0), 1, 5, M)
 
 
 class TestRuleSet:
