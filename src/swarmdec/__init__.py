@@ -15,6 +15,7 @@ from .drift import (
     analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
+    empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
     negate_check,
@@ -27,6 +28,7 @@ from .model import (
     RuleSet,
     SwarmState,
     enumerate_rulesets,
+    iter_rulesets,
     signed_weight,
     state_of_z,
 )
@@ -80,7 +82,9 @@ __all__ = [
     "draw_group_composition",
     "empirical_drift",
     "empirical_firing_probabilities",
+    "empirical_firing_table",
     "enumerate_rulesets",
+    "iter_rulesets",
     "find_fixed_points",
     "format_schema",
     "lattice_z_values",

@@ -26,16 +26,16 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .drift import (
     analytic_drift,
     analytic_drift_curve,
     empirical_drift,
-    empirical_firing_probabilities,
+    empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
     negate_check,
@@ -49,6 +49,7 @@ from .model import (
     check_group_size,
     check_swarm_size,
     enumerate_rulesets,
+    iter_rulesets,
     state_of_z,
 )
 from .schema import (
@@ -67,6 +68,8 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "SWARMDEC_SEED"
+#: Largest ``--grid``: memory and time grow with the grid (see README).
+MAX_GRID = 10_000_000
 
 _FILE_COMMANDS = ("drift", "probs", "simulate", "fixed-points")
 _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
@@ -83,7 +86,7 @@ _OPTIONS = (
     ("rule_rate", float, "group interaction rate per agent (default 0.5)", False),
     ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False),
     ("out", str, "output file path", False),
-    ("grid", int, "number of z grid points", False),
+    ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False),
     ("samples", int, "Monte Carlo samples per state", False),
     ("events", int, "maximum number of simulated events", False),
     ("t_max", float, "maximum simulated time", False),
@@ -295,6 +298,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     grid = pick("grid", 2001 if command == "fixed-points" else 201)
     if grid < 3:
         raise ConfigError(f"--grid must be >= 3, got {grid}")
+    if grid > MAX_GRID:
+        raise ConfigError(f"--grid must be <= {MAX_GRID}, got {grid}")
     samples = pick("samples", 1_000_000 if command == "probs" else 100_000)
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples}")
@@ -373,7 +378,7 @@ def _run_header(cfg: ExperimentConfig, **extra) -> str:
     return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.epsilon, cfg.seed, **extra)
 
 
-#: Lines joined per write call in :func:`_write_text`.
+#: Lines joined per write call in :func:`_write_lines`.
 _WRITE_CHUNK_LINES = 8192
 
 
@@ -386,6 +391,14 @@ def _new_file_mode(path: Path) -> int:
     return 0o666 & ~umask
 
 
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``fh``, each ended by a newline, in bounded chunks."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _WRITE_CHUNK_LINES)):
+        fh.write("\n".join(chunk))
+        fh.write("\n")
+
+
 def _write_text(path: Path, lines: Iterable[str]) -> None:
     """Write ``lines``, each ended by a newline, atomically: in bounded
     chunks to a temp file in the target directory, then renamed."""
@@ -394,10 +407,7 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            lines = iter(lines)
-            while chunk := list(islice(lines, _WRITE_CHUNK_LINES)):
-                fh.write("\n".join(chunk))
-                fh.write("\n")
+            _write_lines(fh, lines)
             os.fchmod(fd, mode)
         os.replace(tmp_name, path)
     except BaseException:
@@ -412,10 +422,10 @@ def _empirical_path(out: Path) -> Path:
     return Path(str(out) + ".empirical.csv")
 
 
-def _curve_csv(curve, provenance: str) -> list[str]:
-    lines = [provenance, "z,dzdt"]
-    lines.extend(f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
-    return lines
+def _curve_csv(curve, provenance: str) -> Iterator[str]:
+    yield provenance
+    yield "z,dzdt"
+    yield from (f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
 
 
 _GNUPLOT_PRELUDE = [
@@ -468,13 +478,14 @@ def _probs_csv(cfg: ExperimentConfig, empirical: bool) -> list[str]:
     )
     columns = ",".join(f"p{k}" for k in range(cfg.group + 1))
     lines = [header, f"z,{columns}"]
-    for count, z in enumerate(lattice_z_values(cfg.agents)):
-        if empirical:
-            table = empirical_firing_probabilities(
-                cfg.agents, cfg.group, count, cfg.samples, cfg.seed
-            )
-        else:
-            table = rule_firing_probabilities(cfg.agents, cfg.group, count)
+    if empirical:
+        tables = empirical_firing_table(cfg.agents, cfg.group, cfg.samples, cfg.seed)
+    else:
+        tables = [
+            rule_firing_probabilities(cfg.agents, cfg.group, count)
+            for count in range(cfg.agents + 1)
+        ]
+    for z, table in zip(lattice_z_values(cfg.agents), tables):
         row = ",".join(f"{p:.17g}" for p in table.probabilities)
         lines.append(f"{z:.17g},{row}")
     return lines
@@ -549,19 +560,23 @@ def cmd_fixed_points(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _ruleset_listing(group: int) -> Iterator[str]:
+    """The ``rulesets`` listing, line by line: each label, then its reactions."""
+    for index, rules in enumerate(iter_rulesets(group)):
+        if index:
+            yield ""
+        yield rules.label
+        for line in format_schema(schema_of_ruleset(rules)).splitlines():
+            yield f"  {line}"
+
+
 def cmd_rulesets(cfg: ExperimentConfig) -> int:
-    lines: list[str] = []
-    for rules in enumerate_rulesets(cfg.group):
-        if lines:
-            lines.append("")
-        lines.append(rules.label)
-        schema_text = format_schema(schema_of_ruleset(rules))
-        lines.extend(f"  {line}" for line in schema_text.splitlines())
+    lines = _ruleset_listing(cfg.group)
     if cfg.out is not None:
         header = _provenance(agents=None, group=cfg.group, rules=None, epsilon=None, seed=None)
-        _write_text(cfg.out, [header, *lines])
+        _write_text(cfg.out, chain([header], lines))
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write_lines(sys.stdout, lines)
     return EXIT_OK
 
 

@@ -20,9 +20,11 @@ locates and classifies the zeros of the analytic curve.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "analytic_drift_curve",
     "empirical_drift",
     "empirical_firing_probabilities",
+    "empirical_firing_table",
     "find_fixed_points",
     "lattice_z_values",
     "negate_check",
@@ -48,8 +51,9 @@ _BISECT_TOL = 1e-9
 #: Slope magnitude below which a fixed point is classified as marginal.
 _MARGINAL_SLOPE_TOL = 1e-10
 #: Group draws per ``rng.hypergeometric`` call in the empirical samplers,
-#: which bounds their memory whatever the number of samples.
-_DRAW_CHUNK = 1 << 16
+#: which bounds their memory whatever the number of samples; 128 KiB arrays
+#: keep each sampling thread's working set small and in cache.
+_DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,88 @@ def analytic_drift_curve(
     )
 
 
+def _worker_count(n_states: int) -> int:
+    """Threads for :func:`_per_state`: one per usable CPU, at most ``n_states``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_states))
+
+
+class _Stopped(Exception):
+    """Raised inside a state's sampling once another state has failed."""
+
+
+#: ``stop``: the stop event of the :func:`_per_state` call this thread works for.
+_worker = threading.local()
+
+
+def _per_state(fn: Callable[[int], object], n_agents: int) -> list:
+    """``[fn(K) for K in range(n_agents + 1)]``, computed concurrently.
+
+    :func:`_worker_count` threads, the calling one among them, take the
+    states in K order and store each result at its K, so the list does
+    not depend on the number of threads as long as ``fn(K)`` depends on
+    K alone.  numpy's samplers release the GIL while they fill an array,
+    so the draws of different states run in parallel.  When ``fn`` raises
+    (or the caller is interrupted) the other threads stop at their next
+    chunk of draws, and the exception of the lowest failed K is raised.
+    """
+    stop = threading.Event()
+    lock = threading.Lock()
+    states = iter(range(n_agents + 1))
+    results = [None] * (n_agents + 1)
+    failures: dict[int, BaseException] = {}
+
+    def work() -> None:
+        _worker.stop = stop
+        try:
+            while not stop.is_set():
+                with lock:
+                    count = next(states, None)
+                if count is None:
+                    return
+                try:
+                    results[count] = fn(count)
+                except _Stopped:
+                    return
+                except BaseException as exc:
+                    failures[count] = exc
+                    stop.set()
+        finally:
+            _worker.stop = None
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(_worker_count(n_agents + 1) - 1):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+        for thread in threads:
+            thread.join()
+    except BaseException:  # e.g. KeyboardInterrupt in this thread
+        stop.set()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _hypergeometric_chunks(
     rng: np.random.Generator, good: int, bad: int, group_size: int, draws: int
 ) -> Iterator[np.ndarray]:
     """``rng.hypergeometric(good, bad, group_size, size=draws)`` in chunks of
-    at most :data:`_DRAW_CHUNK`; their concatenation is the one-shot draw."""
+    at most :data:`_DRAW_CHUNK`; their concatenation is the one-shot draw.
+    Inside :func:`_per_state`, raises :class:`_Stopped` before a chunk once
+    another state has failed."""
+    stop = getattr(_worker, "stop", None)
     for start in range(0, draws, _DRAW_CHUNK):
+        if stop is not None and stop.is_set():
+            raise _Stopped
         yield rng.hypergeometric(good, bad, group_size, size=min(_DRAW_CHUNK, draws - start))
 
 
@@ -183,8 +263,10 @@ def empirical_drift(
     event rate, rescaled by ``2/N``, estimates ``dz/dt`` there.
 
     Each state uses its own generator seeded from ``(seed, K)``, so the
-    curve is independent of evaluation order and states may be computed
-    concurrently.  Raises ValueError when the total event rate overflows.
+    curve is independent of evaluation order, and the states are sampled
+    concurrently on the usable CPUs (:func:`_per_state`) with the same
+    result for any number of them.  Raises ValueError when the total
+    event rate overflows.
     """
     check_swarm_size(n_agents)
     if samples_per_state < 1:
@@ -195,15 +277,14 @@ def empirical_drift(
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
     weights = np.array(rules.signed_weights) if rules is not None else None
-    estimates: list[float] = []
-    for count in range(n_agents + 1):
+
+    def estimate(count: int) -> float:
         a_group = rule_rate * n_agents
         a_12 = c * count
         a_21 = c * (n_agents - count)
         total = check_event_rate(a_group + a_12 + a_21, n_agents)
         if total == 0.0:
-            estimates.append(0.0)
-            continue
+            return 0.0
         rng = np.random.default_rng([seed, count])
         n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
         delta_sum = n_21 - n_12
@@ -211,7 +292,9 @@ def empirical_drift(
             for ks in _hypergeometric_chunks(rng, count, n_agents - count, rules.group_size, n_group):
                 delta_sum += int(weights[ks].sum())
         mean_step = delta_sum / samples_per_state
-        estimates.append((2.0 / n_agents) * mean_step * total)
+        return (2.0 / n_agents) * mean_step * total
+
+    estimates = _per_state(estimate, n_agents)
     return DriftCurve(
         lattice_z_values(n_agents),
         tuple(estimates),
@@ -246,6 +329,18 @@ def empirical_firing_probabilities(
     for ks in _hypergeometric_chunks(rng, count_x1, n_agents - count_x1, group_size, draws):
         counts += np.bincount(ks, minlength=group_size + 1)
     return PmfTable(group_size, tuple(float(c) / draws for c in counts))
+
+
+def empirical_firing_table(
+    n_agents: int, group_size: int, draws: int, seed: int
+) -> list[PmfTable]:
+    """:func:`empirical_firing_probabilities` at every lattice state
+    ``K = 0..N``, in K order, sampled concurrently like
+    :func:`empirical_drift`."""
+    return _per_state(
+        lambda count: empirical_firing_probabilities(n_agents, group_size, count, draws, seed),
+        n_agents,
+    )
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float) -> tuple[float, float]:

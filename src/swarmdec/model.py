@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 __all__ = [
     "NoiseSpec",
@@ -31,6 +32,7 @@ __all__ = [
     "check_group_size",
     "check_swarm_size",
     "enumerate_rulesets",
+    "iter_rulesets",
     "lattice_z",
     "signed_weight",
     "state_of_z",
@@ -205,17 +207,23 @@ def signed_weight(k: int, group_size: int, polarity: RulePolarity) -> int:
     return -toward_majority
 
 
-def enumerate_rulesets(group_size: int) -> list[RuleSet]:
-    """All ``2 ** ((G-1)/2)`` rule sets for a group size, in label order.
+def iter_rulesets(group_size: int) -> Iterator[RuleSet]:
+    """All ``2 ** ((G-1)/2)`` rule sets for a group size, in label order,
+    built one at a time.
 
     Labels sort with 'M' before 'm', so the listing starts with the
     all-majority set and ends with the all-minority one.
     """
     check_group_size(group_size)
     slots = (group_size - 1) // 2
-    return [
+    return (
         RuleSet(group_size, combo)
         for combo in itertools.product(
             (RulePolarity.MAJORITY, RulePolarity.MINORITY), repeat=slots
         )
-    ]
+    )
+
+
+def enumerate_rulesets(group_size: int) -> list[RuleSet]:
+    """:func:`iter_rulesets` as a list."""
+    return list(iter_rulesets(group_size))

@@ -45,6 +45,7 @@ __all__ = [
 
 _ARROW_ASCII = "->"
 _ARROW_GLYPH = "→"
+_DIGITS = "0123456789"
 
 
 class SchemaError(ValueError):
@@ -204,9 +205,9 @@ def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
             tokens.append(("plus", ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:  # ASCII only: str.isdigit() also accepts '²', which int() rejects
             j = i
-            while j < len(line) and line[j].isdigit():
+            while j < len(line) and line[j] in _DIGITS:
                 j += 1
             text = line[i:j]
             if text[0] == "0":

@@ -3,16 +3,20 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import pytest
 
+from swarmdec import drift
 from swarmdec.cli import (
     _CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    MAX_GRID,
     build_parser,
     main,
+    resolve_config,
 )
 
 MMm_SCHEMA = """\
@@ -132,6 +136,14 @@ class TestDrift:
     def test_empirical_overflowing_rate_rejected(self, tmp_path, capsys, flags):
         out = tmp_path / "d.csv"
         code = main(["drift", "--rules", "MMm", "--empirical", *flags, "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_empirical_overflow_rejected_on_any_pool(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(drift, "_worker_count", lambda n_states: workers)
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--rules", "MMm", "--empirical", "--rule-rate", "1e308", "--out", str(out)])
         assert_config_error(code, capsys, out)
         assert list(tmp_path.iterdir()) == []
 
@@ -353,6 +365,28 @@ class TestRulesets:
         assert main(["rulesets", "--group", "3", "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("# swarmdec ")
 
+    def test_file_and_stdout_listings_agree(self, tmp_path, capsys):
+        out = tmp_path / "rules.txt"
+        assert main(["rulesets", "--group", "9", "--out", str(out)]) == EXIT_OK
+        assert main(["rulesets", "--group", "9"]) == EXIT_OK
+        header, _, listing = out.read_text().partition("\n")
+        assert header.startswith("# swarmdec ")
+        assert capsys.readouterr().out == listing
+
+    def test_listing_is_streamed(self, tmp_path):
+        # G = 21 lists 1024 rule sets in about 23 000 lines (1 MB); built as
+        # one list before writing, the listing peaked at 2.7 MB here, and
+        # doubled with every step of G.  Streamed, the peak is a write chunk.
+        out = tmp_path / "rules.txt"
+        tracemalloc.start()
+        try:
+            assert main(["rulesets", "--group", "21", "--out", str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n\n") == 2**10 - 1
+        assert peak < 2 * 2**20
+
 
 class TestValidate:
     def test_passes(self, tmp_path, capsys):
@@ -372,10 +406,23 @@ class TestValidate:
         assert file_report["passed"] is True
 
 
-#: (file name, sha256, arguments) of the README's analytic data sets.  The
-#: digests pin every byte of the provenance lines, number formats and JSON
-#: layout, so a refactor that changes any of them fails here; RNG-dependent
-#: outputs are left out because their bytes follow numpy's generators.
+#: (file name, sha256, arguments) of the ``--empirical`` sibling files of two
+#: seeded runs; ``--out`` is the name without ``.empirical``.  Their bytes
+#: follow numpy's generators, so they pin the samplers' RNG streams and that
+#: each row lands at its own state, however many threads sample.
+SAMPLED_OUTPUTS = [
+    ("g7_probs.empirical.csv", "753dc1ebe6930331a64c791e15fd83c12a45200073e425a35b62f4755d04c9b3",
+     ["probs", "--agents", "101", "--group", "7", "--empirical", "--samples", "20000",
+      "--seed", "42"]),
+    ("mmm_drift.empirical.csv", "73be0de2f54e1fa94e3f620a4dc06cef671475933627d164301500d48fe9f0a5",
+     ["drift", "--agents", "101", "--rules", "MMm", "--epsilon", "0.05", "--empirical",
+      "--samples", "20000", "--seed", "7"]),
+]
+
+#: (file name, sha256, arguments) of the README's analytic data sets, then
+#: the sampled ones above.  The digests pin every byte of the provenance
+#: lines, number formats and JSON layout, so a refactor that changes any of
+#: them fails here.
 GOLDEN_OUTPUTS = [
     ("g5_quiet.csv", "90239293a91a25c251451df2a8d8d43d19371ddfb43b83cd40d2a3c1b97d1491",
      ["drift", "--agents", "101", "--rules", "Mm", "--epsilon", "0", "--grid", "201"]),
@@ -407,6 +454,7 @@ GOLDEN_OUTPUTS = [
      ["rulesets", "--group", "7"]),
     ("validate.json", "c9823b0219b2917bfedacca6102b552235703a74543bc4b886f412a9043f7b9a",
      ["validate"]),
+    *SAMPLED_OUTPUTS,
 ]
 
 
@@ -416,10 +464,19 @@ class TestGoldenOutputs:
     )
     def test_readme_output_bytes(self, tmp_path, monkeypatch, capsys, name, digest, args):
         monkeypatch.delenv("SWARMDEC_SEED", raising=False)
-        out = tmp_path / name
-        assert main([*args, "--out", str(out)]) == EXIT_OK
+        assert main([*args, "--out", str(tmp_path / name.replace(".empirical", ""))]) == EXIT_OK
         capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "name, digest, args", SAMPLED_OUTPUTS, ids=[name for name, _, _ in SAMPLED_OUTPUTS]
+    )
+    def test_sampled_bytes_independent_of_worker_count(
+        self, tmp_path, monkeypatch, capsys, workers, name, digest, args
+    ):
+        monkeypatch.setattr(drift, "_worker_count", lambda n_states: workers)
+        self.test_readme_output_bytes(tmp_path, monkeypatch, capsys, name, digest, args)
 
 
 class TestConfigFileAndEnvironment:
@@ -520,6 +577,22 @@ class TestSchemaFileInput:
         out = tmp_path / "d.csv"
         code = main(["drift", "--schema", str(schema_path), "--out", str(out)])
         assert_config_error(code, capsys, out)
+
+
+class TestGridBound:
+    @pytest.mark.parametrize("command", ["drift", "fixed-points"])
+    @pytest.mark.parametrize("grid", [MAX_GRID + 1, 10**12])
+    def test_huge_grid_rejected(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "g.out"
+        code = main([command, "--rules", "MMm", "--grid", str(grid), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+
+    @pytest.mark.parametrize("command", ["drift", "fixed-points"])
+    def test_bound_itself_accepted(self, command):
+        args = build_parser().parse_args(
+            [command, "--rules", "MMm", "--grid", str(MAX_GRID), "--out", "g.out"]
+        )
+        assert resolve_config(args).grid == MAX_GRID
 
 
 class TestArgparseBehaviour:

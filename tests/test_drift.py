@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ from swarmdec.drift import (
     analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
+    empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
     negate_check,
@@ -229,6 +233,93 @@ def test_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(drift, "_worker_count", lambda n_states: min(workers, n_states))
+
+
+class TestPerStatePool:
+    """The samplers' lattice states run on a pool of threads; results must
+    not depend on its size, and a failure must stop the other workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_independent_of_worker_count(self, monkeypatch, workers):
+        rules = parse_polarity_string("MMm", 7)
+        serial = [
+            empirical_firing_probabilities(31, 7, count, 3000, seed=8) for count in range(32)
+        ]
+        drift_serial = empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8)
+        _use_workers(monkeypatch, workers)
+        assert empirical_firing_table(31, 7, 3000, seed=8) == serial
+        assert empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8) == drift_serial
+
+    def test_states_spread_over_threads_in_k_order(self, monkeypatch):
+        _use_workers(monkeypatch, 3)
+        barrier = threading.Barrier(3, timeout=30)
+
+        def state(count):
+            if count < 3:
+                barrier.wait()  # the first three states run at the same time
+            return count, threading.get_ident()
+
+        results = drift._per_state(state, 20)
+        assert [count for count, _ in results] == list(range(21))
+        assert len({ident for _, ident in results[:3]}) == 3
+
+    def test_every_state_taken_once_under_contention(self, monkeypatch):
+        _use_workers(monkeypatch, 8)  # more threads than cores
+        calls: list[int] = []
+
+        def state(count):
+            calls.append(count)
+            return -count
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = drift._per_state(state, 2000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-count for count in range(2001)]
+        assert sorted(calls) == list(range(2001))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_overflowing_rate_rejected(self, monkeypatch, workers):
+        _use_workers(monkeypatch, workers)
+        rules = parse_polarity_string("MMm", 7)
+        with pytest.raises(ValueError, match="overflows for N = 101"):
+            empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=1e308)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_stops_other_workers_within_a_chunk(self, monkeypatch, workers, error):
+        _use_workers(monkeypatch, workers)
+        monkeypatch.setattr(drift, "_DRAW_CHUNK", 100)
+        original = drift._hypergeometric_chunks
+        drawn: list[int] = []  # the state of every chunk drawn, in order
+        failed_after: list[int] = []
+
+        def chunks(rng, good, bad, group_size, draws):
+            for index, chunk in enumerate(original(rng, good, bad, group_size, draws)):
+                drawn.append(good)
+                if good == 1 and index == 4:
+                    failed_after.append(len(drawn))
+                    raise error("injected")
+                yield chunk
+
+        monkeypatch.setattr(drift, "_hypergeometric_chunks", chunks)
+        threads_before = threading.active_count()
+        # 1000 chunks per state: without the stop, the other workers would
+        # draw hundreds of chunks after state 1 fails.
+        with pytest.raises(error, match="injected"):
+            empirical_firing_table(20, 3, 100 * 1000, seed=1)
+        assert len(drawn) - failed_after[0] <= workers - 1
+        assert threading.active_count() == threads_before
+
+    def test_worker_count_is_capped_by_states(self):
+        assert drift._worker_count(1) == 1
+        assert 1 <= drift._worker_count(10**6) <= (os.cpu_count() or 1)
 
 
 class TestFixedPoints:

@@ -156,6 +156,13 @@ class TestSyntaxErrors:
             parse_schema("-> 3X2")
         assert excinfo.value.column == 1
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_rejected(self, digit):
+        # str.isdigit() holds for both, and int("²") raises a bare ValueError.
+        with pytest.raises(SchemaSyntaxError) as excinfo:
+            parse_schema(f"X1+{digit}X2 -> 3X2")
+        assert excinfo.value.column == 4
+
     def test_trailing_input(self):
         with pytest.raises(SchemaSyntaxError):
             parse_schema("X1+2X2 -> 3X2 X1")
