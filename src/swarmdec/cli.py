@@ -12,7 +12,8 @@ validate      internal cross-checks (oracle agreement, symmetries) -> JSON
 Every output file starts with a provenance comment line recording the
 package version and the resolved configuration, and all commands are
 deterministic given identical flags (including the seed).  Exit codes:
-0 success, 2 configuration error, 3 I/O error, 4 validation failure.
+0 success, 2 configuration error, 3 I/O error, 4 validation failure,
+130 interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -173,9 +174,10 @@ def _read_utf8(path: str, what: str) -> str:
 
 
 def _load_config_file(path: str) -> dict:
+    text = _read_utf8(path, "config file")
     try:
-        data = json.loads(_read_utf8(path, "config file"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
@@ -689,6 +691,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"swarmdec: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("swarmdec: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT
 
 
 def run() -> None:

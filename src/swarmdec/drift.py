@@ -271,8 +271,8 @@ def empirical_drift(
     check_swarm_size(n_agents)
     if samples_per_state < 1:
         raise ValueError(f"samples_per_state must be >= 1, got {samples_per_state}")
-    if rule_rate < 0:
-        raise ValueError(f"rule rate must be >= 0, got {rule_rate}")
+    if not 0 <= rule_rate < math.inf:
+        raise ValueError(f"rule rate must be finite and >= 0, got {rule_rate}")
     if rules is None and rule_rate != 0:
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
@@ -438,22 +438,21 @@ def _one_ulp(magnitude: float) -> float:
     return math.ulp(magnitude) if magnitude > 0 else math.ulp(0.0)
 
 
-def negate_check(
-    rules_a: RuleSet, rules_b: RuleSet, n_agents: int, epsilon: float = 0.0
-) -> bool:
+def negate_check(rules_a: RuleSet, rules_b: RuleSet, n_agents: int) -> bool:
     """True iff the drift of ``rules_b`` is the pointwise negation of ``rules_a``.
 
     ``rules_b`` must be the polarity complement of ``rules_a`` (raises
-    ValueError otherwise).  The curves are compared on the exact
-    lattice ``z_K``; agreement is required to within one ulp, which the
-    exact-summation evaluation in fact achieves bit-for-bit.
+    ValueError otherwise).  The noise-free curves are compared (the noise
+    term ``-epsilon*z`` does not negate) on the exact lattice ``z_K``;
+    agreement is required to within one ulp, which the exact-summation
+    evaluation in fact achieves bit-for-bit.
     """
     if rules_a.group_size != rules_b.group_size or rules_a.complement() != rules_b:
         raise ValueError(
             f"rule sets {rules_a.label!r} and {rules_b.label!r} are not "
             "polarity complements"
         )
-    noise = NoiseSpec(epsilon)
+    noise = NoiseSpec(0.0)
     for z in lattice_z_values(n_agents):
         a = analytic_drift(n_agents, rules_a, noise, z)
         b = analytic_drift(n_agents, rules_b, noise, z)

@@ -25,6 +25,7 @@ canonicalizes any accepted text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import RulePolarity, RuleSet, check_group_size, signed_weight
@@ -43,9 +44,12 @@ __all__ = [
     "schema_of_ruleset",
 ]
 
-_ARROW_ASCII = "->"
-_ARROW_GLYPH = "→"
-_DIGITS = "0123456789"
+#: One token of a reaction line.  ``bad`` takes any other non-space character,
+#: so ``finditer`` skips whitespace only.  ``[0-9]`` is ASCII only, unlike
+#: ``str.isdigit``, which also holds for '²' (which ``int()`` rejects).
+_TOKEN = re.compile(
+    r"(?P<arrow>->|→)|(?P<plus>\+)|(?P<coef>[0-9]+)|(?P<species>X[12])|(?P<bad>\S)"
+)
 
 
 class SchemaError(ValueError):
@@ -184,98 +188,53 @@ class ReactionSchema:
         _check_rows(self.group_size, rows)
 
 
-def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
-    """Split one line into (kind, text, 1-based column) tokens."""
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if line.startswith(_ARROW_ASCII, i):
-            tokens.append(("arrow", _ARROW_ASCII, i + 1))
-            i += 2
-            continue
-        if ch == _ARROW_GLYPH:
-            tokens.append(("arrow", ch, i + 1))
-            i += 1
-            continue
-        if ch == "+":
-            tokens.append(("plus", ch, i + 1))
-            i += 1
-            continue
-        if ch in _DIGITS:  # ASCII only: str.isdigit() also accepts '²', which int() rejects
-            j = i
-            while j < len(line) and line[j] in _DIGITS:
-                j += 1
-            text = line[i:j]
-            if text[0] == "0":
-                raise SchemaSyntaxError(
-                    "coefficient must not start with 0", line_no, i + 1
-                )
-            tokens.append(("coef", text, i + 1))
-            i = j
-            continue
-        if line.startswith("X1", i) or line.startswith("X2", i):
-            tokens.append(("species", line[i : i + 2], i + 1))
-            i += 2
-            continue
-        raise SchemaSyntaxError(f"unexpected character {ch!r}", line_no, i + 1)
-    return tokens
+def _parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
+    """Parse one reaction line into ``(lhs_x1, lhs_x2, rhs_x1, rhs_x2)``.
 
+    The whole line is scanned before it is parsed, so a bad character or a
+    leading zero anywhere in it is reported ahead of a misplaced token.
+    """
+    tokens: list[tuple[str | None, str, int]] = []  # (kind, text, column); kind None ends the line
+    for m in _TOKEN.finditer(line):
+        kind, text, column = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
+            raise SchemaSyntaxError(f"unexpected character {text!r}", line_no, column)
+        if kind == "coef" and text[0] == "0":
+            raise SchemaSyntaxError("coefficient must not start with 0", line_no, column)
+        tokens.append((kind, text, column))
+    tokens.append((None, "", len(line) + 1))
 
-class _LineParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], line_no: int, width: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.pos = 0
-        self.end_column = width + 1
-
-    def _fail(self, message: str) -> SchemaSyntaxError:
-        column = (
-            self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.end_column
-        )
-        return SchemaSyntaxError(message, self.line_no, column)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str, what: str) -> tuple[str, str, int]:
-        if self.peek() != kind:
-            raise self._fail(f"expected {what}")
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse_side(self) -> tuple[int, int]:
-        counts = {"X1": 0, "X2": 0}
-        seen: set[str] = set()
+    counts: list[int] = []
+    i = 0  # the left side must be followed by the arrow, the right one by the end
+    for follower, missing in (("arrow", "expected '->'"), (None, "unexpected trailing input")):
+        side: dict[str, int] = {}
         while True:
+            kind, text, column = tokens[i]
             coefficient = 1
-            if self.peek() == "coef":
-                coefficient = int(self.take("coef", "coefficient")[1])
-            _, species, column = self.take("species", "species X1 or X2")
-            if species in seen:
+            if kind == "coef":
+                try:
+                    coefficient = int(text)
+                except ValueError:  # more digits than int() converts
+                    message = f"coefficient is too long ({len(text)} digits)"
+                    raise SchemaSyntaxError(message, line_no, column) from None
+                i += 1
+                kind, text, column = tokens[i]
+            if kind != "species":
+                raise SchemaSyntaxError("expected species X1 or X2", line_no, column)
+            if text in side:
                 raise SchemaSyntaxError(
-                    f"species {species} listed twice on one side",
-                    self.line_no,
-                    column,
+                    f"species {text} listed twice on one side", line_no, column
                 )
-            seen.add(species)
-            counts[species] = coefficient
-            if self.peek() == "plus":
-                self.pos += 1
-                continue
-            return counts["X1"], counts["X2"]
-
-    def parse_line(self) -> tuple[int, int, int, int]:
-        lhs = self.parse_side()
-        self.take("arrow", "'->'")
-        rhs = self.parse_side()
-        if self.pos != len(self.tokens):
-            raise self._fail("unexpected trailing input")
-        return (*lhs, *rhs)
+            side[text] = coefficient
+            i += 1
+            if tokens[i][0] != "plus":
+                break
+            i += 1
+        if tokens[i][0] != follower:
+            raise SchemaSyntaxError(missing, line_no, tokens[i][2])
+        i += 1
+        counts += side.get("X1", 0), side.get("X2", 0)
+    return tuple(counts)
 
 
 def parse_schema(text: str) -> ReactionSchema:
@@ -291,9 +250,7 @@ def parse_schema(text: str) -> ReactionSchema:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = _tokenize(raw, line_no)
-        parsed = _LineParser(tokens, line_no, len(raw)).parse_line()
-        rows.append((line_no, *parsed))
+        rows.append((line_no, *_parse_line(raw, line_no)))
 
     if not rows:
         raise SchemaValidationError(

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from swarmdec import drift
+from swarmdec import cli, drift
 from swarmdec.cli import (
     _CONFIG_KEYS,
     EXIT_CONFIG,
@@ -311,6 +311,31 @@ class TestOutputFiles:
         assert out.read_text().startswith("# swarmdec ")
 
 
+class TestInterrupt:
+    def test_interrupted_handler_exits_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "drift", interrupted)
+        out = tmp_path / "d.csv"
+        try:
+            code = main(["drift", "--rules", "M", "--out", str(out)])
+        except KeyboardInterrupt:  # would otherwise end the whole test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "swarmdec: interrupted\n"
+        assert not out.exists()
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path):
+        def lines():
+            yield from ("row" for _ in range(3 * cli._WRITE_CHUNK_LINES))
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_text(tmp_path / "d.csv", lines())
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFixedPoints:
     def test_all_minority(self, tmp_path):
         out = tmp_path / "fp.json"
@@ -541,6 +566,21 @@ class TestConfigFileAndEnvironment:
             ["drift", "--rules", "M", "--out", str(tmp_path / "c.csv")]
         ) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"seed": ' + "7" * 5000 + "}"],
+        ids=["nested-200000-deep", "5000-digit-int"],
+    )
+    def test_hostile_json_config(self, tmp_path, capsys, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--rules", "M", "--config", str(config), "--out", str(out)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG and not out.exists()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"swarmdec: config file {config}: invalid JSON (")
+
 
 class TestSchemaFileInput:
     def test_schema_file(self, tmp_path):
@@ -574,6 +614,13 @@ class TestSchemaFileInput:
     def test_non_utf8_schema_file(self, tmp_path, capsys):
         schema_path = tmp_path / "rules.txt"
         schema_path.write_bytes(("# r\u00e8gles\n" + MMm_SCHEMA).encode("latin-1"))
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--schema", str(schema_path), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+
+    def test_over_long_coefficient(self, tmp_path, capsys):
+        schema_path = tmp_path / "rules.txt"
+        schema_path.write_text(MMm_SCHEMA.replace("7X2", "1" * 5000 + "X2", 1))
         out = tmp_path / "d.csv"
         code = main(["drift", "--schema", str(schema_path), "--out", str(out)])
         assert_config_error(code, capsys, out)

@@ -153,6 +153,12 @@ class TestEmpiricalDrift:
         with pytest.raises(ValueError):
             empirical_drift(100, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
 
+    @pytest.mark.parametrize("rule_rate", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_rule_rate_rejected(self, rule_rate):
+        rules = parse_polarity_string("MMm", 7)
+        with pytest.raises(ValueError, match="rule rate must be finite and >= 0"):
+            empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=rule_rate)
+
     @pytest.mark.parametrize("epsilon, rule_rate", [(0.0, 1e308), (1e308, 0.5), (1e308, 0.0)])
     def test_overflowing_rate_rejected(self, epsilon, rule_rate):
         rules = parse_polarity_string("MMm", 7)

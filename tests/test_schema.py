@@ -167,6 +167,44 @@ class TestSyntaxErrors:
         with pytest.raises(SchemaSyntaxError):
             parse_schema("X1+2X2 -> 3X2 X1")
 
+    # One input per kind of syntax error, with its exact message, line and column.
+    PINNED = [
+        ("X3+2X2 -> 3X2", "unexpected character 'X'", 1, 1),
+        ("X1+2X2 -> 3X2\n  X1+2X2 - 3X2", "unexpected character '-'", 2, 10),
+        ("X1+2X2 > 3X2", "unexpected character '>'", 1, 8),
+        ("X1+2X2 -> 3X2\n  X1+²X2 -> 3X2", "unexpected character '²'", 2, 6),
+        ("X1+2X2 -> 03X2", "coefficient must not start with 0", 1, 11),
+        ("X1+2X2 -> 3X2\n  X1+2X2 -> 3", "expected species X1 or X2", 2, 14),
+        ("X1+2X2\t→\t\t3", "expected species X1 or X2", 1, 12),
+        ("X1+2 -> 3X2", "expected species X1 or X2", 1, 6),
+        ("X1+2X2 -> 3X2\n  X1+2X2 3X2", "expected '->'", 2, 10),
+        ("X1+2X2 -> 3X2 X1", "unexpected trailing input", 1, 15),
+        ("X1+2X1 -> 3X2", "species X1 listed twice on one side", 1, 5),
+        ("X1+X2+X1 -> 3X2", "species X1 listed twice on one side", 1, 7),
+        # The whole line is scanned first: a bad character or a leading zero
+        # wins over a parse error earlier in the line.
+        ("X1 X2 -> 3X2 &", "unexpected character '&'", 1, 14),
+        ("X1+ -> 3X2 + 07X1", "coefficient must not start with 0", 1, 14),
+    ]
+
+    @pytest.mark.parametrize("text, message, line, column", PINNED)
+    def test_pinned_message_and_position(self, text, message, line, column):
+        with pytest.raises(SchemaSyntaxError) as excinfo:
+            parse_schema(text)
+        error = excinfo.value
+        assert (str(error), error.line, error.column) == (
+            f"line {line}, column {column}: {message}",
+            line,
+            column,
+        )
+
+    def test_over_long_coefficient(self):
+        # int() refuses strings of more than 4300 digits by default.
+        digits = "1" * 5000
+        with pytest.raises(SchemaSyntaxError) as excinfo:
+            parse_schema(f"X1+2X2 -> 3X2\nX1 + {digits}X2 -> 3X2")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+
     @pytest.mark.parametrize(
         "bad",
         [
