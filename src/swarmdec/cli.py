@@ -33,6 +33,7 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .drift import (
+    MAX_SAMPLES,
     analytic_drift,
     analytic_drift_curve,
     empirical_drift,
@@ -51,6 +52,7 @@ from .model import (
     check_swarm_size,
     enumerate_rulesets,
     iter_rulesets,
+    lattice_z,
     state_of_z,
 )
 from .schema import (
@@ -88,7 +90,7 @@ _OPTIONS = (
     ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False),
     ("out", str, "output file path", False),
     ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False),
-    ("samples", int, "Monte Carlo samples per state", False),
+    ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", False),
     ("events", int, "maximum number of simulated events", False),
     ("t_max", float, "maximum simulated time", False),
     ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False),
@@ -305,6 +307,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     samples = pick("samples", 1_000_000 if command == "probs" else 100_000)
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
 
     events = pick("events")
     t_max = pick("t_max")
@@ -469,34 +473,26 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _probs_csv(cfg: ExperimentConfig, empirical: bool) -> list[str]:
-    header = _provenance(
-        agents=cfg.agents,
-        group=cfg.group,
-        rules=None,
-        epsilon=None,
-        seed=cfg.seed,
-        **({"samples": cfg.samples} if empirical else {}),
+def _probs_csv(cfg: ExperimentConfig, tables: Iterable, **extra) -> Iterator[str]:
+    """The ``probs`` CSV, row by row, of one table per lattice state K."""
+    yield _provenance(
+        agents=cfg.agents, group=cfg.group, rules=None, epsilon=None, seed=cfg.seed, **extra
     )
-    columns = ",".join(f"p{k}" for k in range(cfg.group + 1))
-    lines = [header, f"z,{columns}"]
-    if empirical:
-        tables = empirical_firing_table(cfg.agents, cfg.group, cfg.samples, cfg.seed)
-    else:
-        tables = [
-            rule_firing_probabilities(cfg.agents, cfg.group, count)
-            for count in range(cfg.agents + 1)
-        ]
-    for z, table in zip(lattice_z_values(cfg.agents), tables):
+    yield "z," + ",".join(f"p{k}" for k in range(cfg.group + 1))
+    for count, table in enumerate(tables):
         row = ",".join(f"{p:.17g}" for p in table.probabilities)
-        lines.append(f"{z:.17g},{row}")
-    return lines
+        yield f"{lattice_z(count, cfg.agents):.17g},{row}"
 
 
 def cmd_probs(cfg: ExperimentConfig) -> int:
-    _write_text(cfg.out, _probs_csv(cfg, empirical=False))
-    if cfg.empirical:
-        _write_text(_empirical_path(cfg.out), _probs_csv(cfg, empirical=True))
+    tables = (
+        rule_firing_probabilities(cfg.agents, cfg.group, count)
+        for count in range(cfg.agents + 1)
+    )
+    _write_text(cfg.out, _probs_csv(cfg, tables))
+    if cfg.empirical:  # sampled in full before the file is opened
+        tables = empirical_firing_table(cfg.agents, cfg.group, cfg.samples, cfg.seed)
+        _write_text(_empirical_path(cfg.out), _probs_csv(cfg, tables, samples=cfg.samples))
     if cfg.plot_script:
         body = (
             'set xlabel "z"\nset ylabel "firing probability"\n'

@@ -15,6 +15,10 @@ the rule dynamics without altering the firing probabilities.
 nearest lattice state); ``empirical_drift`` estimates the same quantity
 by Monte Carlo resampling of single events, and ``find_fixed_points``
 locates and classifies the zeros of the analytic curve.
+
+The analytic route is pure Python.  numpy is imported inside the two
+samplers, ``empirical_drift`` and ``empirical_firing_probabilities``, so
+that commands which draw nothing never pay its import time.
 """
 
 from __future__ import annotations
@@ -24,16 +28,18 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .hypergeom import PmfTable, pmf_table
 from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, lattice_z, state_of_z
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "DriftCurve",
     "FixedPoint",
+    "MAX_SAMPLES",
     "Stability",
     "analytic_drift",
     "analytic_drift_curve",
@@ -54,6 +60,10 @@ _MARGINAL_SLOPE_TOL = 1e-10
 #: which bounds their memory whatever the number of samples; 128 KiB arrays
 #: keep each sampling thread's working set small and in cache.
 _DRAW_CHUNK = 1 << 14
+#: Largest number of samples per state of the empirical samplers: every
+#: count stays within the C ``long`` that numpy's binomial and
+#: hypergeometric samplers accept, also where a ``long`` has 32 bits.
+MAX_SAMPLES = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,15 @@ class FixedPoint:
     z: float
     stability: Stability
     bracket: tuple[float, float]
+
+
+def _uniform_grid(n: int) -> list[float]:
+    """``n`` evenly spaced points from -1 to 1, each the same double as in
+    ``numpy.linspace(-1.0, 1.0, n)``, whose arithmetic this repeats."""
+    step = 2.0 / (n - 1)
+    zs = [i * step + -1.0 for i in range(n)]
+    zs[-1] = 1.0
+    return zs
 
 
 def lattice_z_values(n_agents: int) -> tuple[float, ...]:
@@ -134,10 +153,10 @@ def analytic_drift_curve(
     """Analytic drift evaluated on a uniform z grid over [-1, 1]."""
     if grid_points < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
-    zs = np.linspace(-1.0, 1.0, grid_points)
-    values = tuple(analytic_drift(n_agents, rules, noise, float(z)) for z in zs)
+    zs = _uniform_grid(grid_points)
+    values = tuple(analytic_drift(n_agents, rules, noise, z) for z in zs)
     return DriftCurve(
-        tuple(float(z) for z in zs),
+        tuple(zs),
         values,
         n_agents,
         noise.epsilon,
@@ -247,6 +266,11 @@ def _split_events(
     return n_group, n_12, rest - n_12
 
 
+def _check_samples(name: str, count: int) -> None:
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ValueError(f"{name} must be in 1..{MAX_SAMPLES}, got {count}")
+
+
 def empirical_drift(
     n_agents: int,
     rules: RuleSet | None,
@@ -266,11 +290,13 @@ def empirical_drift(
     curve is independent of evaluation order, and the states are sampled
     concurrently on the usable CPUs (:func:`_per_state`) with the same
     result for any number of them.  Raises ValueError when the total
-    event rate overflows.
+    event rate overflows, and when ``samples_per_state`` is not in
+    ``1..MAX_SAMPLES``.
     """
+    import numpy as np
+
     check_swarm_size(n_agents)
-    if samples_per_state < 1:
-        raise ValueError(f"samples_per_state must be >= 1, got {samples_per_state}")
+    _check_samples("samples_per_state", samples_per_state)
     if not 0 <= rule_rate < math.inf:
         raise ValueError(f"rule rate must be finite and >= 0, got {rule_rate}")
     if rules is None and rule_rate != 0:
@@ -321,9 +347,11 @@ def rule_firing_probabilities(
 def empirical_firing_probabilities(
     n_agents: int, group_size: int, count_x1: int, draws: int, seed: int
 ) -> PmfTable:
-    """Observed composition frequencies over ``draws`` group draws."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    """Observed composition frequencies over ``draws`` group draws
+    (``1..MAX_SAMPLES``)."""
+    import numpy as np
+
+    _check_samples("draws", draws)
     rng = np.random.default_rng([seed, count_x1])
     counts = np.zeros(group_size + 1, dtype=np.int64)
     for ks in _hypergeometric_chunks(rng, count_x1, n_agents - count_x1, group_size, draws):
@@ -337,6 +365,8 @@ def empirical_firing_table(
     """:func:`empirical_firing_probabilities` at every lattice state
     ``K = 0..N``, in K order, sampled concurrently like
     :func:`empirical_drift`."""
+    import numpy  # noqa: F401  (loaded before the sampling threads start)
+
     return _per_state(
         lambda count: empirical_firing_probabilities(n_agents, group_size, count, draws, seed),
         n_agents,
@@ -374,21 +404,19 @@ def find_fixed_points(
     """
     if grid_points < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid_points}")
-    zs = np.linspace(-1.0, 1.0, grid_points)
-    fs = np.array([analytic_drift(n_agents, rules, noise, float(z)) for z in zs])
+    zs = _uniform_grid(grid_points)
+    fs = [analytic_drift(n_agents, rules, noise, z) for z in zs]
 
-    nonzero = np.flatnonzero(fs)
-    if nonzero.size == 0:
+    nonzero = [i for i, f in enumerate(fs) if f != 0.0]
+    if not nonzero:
         return [FixedPoint(0.0, Stability.MARGINAL, (-1.0, 1.0))]
-    first_nz = int(nonzero[0])
-    last_nz = int(nonzero[-1])
+    first_nz = nonzero[0]
+    last_nz = nonzero[-1]
 
     found: list[FixedPoint] = []
     if first_nz > 0:
         stability = Stability.STABLE if fs[first_nz] < 0 else Stability.UNSTABLE
-        found.append(
-            FixedPoint(-1.0, stability, (float(zs[0]), float(zs[first_nz - 1])))
-        )
+        found.append(FixedPoint(-1.0, stability, (zs[0], zs[first_nz - 1])))
 
     def drift_at(z: float) -> float:
         return analytic_drift(n_agents, rules, noise, z)
@@ -408,14 +436,12 @@ def find_fixed_points(
                 stability = Stability.UNSTABLE
             else:
                 stability = Stability.MARGINAL
-            z_star = 0.5 * (float(zs[i + 1]) + float(zs[j]))
-            found.append(
-                FixedPoint(z_star, stability, (float(zs[i]), float(zs[j + 1])))
-            )
+            z_star = 0.5 * (zs[i + 1] + zs[j])
+            found.append(FixedPoint(z_star, stability, (zs[i], zs[j + 1])))
             i = j + 1
             continue
         if (a > 0) != (b > 0):
-            lo, hi = _bisect(drift_at, float(zs[i]), float(zs[i + 1]), float(a))
+            lo, hi = _bisect(drift_at, zs[i], zs[i + 1], a)
             slope = (drift_at(hi) - drift_at(lo)) / (hi - lo)
             if abs(slope) < _MARGINAL_SLOPE_TOL:
                 stability = Stability.MARGINAL
@@ -428,9 +454,7 @@ def find_fixed_points(
 
     if last_nz < grid_points - 1:
         stability = Stability.STABLE if fs[last_nz] > 0 else Stability.UNSTABLE
-        found.append(
-            FixedPoint(1.0, stability, (float(zs[last_nz + 1]), float(zs[-1])))
-        )
+        found.append(FixedPoint(1.0, stability, (zs[last_nz + 1], zs[-1])))
     return found
 
 

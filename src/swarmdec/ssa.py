@@ -27,6 +27,10 @@ simulated time is directly comparable to the drift model.
 
 A single run is strictly sequential; independent replicates may run
 concurrently, each with its own generator (seed ``base + index``).
+
+numpy is imported only inside the functions that use it (:func:`simulate`
+and the urn bounds of every draw), so importing this module, as every
+analytic command does, does not load it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .model import RuleSet, SwarmState, check_event_rate, lattice_z
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BLOCK_EVENTS",
@@ -151,6 +156,8 @@ def _urn(picks: Sequence[int], favorable: int) -> int:
 
 def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
     """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
+    import numpy as np
+
     if group_size > n_agents:
         raise ValueError(f"group size {group_size} exceeds swarm size {n_agents}")
     return np.arange(n_agents, n_agents - group_size, -1)
@@ -254,6 +261,8 @@ def simulate(
     t = 0.0
     n_events = 0
     if count not in stops:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         for dt, kind, k, count_after in _events(count, n, rules, config, rng, BLOCK_EVENTS):
             if t + dt > t_max:

@@ -3,7 +3,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from swarmdec.cli import (
     EXIT_IO,
     EXIT_OK,
     MAX_GRID,
+    MAX_SAMPLES,
     build_parser,
     main,
     resolve_config,
@@ -193,6 +197,20 @@ class TestProbs:
         for row_a, row_e in zip(analytic_rows, sampled_rows):
             for cell_a, cell_e in zip(row_a[1:], row_e[1:]):
                 assert abs(float(cell_a) - float(cell_e)) < 0.02
+
+    def test_csv_is_streamed(self, tmp_path):
+        # N = 20001 makes a 2 MB CSV; built as one list before writing, with
+        # its tables and lattice, it peaked at 8.7 MB here and grew with N.
+        # Streamed, the peak is a write chunk.
+        out = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            assert main(["probs", "--group", "3", "--agents", "20001", "--out", str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == 20002 + 2
+        assert peak < 4 * 2**20
 
     def test_group_required(self, tmp_path):
         assert main(["probs", "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
@@ -640,6 +658,77 @@ class TestGridBound:
             [command, "--rules", "MMm", "--grid", str(MAX_GRID), "--out", "g.out"]
         )
         assert resolve_config(args).grid == MAX_GRID
+
+
+class TestSamplesBound:
+    @pytest.mark.parametrize(
+        "command", [["drift", "--rules", "M"], ["probs", "--group", "3"]], ids=["drift", "probs"]
+    )
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**20])
+    def test_huge_samples_rejected(self, tmp_path, capsys, command, samples):
+        out = tmp_path / "s.csv"
+        code = main([*command, "--empirical", "--samples", str(samples), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bound_itself_accepted(self):
+        args = build_parser().parse_args(
+            ["probs", "--group", "3", "--empirical", "--samples", str(MAX_SAMPLES), "--out", "s.csv"]
+        )
+        assert resolve_config(args).samples == MAX_SAMPLES
+
+
+#: Runs ``cli.main(argv)`` in a fresh interpreter; prints the exit code and
+#: whether numpy was imported, as the last line of standard output.
+_NUMPY_PROBE = """\
+import json, sys
+from swarmdec import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _fresh_run(code: str, *args: str, cwd: Path) -> str:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return result.stdout.splitlines()[-1]
+
+
+class TestNumpyOnlyWhenSampling:
+    """Only the commands that draw random numbers import numpy."""
+
+    def test_import_leaves_numpy_out(self, tmp_path):
+        probe = "import sys, swarmdec, swarmdec.cli; print('numpy' in sys.modules)"
+        assert _fresh_run(probe, cwd=tmp_path) == "False"
+
+    @pytest.mark.parametrize(
+        "argv, code, numpy",
+        [
+            (["--version"], EXIT_OK, False),
+            (["drift", "--rules", "MMm", "--out", "d.csv"], EXIT_OK, False),
+            (["drift", "--schema", "schema.txt", "--out", "d.csv"], EXIT_OK, False),
+            (["fixed-points", "--rules", "MMM", "--out", "fp.json"], EXIT_OK, False),
+            (["probs", "--group", "5", "--out", "p.csv"], EXIT_OK, False),
+            (["rulesets", "--group", "5"], EXIT_OK, False),
+            (["validate"], EXIT_OK, False),
+            (["drift", "--agents", "100", "--rules", "M", "--out", "d.csv"], EXIT_CONFIG, False),
+            (["simulate", "--rules", "MMM", "--events", "100", "--out", "s.csv"], EXIT_OK, True),
+            (["drift", "--rules", "M", "--agents", "11", "--empirical", "--samples", "10",
+              "--out", "d.csv"], EXIT_OK, True),
+            (["probs", "--group", "3", "--agents", "11", "--empirical", "--samples", "10",
+              "--out", "p.csv"], EXIT_OK, True),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_fresh_process(self, tmp_path, argv, code, numpy):
+        (tmp_path / "schema.txt").write_text(MMm_SCHEMA)
+        last = _fresh_run(_NUMPY_PROBE, json.dumps(argv), cwd=tmp_path)
+        assert json.loads(last) == [code, numpy]
 
 
 class TestArgparseBehaviour:

@@ -10,6 +10,7 @@ import pytest
 
 from swarmdec import drift
 from swarmdec.drift import (
+    MAX_SAMPLES,
     DriftCurve,
     FixedPoint,
     Stability,
@@ -126,6 +127,12 @@ class TestAnalyticDrift:
         assert curve.source == "analytic"
         assert curve.rule_label == "MMM"
 
+    @pytest.mark.parametrize("sizes", [range(2, 3000), [20001, 10**6]], ids=["2-2999", "large"])
+    def test_grid_is_numpy_linspace_bit_for_bit(self, sizes):
+        for n in sizes:
+            expected = np.linspace(-1.0, 1.0, n)
+            assert np.array(drift._uniform_grid(n)).tobytes() == expected.tobytes(), n
+
 
 class TestNegateCheck:
     PAIRS = [("MMM", "mmm"), ("MMm", "mmM"), ("MmM", "mMm"), ("Mmm", "mMM")]
@@ -148,6 +155,8 @@ class TestEmpiricalDrift:
     def test_validation(self):
         with pytest.raises(ValueError):
             empirical_drift(101, None, NO_NOISE, 0, seed=0)
+        with pytest.raises(ValueError, match="samples_per_state must be in 1"):
+            empirical_drift(101, None, NO_NOISE, MAX_SAMPLES + 1, seed=0, rule_rate=0.0)
         with pytest.raises(ValueError):
             empirical_drift(101, None, NO_NOISE, 10, seed=0, rule_rate=0.5)
         with pytest.raises(ValueError):
@@ -218,6 +227,11 @@ class TestFiringProbabilities:
     def test_empirical_validation(self):
         with pytest.raises(ValueError):
             empirical_firing_probabilities(101, 7, 51, draws=0, seed=1)
+        for draws in (MAX_SAMPLES + 1, 10**20):
+            with pytest.raises(ValueError, match="draws must be in 1"):
+                empirical_firing_probabilities(101, 7, 51, draws=draws, seed=1)
+            with pytest.raises(ValueError, match="draws must be in 1"):
+                empirical_firing_table(101, 7, draws=draws, seed=1)
 
     def test_empirical_chunks_equal_one_shot_draws(self, monkeypatch):
         monkeypatch.setattr(drift, "_DRAW_CHUNK", 997)
@@ -421,6 +435,29 @@ class TestFixedPoints:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             find_fixed_points(101, None, NoiseSpec(0.1), grid_points=2)
+
+    @pytest.mark.parametrize(
+        "label, epsilon, expected",
+        [
+            ("MMM", 0.0, [
+                FixedPoint(-1.0, Stability.STABLE, (-1.0, -0.991)),
+                FixedPoint(-4.768371582031254e-10, Stability.UNSTABLE, (-9.536743164062508e-10, 0.0)),
+                FixedPoint(1.0, Stability.STABLE, (0.9910000000000001, 1.0)),
+            ]),
+            ("MMM", 0.1, [
+                FixedPoint(-0.9702970299720763, Stability.STABLE,
+                           (-0.9702970304489135, -0.9702970294952391)),
+                FixedPoint(-4.768371582031254e-10, Stability.UNSTABLE, (-9.536743164062508e-10, 0.0)),
+                FixedPoint(0.9702970299720766, Stability.STABLE,
+                           (0.9702970294952393, 0.9702970304489137)),
+            ]),
+        ],
+    )
+    def test_pinned_fixed_points(self, label, epsilon, expected):
+        # Pinned bit for bit: the values the numpy.linspace grid gives (the
+        # all-zero case is pinned by test_identically_zero_drift_is_marginal).
+        rules = parse_polarity_string(label, 7)
+        assert find_fixed_points(101, rules, NoiseSpec(epsilon)) == expected
 
 
 class TestMixedG5RuleSet:
