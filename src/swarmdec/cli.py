@@ -34,16 +34,16 @@ from typing import Iterable, Iterator
 from . import __version__
 from .drift import (
     MAX_SAMPLES,
-    analytic_drift,
-    analytic_drift_curve,
+    _lattice_drift,
+    _negates,
+    analytic_drift_points,
     empirical_drift,
     empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
-    negate_check,
     rule_firing_probabilities,
 )
-from .hypergeom import pmf, pmf_bruteforce
+from .hypergeom import _subset_hits, pmf
 from .model import (
     NoiseSpec,
     RuleSet,
@@ -71,8 +71,12 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "SWARMDEC_SEED"
-#: Largest ``--grid``: memory and time grow with the grid (see README).
+#: Largest ``--grid``: time grows with the grid, and so does the memory of
+#: ``fixed-points`` (see README).
 MAX_GRID = 10_000_000
+#: Largest ``--agents`` of ``probs`` and ``--empirical``, whose work is one
+#: table or sample per lattice state ``K = 0..N`` (see README).
+MAX_STATE_AGENTS = 10_000_000
 
 _FILE_COMMANDS = ("drift", "probs", "simulate", "fixed-points")
 _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
@@ -81,7 +85,7 @@ _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
 #: ``--name`` and, unless the type is None (``--config`` itself), the config
 #: file key ``name``.  Listed in ``--help`` order.
 _OPTIONS = (
-    ("agents", int, "swarm size N, odd (default 101)", False),
+    ("agents", int, f"swarm size N, odd (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical)", False),
     ("group", int, "group size G, odd (inferred from --rules when omitted)", False),
     ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False),
     ("schema", str, "path to a reaction schema file (alternative to --rules)", False),
@@ -309,6 +313,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"--samples must be >= 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
+    empirical = bool(pick("empirical", False))
+    if agents > MAX_STATE_AGENTS and (command == "probs" or (command == "drift" and empirical)):
+        raise ConfigError(
+            f"--agents must be <= {MAX_STATE_AGENTS} for probs and --empirical, got {agents}"
+        )
 
     events = pick("events")
     t_max = pick("t_max")
@@ -348,7 +357,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         samples=samples,
         events=events,
         t_max=t_max,
-        empirical=bool(pick("empirical", False)),
+        empirical=empirical,
         initial=initial,
         stop_at_consensus=stop_at_consensus,
         elide_nulls=bool(pick("elide_nulls", False)),
@@ -428,10 +437,10 @@ def _empirical_path(out: Path) -> Path:
     return Path(str(out) + ".empirical.csv")
 
 
-def _curve_csv(curve, provenance: str) -> Iterator[str]:
+def _curve_csv(points: Iterable[tuple[float, float]], provenance: str) -> Iterator[str]:
     yield provenance
     yield "z,dzdt"
-    yield from (f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
+    yield from (f"{z:.17g},{d:.17g}" for z, d in points)
 
 
 _GNUPLOT_PRELUDE = [
@@ -448,7 +457,6 @@ def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
 
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
-    curve = analytic_drift_curve(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     rule_rate = 0.0 if cfg.pure_noise else cfg.rule_rate
     if cfg.empirical:  # sampled first, so that a failure leaves no file behind
         try:
@@ -457,10 +465,11 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
             )
         except ValueError as exc:  # the total event rate overflows
             raise ConfigError(str(exc)) from exc
-    _write_text(cfg.out, _curve_csv(curve, _run_header(cfg, grid=cfg.grid)))
+    points = analytic_drift_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
+    _write_text(cfg.out, _curve_csv(points, _run_header(cfg, grid=cfg.grid)))
     if cfg.empirical:
         emp_header = _run_header(cfg, samples=cfg.samples, rule_rate=rule_rate)
-        _write_text(_empirical_path(cfg.out), _curve_csv(emp, emp_header))
+        _write_text(_empirical_path(cfg.out), _curve_csv(zip(emp.z, emp.dzdt), emp_header))
     if cfg.plot_script:
         title = cfg.rules_label or "drift"
         body = (
@@ -584,11 +593,11 @@ def _check_pmf_oracle() -> dict:
         for g in (3, 5, 7):
             if g > n:
                 continue
+            subsets = math.comb(n, g)
             for count in range(n + 1):
+                hits = _subset_hits(n, count, g)
                 for k in range(g + 1):
-                    diff = abs(
-                        pmf(n, count, g, k) - pmf_bruteforce(n, count, g, k)
-                    )
+                    diff = abs(pmf(n, count, g, k) - hits[k] / subsets)
                     worst = max(worst, diff)
     return {
         "name": "pmf-bruteforce-agreement",
@@ -597,16 +606,18 @@ def _check_pmf_oracle() -> dict:
     }
 
 
-def _check_antisymmetry(n_agents: int = 101) -> dict:
+#: Swarm size and noise levels of the lattice checks of ``validate``.
+_CHECK_AGENTS = 101
+_CHECK_EPSILONS = (0.0, 0.05, 0.1)
+
+
+def _check_antisymmetry(drifts: dict) -> dict:
     worst = 0.0
-    zs = lattice_z_values(n_agents)
-    for rules in enumerate_rulesets(7):
+    for by_epsilon in drifts.values():
         for epsilon in (0.0, 0.1):
-            noise = NoiseSpec(epsilon)
-            for count in range(n_agents + 1):
-                a = analytic_drift(n_agents, rules, noise, zs[count])
-                b = analytic_drift(n_agents, rules, noise, zs[n_agents - count])
-                worst = max(worst, abs(a + b))
+            values = by_epsilon[epsilon]
+            for count in range(_CHECK_AGENTS + 1):
+                worst = max(worst, abs(values[count] + values[_CHECK_AGENTS - count]))
     return {
         "name": "lattice-antisymmetry",
         "passed": worst <= 1e-12,
@@ -614,12 +625,12 @@ def _check_antisymmetry(n_agents: int = 101) -> dict:
     }
 
 
-def _check_complement_negation(n_agents: int = 101) -> dict:
+def _check_complement_negation(drifts: dict) -> dict:
     ok = True
-    for rules in enumerate_rulesets(7):
+    for rules, by_epsilon in drifts.items():
         if rules.label[0] == "m":
             continue  # each pair once
-        ok = ok and negate_check(rules, rules.complement(), n_agents)
+        ok = ok and _negates(by_epsilon[0.0], drifts[rules.complement()][0.0])
     return {
         "name": "complement-negation",
         "passed": ok,
@@ -627,15 +638,12 @@ def _check_complement_negation(n_agents: int = 101) -> dict:
     }
 
 
-def _check_noise_superposition(n_agents: int = 101) -> dict:
+def _check_noise_superposition(drifts: dict) -> dict:
     exact = True
-    for rules in enumerate_rulesets(7):
+    zs = lattice_z_values(_CHECK_AGENTS)
+    for by_epsilon in drifts.values():
         for epsilon in (0.05, 0.1):
-            noisy = NoiseSpec(epsilon)
-            quiet = NoiseSpec(0.0)
-            for z in lattice_z_values(n_agents):
-                with_noise = analytic_drift(n_agents, rules, noisy, z)
-                without = analytic_drift(n_agents, rules, quiet, z)
+            for z, with_noise, without in zip(zs, by_epsilon[epsilon], by_epsilon[0.0]):
                 if with_noise != without - epsilon * z:
                     exact = False
     return {
@@ -646,11 +654,17 @@ def _check_noise_superposition(n_agents: int = 101) -> dict:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
+    # The G=7 lattice drifts at every checked noise level, one rule term
+    # per rule set and state, shared by the three drift checks.
+    drifts = {
+        rules: _lattice_drift(_CHECK_AGENTS, rules, _CHECK_EPSILONS)
+        for rules in enumerate_rulesets(7)
+    }
     checks = [
         _check_pmf_oracle(),
-        _check_antisymmetry(),
-        _check_complement_negation(),
-        _check_noise_superposition(),
+        _check_antisymmetry(drifts),
+        _check_complement_negation(drifts),
+        _check_noise_superposition(drifts),
     ]
     report = {"version": __version__, "checks": checks, "passed": all(c["passed"] for c in checks)}
     text = json.dumps(report, indent=2)

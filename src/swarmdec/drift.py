@@ -11,10 +11,17 @@ weight of the rule that fires there (zero at the uniform compositions).
 The noise term is a plain linear restoring drift, so noise superposes on
 the rule dynamics without altering the firing probabilities.
 
-``analytic_drift`` evaluates this sum exactly (quantizing ``z`` to the
-nearest lattice state); ``empirical_drift`` estimates the same quantity
-by Monte Carlo resampling of single events, and ``find_fixed_points``
-locates and classifies the zeros of the analytic curve.
+The drift depends on ``z`` only through the lattice state ``K`` nearest
+to it (``model.count_of_z``), and only its rule term
+``R_K = sum_k w_k * P_K(k)`` costs anything: an exact ``pmf_table`` and
+an exact sum.  ``_rule_term`` is the one place that computes it, and the
+analytic routes walk their ``z`` values in increasing order, so they
+compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
+at every point (``_drift_values``).  ``analytic_drift`` is one such point,
+``analytic_drift_points`` streams a uniform grid, and
+``find_fixed_points`` scans one and bisects its sign changes.
+``empirical_drift`` estimates the same quantity by Monte Carlo
+resampling of single events.
 
 The analytic route is pure Python.  numpy is imported inside the two
 samplers, ``empirical_drift`` and ``empirical_firing_probabilities``, so
@@ -28,10 +35,10 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .hypergeom import PmfTable, pmf_table
-from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, lattice_z, state_of_z
+from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,6 +50,7 @@ __all__ = [
     "Stability",
     "analytic_drift",
     "analytic_drift_curve",
+    "analytic_drift_points",
     "empirical_drift",
     "empirical_firing_probabilities",
     "empirical_firing_table",
@@ -103,18 +111,63 @@ class FixedPoint:
     bracket: tuple[float, float]
 
 
-def _uniform_grid(n: int) -> list[float]:
-    """``n`` evenly spaced points from -1 to 1, each the same double as in
-    ``numpy.linspace(-1.0, 1.0, n)``, whose arithmetic this repeats."""
+def _grid(n: int) -> Iterator[float]:
+    """``n`` evenly spaced points from -1 to 1, generated one at a time, each
+    the same double as in ``numpy.linspace(-1.0, 1.0, n)``, whose arithmetic
+    this repeats."""
     step = 2.0 / (n - 1)
-    zs = [i * step + -1.0 for i in range(n)]
-    zs[-1] = 1.0
-    return zs
+    for i in range(n - 1):
+        yield i * step + -1.0
+    yield 1.0
+
+
+def _uniform_grid(n: int) -> list[float]:
+    """:func:`_grid` as a list."""
+    return list(_grid(n))
 
 
 def lattice_z_values(n_agents: int) -> tuple[float, ...]:
     """The reachable order-parameter values ``2K/N - 1`` for ``K = 0..N``."""
     return tuple(lattice_z(k, n_agents) for k in range(n_agents + 1))
+
+
+def _rule_term(n_agents: int, rules: RuleSet, count: int) -> float:
+    """Rule term ``R_K = sum_k w_k * P_K(k)`` of the drift at state ``K``.
+
+    Exact summation of exactly computed probabilities, so complementary
+    rule sets give exactly negated terms.
+    """
+    table = pmf_table(n_agents, count, rules.group_size)
+    return math.fsum([w * p for w, p in zip(rules.signed_weights, table.probabilities)])
+
+
+def _drift_values(
+    n_agents: int,
+    rules: RuleSet | None,
+    epsilon: float,
+    zs: Iterable[float],
+    terms: Sequence[float] | None = None,
+) -> Iterator[float]:
+    """``dz/dt = R_K - epsilon*z`` at each ``z`` of ``zs`` (in [-1, 1]).
+
+    ``K`` is the lattice state nearest ``z`` (:func:`count_of_z`), and
+    ``R_K`` is computed by :func:`_rule_term` only when ``K`` changes from
+    one ``z`` to the next, so a non-decreasing ``zs`` costs one term per
+    state it visits; ``terms``, when given, holds ``R_K`` for ``K = 0..N``
+    and is read instead.  With ``rules=None`` only the noise term
+    ``-(epsilon*z)`` remains.
+    """
+    if rules is None:
+        for z in zs:
+            yield -(epsilon * z)
+        return
+    count = None
+    for z in zs:
+        k = count_of_z(n_agents, z)
+        if k != count:
+            count = k
+            term = _rule_term(n_agents, rules, k) if terms is None else terms[k]
+        yield term - epsilon * z
 
 
 def analytic_drift(
@@ -133,15 +186,20 @@ def analytic_drift(
     """
     if not -1.0 <= z <= 1.0:
         raise ValueError(f"order parameter must lie in [-1, 1], got {z}")
-    noise_term = noise.epsilon * z
-    if rules is None:
-        return -noise_term
-    state = state_of_z(n_agents, z)
-    table = pmf_table(n_agents, state.count_x1, rules.group_size)
-    terms = [
-        rules.signed_weight(k) * p for k, p in enumerate(table.probabilities)
-    ]
-    return math.fsum(terms) - noise_term
+    return next(_drift_values(n_agents, rules, noise.epsilon, (z,)))
+
+
+def analytic_drift_points(
+    n_agents: int,
+    rules: RuleSet | None,
+    noise: NoiseSpec,
+    grid_points: int = 201,
+) -> Iterator[tuple[float, float]]:
+    """``(z, dz/dt)`` of the analytic drift on a uniform z grid over [-1, 1],
+    generated one point at a time, so memory does not grow with the grid."""
+    if grid_points < 2:
+        raise ValueError(f"grid must have at least 2 points, got {grid_points}")
+    return zip(_grid(grid_points), _drift_values(n_agents, rules, noise.epsilon, _grid(grid_points)))
 
 
 def analytic_drift_curve(
@@ -151,12 +209,9 @@ def analytic_drift_curve(
     grid_points: int = 201,
 ) -> DriftCurve:
     """Analytic drift evaluated on a uniform z grid over [-1, 1]."""
-    if grid_points < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid_points}")
-    zs = _uniform_grid(grid_points)
-    values = tuple(analytic_drift(n_agents, rules, noise, z) for z in zs)
+    zs, values = zip(*analytic_drift_points(n_agents, rules, noise, grid_points))
     return DriftCurve(
-        tuple(zs),
+        zs,
         values,
         n_agents,
         noise.epsilon,
@@ -164,6 +219,16 @@ def analytic_drift_curve(
         group_size=rules.group_size if rules else None,
         rule_label=rules.label if rules else None,
     )
+
+
+def _lattice_drift(
+    n_agents: int, rules: RuleSet, epsilons: Iterable[float]
+) -> dict[float, list[float]]:
+    """``dz/dt`` at every lattice state ``z_K``, ``K = 0..N``, for each noise
+    level in ``epsilons``, all read from one walk of the rule terms."""
+    zs = lattice_z_values(n_agents)
+    terms = [_rule_term(n_agents, rules, count) for count in range(n_agents + 1)]
+    return {eps: list(_drift_values(n_agents, rules, eps, zs, terms)) for eps in epsilons}
 
 
 def _worker_count(n_states: int) -> int:
@@ -373,16 +438,20 @@ def empirical_firing_table(
     )
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> tuple[float, float]:
+def _bisect(
+    f, lo: float, hi: float, f_lo: float, f_hi: float
+) -> tuple[float, float, float, float]:
+    """Narrow the sign change of ``f`` on ``[lo, hi]`` to a bracket no wider
+    than :data:`_BISECT_TOL`; returns it with ``f`` at both of its ends."""
     lo_positive = f_lo > 0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or (fm > 0) == lo_positive:
-            lo = mid
+            lo, f_lo = mid, fm
         else:
-            hi = mid
-    return lo, hi
+            hi, f_hi = mid, fm
+    return lo, hi, f_lo, f_hi
 
 
 def find_fixed_points(
@@ -405,7 +474,7 @@ def find_fixed_points(
     if grid_points < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid_points}")
     zs = _uniform_grid(grid_points)
-    fs = [analytic_drift(n_agents, rules, noise, z) for z in zs]
+    fs = list(_drift_values(n_agents, rules, noise.epsilon, zs))
 
     nonzero = [i for i, f in enumerate(fs) if f != 0.0]
     if not nonzero:
@@ -441,8 +510,8 @@ def find_fixed_points(
             i = j + 1
             continue
         if (a > 0) != (b > 0):
-            lo, hi = _bisect(drift_at, zs[i], zs[i + 1], a)
-            slope = (drift_at(hi) - drift_at(lo)) / (hi - lo)
+            lo, hi, f_lo, f_hi = _bisect(drift_at, zs[i], zs[i + 1], a, b)
+            slope = (f_hi - f_lo) / (hi - lo)
             if abs(slope) < _MARGINAL_SLOPE_TOL:
                 stability = Stability.MARGINAL
             elif a > 0:
@@ -476,10 +545,16 @@ def negate_check(rules_a: RuleSet, rules_b: RuleSet, n_agents: int) -> bool:
             f"rule sets {rules_a.label!r} and {rules_b.label!r} are not "
             "polarity complements"
         )
-    noise = NoiseSpec(0.0)
-    for z in lattice_z_values(n_agents):
-        a = analytic_drift(n_agents, rules_a, noise, z)
-        b = analytic_drift(n_agents, rules_b, noise, z)
-        if abs(a + b) > _one_ulp(max(abs(a), abs(b))):
-            return False
-    return True
+
+    def drift(rules: RuleSet) -> Iterator[float]:
+        lattice = (lattice_z(count, n_agents) for count in range(n_agents + 1))
+        return _drift_values(n_agents, rules, 0.0, lattice)
+
+    return _negates(drift(rules_a), drift(rules_b))
+
+
+def _negates(values_a: Iterable[float], values_b: Iterable[float]) -> bool:
+    """True iff each ``b`` is ``-a`` to within one ulp of the larger magnitude."""
+    return not any(
+        abs(a + b) > _one_ulp(max(abs(a), abs(b))) for a, b in zip(values_a, values_b)
+    )

@@ -107,10 +107,15 @@ def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int, k: int) -> flo
             f"got {n_agents}"
         )
     _validate(n_agents, count_x1, group_size, k)
+    return _subset_hits(n_agents, count_x1, group_size)[k] / math.comb(n_agents, group_size)
+
+
+def _subset_hits(n_agents: int, count_x1: int, group_size: int) -> list[int]:
+    """Number of size-G subsets of ``count_x1`` ones and ``N - count_x1``
+    zeros whose element sum is ``k``, for ``k = 0..G``, from one walk of
+    all C(N, G) subsets."""
     population = [1] * count_x1 + [0] * (n_agents - count_x1)
-    hits = sum(
-        1
-        for draw in itertools.combinations(population, group_size)
-        if sum(draw) == k
-    )
-    return hits / math.comb(n_agents, group_size)
+    hits = [0] * (group_size + 1)
+    for draw in itertools.combinations(population, group_size):
+        hits[sum(draw)] += 1
+    return hits

@@ -31,6 +31,7 @@ __all__ = [
     "check_event_rate",
     "check_group_size",
     "check_swarm_size",
+    "count_of_z",
     "enumerate_rulesets",
     "iter_rulesets",
     "lattice_z",
@@ -173,19 +174,25 @@ class RuleSet:
         return RuleSet(self.group_size, flipped)
 
 
-def state_of_z(n_agents: int, z: float) -> SwarmState:
-    """Nearest lattice state for a continuous order parameter.
+def count_of_z(n_agents: int, z: float) -> int:
+    """Count ``K`` of the lattice state nearest the order parameter ``z``.
 
-    ``count_x1`` is ``N*(z+1)/2`` rounded half away from zero and clamped
-    to ``[0, N]``, which keeps the mapping symmetric about ``z = 0``.
+    ``N*(z+1)/2`` rounded half away from zero and clamped to ``[0, N]``,
+    which keeps the mapping symmetric about ``z = 0``.  ``z`` is not
+    range-checked here.
     """
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"order parameter must lie in [-1, 1], got {z}")
-    # The pre-rounding value is always >= 0, so half-away-from-zero
+    # The pre-rounding value is >= 0 for z >= -1, so half-away-from-zero
     # reduces to floor(x + 1/2).
     count = math.floor(n_agents * (z + 1.0) / 2.0 + 0.5)
-    count = min(max(count, 0), n_agents)
-    return SwarmState(n_agents, count)
+    return min(max(count, 0), n_agents)
+
+
+def state_of_z(n_agents: int, z: float) -> SwarmState:
+    """Nearest lattice state (:func:`count_of_z`) for a continuous order
+    parameter ``z`` in [-1, 1]."""
+    if not -1.0 <= z <= 1.0:
+        raise ValueError(f"order parameter must lie in [-1, 1], got {z}")
+    return SwarmState(n_agents, count_of_z(n_agents, z))
 
 
 def signed_weight(k: int, group_size: int, polarity: RulePolarity) -> int:

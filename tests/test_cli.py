@@ -18,6 +18,7 @@ from swarmdec.cli import (
     EXIT_OK,
     MAX_GRID,
     MAX_SAMPLES,
+    MAX_STATE_AGENTS,
     build_parser,
     main,
     resolve_config,
@@ -150,6 +151,21 @@ class TestDrift:
         code = main(["drift", "--rules", "MMm", "--empirical", "--rule-rate", "1e308", "--out", str(out)])
         assert_config_error(code, capsys, out)
         assert list(tmp_path.iterdir()) == []
+
+    def test_csv_is_streamed(self, tmp_path):
+        # 200001 rows make a 7 MB CSV; held as DriftCurve tuples before the
+        # write, the curve peaked at 15.7 MiB here and grew with --grid.
+        # Streamed, the peak is a write chunk.
+        out = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            code = main(["drift", "--rules", "MMm", "--grid", "200001", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out.read_text().count("\n") == 200001 + 2
+        assert peak < 4 * 2**20
 
     def test_plot_script(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -658,6 +674,49 @@ class TestGridBound:
             [command, "--rules", "MMm", "--grid", str(MAX_GRID), "--out", "g.out"]
         )
         assert resolve_config(args).grid == MAX_GRID
+
+
+class TestAgentsBound:
+    """``probs`` and ``--empirical`` do one table or sample per lattice
+    state, so their N is capped; the analytic routes accept any odd N."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["probs", "--group", "3"], ["probs", "--group", "3", "--empirical", "--samples", "10"],
+         ["drift", "--rules", "M", "--empirical", "--samples", "10"]],
+        ids=["probs", "probs-empirical", "drift-empirical"],
+    )
+    @pytest.mark.parametrize("agents", [MAX_STATE_AGENTS + 1, 10**12 + 1])
+    def test_huge_swarm_rejected(self, tmp_path, capsys, command, agents):
+        out = tmp_path / "a.csv"
+        code = main([*command, "--agents", str(agents), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", [["probs", "--group", "3"], ["drift", "--rules", "M", "--empirical"]],
+        ids=["probs", "drift-empirical"],
+    )
+    def test_largest_odd_swarm_accepted(self, command):
+        args = build_parser().parse_args([*command, "--agents", str(MAX_STATE_AGENTS - 1), "--out", "a.csv"])
+        assert resolve_config(args).agents == MAX_STATE_AGENTS - 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["drift", "--rules", "M"], ["fixed-points", "--rules", "M"],
+         ["simulate", "--rules", "M"], ["fixed-points", "--rules", "M", "--empirical"]],
+        ids=["drift", "fixed-points", "simulate", "fixed-points-empirical"],
+    )
+    def test_analytic_routes_accept_any_odd_swarm(self, command):
+        args = build_parser().parse_args([*command, "--agents", str(10**12 + 1), "--out", "a.csv"])
+        assert resolve_config(args).agents == 10**12 + 1
+
+    def test_huge_swarm_drift_runs(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["drift", "--rules", "M", "--agents", str(10**12 + 1), "--grid", "5",
+                     "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert [float(z) for z, _ in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 class TestSamplesBound:

@@ -1,5 +1,7 @@
 import math
 import os
+import random
+import struct
 import sys
 import threading
 import tracemalloc
@@ -132,6 +134,153 @@ class TestAnalyticDrift:
         for n in sizes:
             expected = np.linspace(-1.0, 1.0, n)
             assert np.array(drift._uniform_grid(n)).tobytes() == expected.tobytes(), n
+
+
+def per_point_drift(n: int, rules: RuleSet | None, epsilon: float, z: float) -> float:
+    """The drift as it was computed before the lattice engine: every point
+    rounds z to its state (as ``state_of_z`` did) and builds and sums that
+    state's table afresh."""
+    noise_term = epsilon * z
+    if rules is None:
+        return -noise_term
+    count = min(max(math.floor(n * (z + 1.0) / 2.0 + 0.5), 0), n)  # half away from zero
+    table = pmf_table(n, count, rules.group_size)
+    terms = [rules.signed_weight(k) * p for k, p in enumerate(table.probabilities)]
+    return math.fsum(terms) - noise_term
+
+
+def bits(values) -> bytes:
+    """The doubles as bytes, so that -0.0 and 0.0 differ."""
+    values = list(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+#: (N, rule set) of every G = 3, 5, 7 rule set and ``None`` at each N it fits.
+ENGINE_CASES = [
+    (n, rules)
+    for n in (1, 3, 101, 100001)
+    for rules in (None, *(r for g in (3, 5, 7) for r in enumerate_rulesets(g)))
+    if rules is None or rules.group_size <= n
+]
+
+
+class TestLatticeEngine:
+    """The per-state rule term gives every double the per-point formula gave."""
+
+    @pytest.mark.parametrize(
+        "n, rules", ENGINE_CASES, ids=[f"{n}-{r.label if r else 'none'}" for n, r in ENGINE_CASES]
+    )
+    def test_bit_identical_to_per_point_formula(self, n, rules):
+        rng = random.Random(n)
+        off_lattice = sorted(
+            [rng.uniform(-1.0, 1.0) for _ in range(300)]
+            # ties between two states, rounded away from zero
+            + [(2 * count + 1) / n - 1.0 for count in range(0, n, max(1, n // 50))]
+            + [-1.0, 1.0]
+        )
+        for epsilon in (0.0, 0.05, 0.1):
+            noise = NoiseSpec(epsilon)
+            for grid in (2, 201, 2001):
+                curve = analytic_drift_curve(n, rules, noise, grid)
+                expected = [per_point_drift(n, rules, epsilon, z) for z in curve.z]
+                assert bits(curve.dzdt) == bits(expected), (epsilon, grid)
+                assert curve.z == tuple(drift._uniform_grid(grid))
+            expected = [per_point_drift(n, rules, epsilon, z) for z in off_lattice]
+            values = drift._drift_values(n, rules, epsilon, off_lattice)
+            assert bits(values) == bits(expected), epsilon
+            points = [-1.0, 1.0, off_lattice[len(off_lattice) // 2]]
+            assert bits(analytic_drift(n, rules, noise, z) for z in points) == bits(
+                per_point_drift(n, rules, epsilon, z) for z in points
+            )
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_fixed_points_scan_is_the_per_point_curve(self, monkeypatch, epsilon):
+        rules = parse_polarity_string("MmM", 7)
+        scanned = []
+        real = drift._drift_values
+
+        def recording(*args):
+            values = list(real(*args))
+            scanned.append((args[3], values))
+            return iter(values)
+
+        monkeypatch.setattr(drift, "_drift_values", recording)
+        find_fixed_points(101, rules, NoiseSpec(epsilon), 2001)
+        (zs, values), *_ = scanned
+        assert bits(values) == bits(per_point_drift(101, rules, epsilon, z) for z in zs)
+
+    def test_lattice_drift_is_the_per_point_curve(self):
+        zs = lattice_z_values(101)
+        for rules in enumerate_rulesets(7):
+            by_epsilon = drift._lattice_drift(101, rules, (0.0, 0.05, 0.1))
+            for epsilon, values in by_epsilon.items():
+                expected = [per_point_drift(101, rules, epsilon, z) for z in zs]
+                assert bits(values) == bits(expected), (rules.label, epsilon)
+
+
+def count_pmf_tables(monkeypatch) -> list:
+    """Record the arguments of every table the drift module builds."""
+    calls = []
+    real = drift.pmf_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(drift, "pmf_table", counting)
+    return calls
+
+
+def count_bisect_evaluations(monkeypatch) -> list:
+    """One entry per drift evaluation made inside ``_bisect``."""
+    evaluations = []
+    real = drift._bisect
+
+    def counting(f, *args):
+        def counted(z):
+            evaluations.append(z)
+            return f(z)
+
+        return real(counted, *args)
+
+    monkeypatch.setattr(drift, "_bisect", counting)
+    return evaluations
+
+
+class TestTablesBuilt:
+    def test_curve_builds_one_table_per_state(self, monkeypatch):
+        calls = count_pmf_tables(monkeypatch)
+        analytic_drift_curve(101, parse_polarity_string("MMm", 7), NoiseSpec(0.05), 20001)
+        assert len(calls) == 102
+        assert sorted(count for _, count, _ in calls) == list(range(102))
+
+    def test_negate_check_walks_each_lattice_once(self, monkeypatch):
+        calls = count_pmf_tables(monkeypatch)
+        rules = parse_polarity_string("MmM", 7)
+        assert negate_check(rules, rules.complement(), 101)
+        assert len(calls) == 2 * 102
+
+    @pytest.mark.parametrize(
+        "label, epsilon, grid, bisect_evaluations",
+        # evaluations inside _bisect, counted at the per-point implementation
+        [("MMM", 0.0, 2001, 20), ("MMM", 0.1, 2001, 60), ("MMm", 0.05, 2001, 60),
+         ("mmm", 0.0, 2001, 20), ("Mm", 0.1, 201, 72)],
+    )
+    def test_fixed_points_scan_builds_one_table_per_state(
+        self, monkeypatch, label, epsilon, grid, bisect_evaluations
+    ):
+        calls = count_pmf_tables(monkeypatch)
+        evaluations = count_bisect_evaluations(monkeypatch)
+        rules = parse_polarity_string(label, 2 * len(label) + 1)
+        find_fixed_points(101, rules, NoiseSpec(epsilon), grid)
+        assert len(evaluations) == bisect_evaluations
+        # the scan visits every state once; each bisection step is one point
+        assert len(calls) == 102 + len(evaluations)
+
+    def test_bisection_count_at_large_n(self, monkeypatch):
+        evaluations = count_bisect_evaluations(monkeypatch)
+        find_fixed_points(1001, parse_polarity_string("MmM", 7), NoiseSpec(0.05), 501)
+        assert len(evaluations) == 66
 
 
 class TestNegateCheck:

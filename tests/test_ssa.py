@@ -16,6 +16,8 @@ from swarmdec.ssa import (
     RULE,
     FrozenSystemError,
     SimConfig,
+    _pick_bounds,
+    _urn,
     draw_group_composition,
     simulate,
     step,
@@ -189,22 +191,21 @@ class TestStep:
 
     @pytest.mark.slow
     def test_group_composition_conditional_law(self):
-        # Reset to the same state every step; conditioned on a rule
-        # firing, the composition must follow the hypergeometric table
-        # renormalized over the interior compositions.
-        n, g = 101, 7
-        state = SwarmState(n, 51)
-        config = SimConfig(max_events=1)
+        # The urn every group event runs: _urn over one block of picks drawn
+        # as _events draws them, at K = 51.  Conditioned on a rule firing --
+        # an interior composition, since step() labels k = 0 and k = G as
+        # null draws -- the composition must follow the hypergeometric
+        # table renormalized over the interior compositions.
+        n, g, count = 101, 7, 51
         rng = np.random.default_rng(2024)
-        counts = np.zeros(g + 1, dtype=int)
-        steps = 10**6
-        for _ in range(steps):
-            _, kind, k, _ = step(state, MMm, config, rng)
-            if kind == RULE:
-                counts[k] += 1
-        table = pmf_table(n, state.count_x1, g)
+        picks = rng.integers(_pick_bounds(n, g), size=(10**6, g))
+        counts = [0] * (g + 1)
+        for start in range(0, len(picks), 2**16):
+            for row in picks[start:start + 2**16].tolist():
+                counts[_urn(row, count)] += 1
+        table = pmf_table(n, count, g)
         interior_mass = math.fsum(table.probabilities[1:g])
-        fired = counts.sum()
+        fired = sum(counts[1:g])
         for k in range(1, g):
             observed = counts[k] / fired
             expected = table[k] / interior_mass
