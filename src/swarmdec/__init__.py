@@ -47,6 +47,7 @@ from .schema import (
 )
 from .ssa import (
     EVENT_LABELS,
+    EventBlocks,
     FrozenSystemError,
     SimConfig,
     Trajectory,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DriftCurve",
     "EVENT_LABELS",
+    "EventBlocks",
     "FixedPoint",
     "FrozenSystemError",
     "NoiseSpec",

@@ -12,8 +12,13 @@ validate      internal cross-checks (oracle agreement, symmetries) -> JSON
 Every output file starts with a provenance comment line recording the
 package version and the resolved configuration, and all commands are
 deterministic given identical flags (including the seed).  Exit codes:
-0 success, 2 configuration error, 3 I/O error, 4 validation failure,
-130 interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
+0 success, 2 configuration error, 3 I/O error (also when the writer
+process of ``simulate`` fails or dies), 4 validation failure, 130
+interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
+
+``simulate`` formats and writes its CSV in a forked process while it
+simulates (:func:`_writer_process`), so its memory does not grow with
+``--events``; this needs ``os.fork`` (POSIX).
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import os
 import stat
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .drift import (
@@ -63,7 +69,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import FrozenSystemError, SimConfig, simulate, trajectory_csv_lines
+from .ssa import CSV_HEADER, EventBlocks, FrozenSystemError, SimConfig, _columns, _csv_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,8 +77,7 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "SWARMDEC_SEED"
-#: Largest ``--grid``: time grows with the grid, and so does the memory of
-#: ``fixed-points`` (see README).
+#: Largest ``--grid``: time grows with the grid (see README).
 MAX_GRID = 10_000_000
 #: Largest ``--agents`` of ``probs`` and ``--empirical``, whose work is one
 #: table or sample per lattice state ``K = 0..N`` (see README).
@@ -414,13 +419,18 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
         fh.write("\n")
 
 
-def _write_text(path: Path, lines: Iterable[str]) -> None:
+def _write_text(
+    path: Path, lines: Iterable[str], on_temp: Callable[[str], object] | None = None
+) -> None:
     """Write ``lines``, each ended by a newline, atomically: in bounded
-    chunks to a temp file in the target directory, then renamed."""
+    chunks to a temp file in the target directory, then renamed.
+    ``on_temp`` is told the temp file's name as soon as it exists."""
     directory = path.parent if str(path.parent) else Path(".")
     mode = _new_file_mode(path)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
     try:
+        if on_temp is not None:
+            on_temp(tmp_name)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             _write_lines(fh, lines)
             os.fchmod(fd, mode)
@@ -429,6 +439,126 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+#: The row count that ends the stream of column blocks to a writer process.
+_END_OF_BLOCKS = array("Q", [0])
+
+
+def _send_block(sink, block: tuple[array, ...]) -> None:
+    """Send one block of columns down the writer pipe: its row count, then
+    each column's bytes."""
+    array("Q", [len(block[0])]).tofile(sink)
+    for column in block:
+        column.tofile(sink)
+
+
+def _received_blocks(source, n_agents: int) -> Iterator[tuple[array, ...]]:
+    """The blocks :func:`_send_block` sent, until the end marker; EOFError
+    if the pipe closes before it."""
+    while True:
+        rows = array("Q")
+        rows.fromfile(source, 1)
+        if not rows[0]:
+            return
+        block = _columns(n_agents)
+        for column in block:
+            column.fromfile(source, rows[0])
+        yield block
+
+
+def _writer_child(
+    path: Path, lines: Callable[[Iterator], Iterable[str]], n_agents: int,
+    source_fd: int, report_fd: int,
+) -> int:
+    """Body of the writer process: write ``lines(blocks)`` with
+    :func:`_write_text`, the blocks read from ``source_fd``; the temp file's
+    name, then any error, goes to ``report_fd``.  Returns the exit status
+    and raises nothing."""
+    try:
+        with os.fdopen(source_fd, "rb") as source:
+            blocks = _received_blocks(source, n_agents)
+            _write_text(path, lines(blocks), lambda name: os.write(report_fd, os.fsencode(name) + b"\0"))
+        return 0
+    except BaseException as exc:  # reported to the parent, which decides
+        text = str(exc) if isinstance(exc, OSError) else f"CSV writer process failed: {exc!r}"
+        with contextlib.suppress(OSError):
+            os.write(report_fd, text.encode("utf-8", "replace")[:4096])
+        return 1
+
+
+def _reap_writer(pid: int, report_fd: int) -> str | None:
+    """Wait for the writer process; None if it wrote its file, else why not.
+    A temp file that it could not remove (it was killed) is removed here."""
+    with os.fdopen(report_fd, "rb") as report:
+        tmp_name, _, error = report.read().partition(b"\0")
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return None
+    if tmp_name:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+    if status < 0:
+        return f"CSV writer process killed by signal {-status}"
+    return error.decode("utf-8", "replace") or f"CSV writer process exited with status {status}"
+
+
+@contextlib.contextmanager
+def _writer_process(
+    path: Path, lines: Callable[[Iterator], Iterable[str]], n_agents: int
+) -> Iterator[Callable[[tuple[array, ...]], None]]:
+    """Write ``lines(blocks)`` to ``path`` by :func:`_write_text` in a forked
+    process, while the caller goes on; ``blocks`` are the column blocks
+    passed to the yielded ``send``.
+
+    When the ``with`` body ends normally, the end marker is sent, and the
+    file is in place once the context exits; OSError if the writer failed
+    or died.  When the body raises, the writer's pipe ends without the
+    marker, so it removes its temp file, and it is waited for before the
+    exception goes on.  Fork before importing numpy, so that the child
+    stays small and runs no threads.
+    """
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    source_fd, sink_fd = os.pipe()
+    report_r, report_w = os.pipe()
+    sigint = {signal.SIGINT}
+    # Blocked across the fork and for the child's whole life: Ctrl-C is the
+    # parent's to handle, and no KeyboardInterrupt can surface in the child.
+    signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
+    try:
+        pid = os.fork()
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+        for fd in (source_fd, sink_fd, report_r, report_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the writer; it leaves this branch only by os._exit
+        status = 1
+        try:
+            os.close(sink_fd)
+            os.close(report_r)
+            status = _writer_child(path, lines, n_agents, source_fd, report_w)
+        finally:
+            os._exit(status)
+    os.close(source_fd)
+    os.close(report_w)
+    sink = os.fdopen(sink_fd, "wb")
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+        yield lambda block: _send_block(sink, block)
+        _END_OF_BLOCKS.tofile(sink)
+        sink.flush()
+    except BrokenPipeError:
+        pass  # the writer stopped reading; its report says why
+    finally:
+        with contextlib.suppress(OSError):
+            sink.close()
+        error = _reap_writer(pid, report_r)
+    if error is not None:
+        raise OSError(error)
 
 
 def _empirical_path(out: Path) -> Path:
@@ -521,7 +651,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stop_at_consensus=cfg.stop_at_consensus,
     )
     try:
-        trajectory = simulate(cfg.initial, cfg.rules, sim_config, cfg.seed)
+        events = EventBlocks(cfg.initial, cfg.rules, sim_config, cfg.seed)
     except ValueError as exc:  # the total event rate overflows
         raise ConfigError(str(exc)) from exc
     header = _run_header(
@@ -533,13 +663,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stop_at_consensus=cfg.stop_at_consensus,
         elide_nulls=cfg.elide_nulls,
     )
-    _write_text(cfg.out, trajectory_csv_lines(trajectory, header))
+
+    def lines(blocks: Iterator) -> Iterator[str]:
+        return chain([header, CSV_HEADER], _csv_rows(blocks, cfg.agents))
+
+    # The record is formatted and written by a second process while this
+    # one simulates, so neither waits for the whole run.
+    with _writer_process(cfg.out, lines, cfg.agents) as send:
+        for block in events:
+            send(block)
     summary = {
-        "final_count_x1": trajectory.final_state.count_x1,
-        "final_z": trajectory.final_state.z,
-        "final_time": trajectory.final_time,
-        "n_events": trajectory.n_events,
-        "event_counts": trajectory.event_counts(),
+        "final_count_x1": events.final_state.count_x1,
+        "final_z": events.final_state.z,
+        "final_time": events.final_time,
+        "n_events": events.n_events,
+        "event_counts": events.event_counts(),
         "seed": cfg.seed,
     }
     print(json.dumps(summary, sort_keys=True))

@@ -111,19 +111,19 @@ class FixedPoint:
     bracket: tuple[float, float]
 
 
-def _grid(n: int) -> Iterator[float]:
-    """``n`` evenly spaced points from -1 to 1, generated one at a time, each
-    the same double as in ``numpy.linspace(-1.0, 1.0, n)``, whose arithmetic
-    this repeats."""
-    step = 2.0 / (n - 1)
-    for i in range(n - 1):
-        yield i * step + -1.0
-    yield 1.0
+class _Grid:
+    """``n`` evenly spaced points from -1 to 1, generated one at a time on
+    every iteration, never held; each is the same double as in
+    ``numpy.linspace(-1.0, 1.0, n)``, whose arithmetic this repeats."""
 
+    def __init__(self, n: int) -> None:
+        self.n = n
 
-def _uniform_grid(n: int) -> list[float]:
-    """:func:`_grid` as a list."""
-    return list(_grid(n))
+    def __iter__(self) -> Iterator[float]:
+        step = 2.0 / (self.n - 1)
+        for i in range(self.n - 1):
+            yield i * step + -1.0
+        yield 1.0
 
 
 def lattice_z_values(n_agents: int) -> tuple[float, ...]:
@@ -199,7 +199,8 @@ def analytic_drift_points(
     generated one point at a time, so memory does not grow with the grid."""
     if grid_points < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
-    return zip(_grid(grid_points), _drift_values(n_agents, rules, noise.epsilon, _grid(grid_points)))
+    zs = _Grid(grid_points)
+    return zip(zs, _drift_values(n_agents, rules, noise.epsilon, zs))
 
 
 def analytic_drift_curve(
@@ -462,8 +463,10 @@ def find_fixed_points(
 ) -> list[FixedPoint]:
     """Locate and classify every zero of the analytic drift on [-1, 1].
 
-    The curve is scanned on a uniform grid; every sign change is refined
-    by bisection to a bracket narrower than 1e-9.  Because the drift is
+    The curve is scanned on a uniform grid, in one pass that holds only
+    the last nonzero point and the ends of the current run of zeros, so
+    memory does not grow with the grid; every sign change is refined by
+    bisection to a bracket narrower than 1e-9.  Because the drift is
     piecewise constant between lattice states, runs of exact zeros are
     collapsed: a zero plateau touching a boundary is reported as the
     boundary fixed point ``z = +/-1`` (classified by the drift just
@@ -473,57 +476,52 @@ def find_fixed_points(
     """
     if grid_points < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid_points}")
-    zs = _uniform_grid(grid_points)
-    fs = list(_drift_values(n_agents, rules, noise.epsilon, zs))
-
-    nonzero = [i for i, f in enumerate(fs) if f != 0.0]
-    if not nonzero:
-        return [FixedPoint(0.0, Stability.MARGINAL, (-1.0, 1.0))]
-    first_nz = nonzero[0]
-    last_nz = nonzero[-1]
-
-    found: list[FixedPoint] = []
-    if first_nz > 0:
-        stability = Stability.STABLE if fs[first_nz] < 0 else Stability.UNSTABLE
-        found.append(FixedPoint(-1.0, stability, (zs[0], zs[first_nz - 1])))
 
     def drift_at(z: float) -> float:
         return analytic_drift(n_agents, rules, noise, z)
 
-    i = first_nz
-    while i < last_nz:
-        a, b = fs[i], fs[i + 1]
-        if b == 0.0:
+    found: list[FixedPoint] = []
+    z_prev = f_prev = None
+    zero_lo = zero_hi = None
+    zs = _Grid(grid_points)
+    for z, f in zip(zs, _drift_values(n_agents, rules, noise.epsilon, zs)):
+        if f == 0.0:
+            if zero_lo is None:
+                zero_lo = z
+            zero_hi = z
+            continue
+        if f_prev is None:
+            if zero_lo is not None:  # zero plateau at the left boundary
+                stability = Stability.STABLE if f < 0 else Stability.UNSTABLE
+                found.append(FixedPoint(-1.0, stability, (zero_lo, zero_hi)))
+        elif zero_lo is not None:
             # Interior zero plateau: collapse the run to one fixed point.
-            j = i + 1
-            while fs[j + 1] == 0.0:  # j+1 <= last_nz, which is nonzero
-                j += 1
-            left_sign, right_sign = a > 0, fs[j + 1] > 0
+            left_sign, right_sign = f_prev > 0, f > 0
             if left_sign and not right_sign:
                 stability = Stability.STABLE
             elif not left_sign and right_sign:
                 stability = Stability.UNSTABLE
             else:
                 stability = Stability.MARGINAL
-            z_star = 0.5 * (zs[i + 1] + zs[j])
-            found.append(FixedPoint(z_star, stability, (zs[i], zs[j + 1])))
-            i = j + 1
-            continue
-        if (a > 0) != (b > 0):
-            lo, hi, f_lo, f_hi = _bisect(drift_at, zs[i], zs[i + 1], a, b)
+            found.append(FixedPoint(0.5 * (zero_lo + zero_hi), stability, (z_prev, z)))
+        elif (f_prev > 0) != (f > 0):
+            lo, hi, f_lo, f_hi = _bisect(drift_at, z_prev, z, f_prev, f)
             slope = (f_hi - f_lo) / (hi - lo)
             if abs(slope) < _MARGINAL_SLOPE_TOL:
                 stability = Stability.MARGINAL
-            elif a > 0:
+            elif f_prev > 0:
                 stability = Stability.STABLE
             else:
                 stability = Stability.UNSTABLE
             found.append(FixedPoint(0.5 * (lo + hi), stability, (lo, hi)))
-        i += 1
+        z_prev, f_prev = z, f
+        zero_lo = None
 
-    if last_nz < grid_points - 1:
-        stability = Stability.STABLE if fs[last_nz] > 0 else Stability.UNSTABLE
-        found.append(FixedPoint(1.0, stability, (zs[last_nz + 1], zs[-1])))
+    if f_prev is None:
+        return [FixedPoint(0.0, Stability.MARGINAL, (-1.0, 1.0))]
+    if zero_lo is not None:  # zero plateau at the right boundary
+        stability = Stability.STABLE if f_prev > 0 else Stability.UNSTABLE
+        found.append(FixedPoint(1.0, stability, (zero_lo, zero_hi)))
     return found
 
 

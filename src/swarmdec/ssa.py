@@ -17,8 +17,15 @@ or ``k = G``) convert nobody and are recorded as null events.
 Randomness comes in whole blocks of :data:`BLOCK_EVENTS` events:
 exponentials, channel uniforms and the urn picks, whose bounds
 ``N, N-1, ..., N-G+1`` do not depend on ``K`` either.  A same-seed run
-that stops earlier is therefore an exact prefix of a longer one.  The
-record is kept as columns (:class:`Trajectory`).
+that stops earlier is therefore an exact prefix of a longer one.
+
+There is one event loop, :class:`EventBlocks`: it yields the record as
+blocks of about :data:`BLOCK_ROWS` rows of columns while the run goes on,
+and knows the run's end once it is exhausted.  :func:`simulate` joins the
+blocks into a :class:`Trajectory`, :func:`step` takes one event of the
+same stream, and the ``simulate`` command passes each block on to a
+writer process as it comes (see :mod:`swarmdec.cli`), so the command's
+memory does not grow with the number of events.
 
 With ``rule_rate = 0.5`` and ``noise_rate = epsilon / 2`` the expected
 motion of ``z = 2K/N - 1`` per unit time equals the analytic drift
@@ -28,17 +35,17 @@ simulated time is directly comparable to the drift model.
 A single run is strictly sequential; independent replicates may run
 concurrently, each with its own generator (seed ``base + index``).
 
-numpy is imported only inside the functions that use it (:func:`simulate`
-and the urn bounds of every draw), so importing this module, as every
-analytic command does, does not load it.
+numpy is imported only where random numbers are drawn (iterating
+:class:`EventBlocks`, and the urn bounds of every draw), so importing this
+module, as every analytic command does, does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .model import RuleSet, SwarmState, check_event_rate, lattice_z
 
@@ -47,7 +54,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BLOCK_EVENTS",
+    "BLOCK_ROWS",
     "EVENT_LABELS",
+    "EventBlocks",
     "FrozenSystemError",
     "NOISE12",
     "NOISE21",
@@ -66,8 +75,11 @@ __all__ = [
 EVENT_LABELS = ("rule", "null", "noise12", "noise21")
 RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
 
-#: Events per block of random draws in :func:`simulate`.
+#: Events per block of random draws in :class:`EventBlocks`.
 BLOCK_EVENTS = 256
+#: Records per block of columns that :class:`EventBlocks` yields, at least
+#: (a block ends with a block of draws).
+BLOCK_ROWS = 8192
 
 
 class FrozenSystemError(RuntimeError):
@@ -137,9 +149,8 @@ class Trajectory:
 
     def event_counts(self) -> dict[str, int]:
         """Events per kind label, elided null draws included."""
-        counts = {label: self.kinds.count(code) for code, label in enumerate(EVENT_LABELS)}
-        counts["null"] += self.n_events - len(self.kinds)
-        return counts
+        recorded = [self.kinds.count(code) for code in range(len(EVENT_LABELS))]
+        return _label_counts(recorded, self.n_events)
 
 
 def _urn(picks: Sequence[int], favorable: int) -> int:
@@ -154,12 +165,16 @@ def _urn(picks: Sequence[int], favorable: int) -> int:
     return hits
 
 
-def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
-    """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
-    import numpy as np
-
+def _check_group_fits(n_agents: int, group_size: int) -> None:
     if group_size > n_agents:
         raise ValueError(f"group size {group_size} exceeds swarm size {n_agents}")
+
+
+def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
+    """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
+    _check_group_fits(n_agents, group_size)
+    import numpy as np
+
     return np.arange(n_agents, n_agents - group_size, -1)
 
 
@@ -175,47 +190,141 @@ def _int_column(largest: int) -> array:
     return next((array(c) for c in "BHI" if largest < 256 ** array(c).itemsize), array("Q"))
 
 
-def _events(
-    count: int,
-    n: int,
-    rules: RuleSet | None,
-    config: SimConfig,
-    rng: np.random.Generator,
-    block: int,
-) -> Iterator[tuple[float, int, int, int]]:
-    """Endless events ``(dt, kind, k, count_after)`` starting from ``count``.
+def _columns(n_agents: int) -> tuple[array, array, array, array]:
+    """Empty ``(times, kinds, ks, counts)`` columns of a run of ``N`` agents."""
+    return array("d"), array("B"), _int_column(n_agents), _int_column(n_agents)
 
-    Raises :class:`FrozenSystemError` when the total propensity vanishes
-    and ValueError for an impossible or overflowing configuration, both
-    on the first ``next``.
+
+def _label_counts(recorded: Sequence[int], n_events: int) -> dict[str, int]:
+    """Events per kind label from the recorded events per kind code; the
+    events missing from the record are elided null draws."""
+    counts = dict(zip(EVENT_LABELS, recorded))
+    counts["null"] += n_events - sum(recorded)
+    return counts
+
+
+class EventBlocks:
+    """The recorded events of one run, as blocks of columns.
+
+    Iterating (once) runs the simulation from ``initial`` until a stopping
+    bound of ``config`` hits, and yields ``(times, kinds, ks, counts)``
+    blocks of :class:`array.array` columns, laid out as in
+    :class:`Trajectory`; each block but the last holds at least
+    :data:`BLOCK_ROWS` records.  Afterwards ``final_state``,
+    ``final_time``, ``n_events`` and :meth:`event_counts` describe the
+    run's end.
+
+    ``rng`` is a numpy generator, or a seed for one made when the
+    iteration starts, so that a caller can check the configuration and
+    fork before numpy is loaded.  Randomness is drawn ``draw`` events at
+    a time.  The configuration is checked here, before any event:
+    ValueError for an impossible or overflowing one,
+    :class:`FrozenSystemError` when every propensity is zero.  A run that
+    stops before its first event (``stop_at_consensus`` from a consensus)
+    draws nothing and checks nothing.
     """
-    group_size = rules.group_size if rules is not None else 0
-    bounds = _pick_bounds(n, group_size)
-    a_group = config.rule_rate * n
-    if a_group > 0 and rules is None:
-        raise ValueError("rule_rate > 0 requires a rule set")
-    noise = config.noise_rate
-    # The X1 -> X2 threshold a_group + noise*K is this very expression at
-    # K = N, so u = uniform*total < total never picks X2 -> X1 at K = N.
-    total = check_event_rate(a_group + noise * n, n)
-    if total <= 0:
-        raise FrozenSystemError("all propensities are zero; the system is frozen")
-    weights = rules.signed_weights if rules is not None else ()
-    while True:
-        dts = (rng.standard_exponential(block) / total).tolist()
-        us = (rng.random(block) * total).tolist()
-        picks = rng.integers(bounds, size=(block, group_size)).tolist()
-        for dt, u, group in zip(dts, us, picks):
-            if u < a_group:
-                k = _urn(group, count)
-                delta = weights[k]
-                kind = RULE if delta else NULL
-            elif u < a_group + noise * count:
-                k, delta, kind = 0, -1, NOISE12
-            else:
-                k, delta, kind = 0, 1, NOISE21
-            count += delta
-            yield dt, kind, k, count
+
+    def __init__(
+        self,
+        initial: SwarmState,
+        rules: RuleSet | None,
+        config: SimConfig,
+        rng: np.random.Generator | int,
+        draw: int = BLOCK_EVENTS,
+    ) -> None:
+        n = initial.n_agents
+        self.initial, self.rules, self.config = initial, rules, config
+        self.rng, self.draw = rng, draw
+        self.final_state, self.final_time, self.n_events = initial, 0.0, 0
+        self._recorded = [0] * len(EVENT_LABELS)
+        self._stops = (0, n) if config.stop_at_consensus else ()
+        if initial.count_x1 in self._stops:
+            return
+        _check_group_fits(n, rules.group_size if rules is not None else 0)
+        self._a_group = config.rule_rate * n
+        if self._a_group > 0 and rules is None:
+            raise ValueError("rule_rate > 0 requires a rule set")
+        # The X1 -> X2 threshold a_group + noise*K is this very expression at
+        # K = N, so u = uniform*total < total never picks X2 -> X1 at K = N.
+        self._total = check_event_rate(self._a_group + config.noise_rate * n, n)
+        if self._total <= 0:
+            raise FrozenSystemError("all propensities are zero; the system is frozen")
+
+    def event_counts(self) -> dict[str, int]:
+        """Events per kind label so far, elided null draws included."""
+        return _label_counts(self._recorded, self.n_events)
+
+    def _tally(self, columns: tuple[array, array, array, array]) -> None:
+        """Add the kinds of a block about to be yielded to :meth:`event_counts`."""
+        for code in range(len(EVENT_LABELS)):
+            self._recorded[code] += columns[1].count(code)
+
+    def __iter__(self) -> Iterator[tuple[array, array, array, array]]:
+        n = self.initial.n_agents
+        count = self.initial.count_x1
+        config, stops = self.config, self._stops
+        max_events = config.max_events if config.max_events is not None else math.inf
+        t_max = config.t_max if config.t_max is not None else math.inf
+        record_nulls = config.record_null_draws
+        t = 0.0
+        n_events = 0
+        running = count not in stops
+        if running:
+            import numpy as np
+
+            rng = self.rng
+            if not isinstance(rng, np.random.Generator):
+                rng = np.random.default_rng(rng)
+            rules, draw, a_group, total = self.rules, self.draw, self._a_group, self._total
+            group_size = rules.group_size if rules is not None else 0
+            bounds = _pick_bounds(n, group_size)
+            weights = rules.signed_weights if rules is not None else ()
+            noise = config.noise_rate
+        columns = _columns(n)
+        while running:
+            times, kinds, ks, counts = columns
+            add_time, add_kind, add_k, add_count = times.append, kinds.append, ks.append, counts.append
+            dts = (rng.standard_exponential(draw) / total).tolist()
+            us = (rng.random(draw) * total).tolist()
+            picks = rng.integers(bounds, size=(draw, group_size)).tolist()
+            for dt, u, group in zip(dts, us, picks):
+                if t + dt > t_max:
+                    running = False
+                    break
+                t += dt
+                n_events += 1
+                if u < a_group:  # the urn of _urn, inlined
+                    k = 0
+                    favorable = count
+                    for pick in group:
+                        if pick < favorable:
+                            k += 1
+                            favorable -= 1
+                    delta = weights[k]
+                    count += delta
+                    kind = RULE if delta else NULL
+                elif u < a_group + noise * count:
+                    k, kind = 0, NOISE12
+                    count -= 1
+                else:
+                    k, kind = 0, NOISE21
+                    count += 1
+                if record_nulls or kind != NULL:
+                    add_time(t)
+                    add_kind(kind)
+                    add_k(k)
+                    add_count(count)
+                if n_events >= max_events or count in stops:
+                    running = False
+                    break
+            if running and len(times) >= BLOCK_ROWS:
+                self._tally(columns)
+                yield columns
+                columns = _columns(n)
+        self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
+        self._tally(columns)
+        if columns[0]:
+            yield columns
 
 
 def step(
@@ -228,12 +337,15 @@ def step(
 
     ``kind`` is a code into :data:`EVENT_LABELS` and ``k`` the group
     composition (0 for noise flips).  ``rules`` may be None only when
-    ``rule_rate`` is zero (noise-only system).  Raises
-    :class:`FrozenSystemError` when the total propensity vanishes.
+    ``rule_rate`` is zero (noise-only system).  The stopping bounds of
+    ``config`` are ignored.  Raises :class:`FrozenSystemError` when the
+    total propensity vanishes.
     """
-    n = state.n_agents
-    dt, kind, k, count = next(_events(state.count_x1, n, rules, config, rng, 1))
-    return dt, kind, k, SwarmState(n, count)
+    one_event = replace(
+        config, max_events=1, t_max=None, record_null_draws=True, stop_at_consensus=False
+    )
+    ((times, kinds, ks, counts),) = EventBlocks(state, rules, one_event, rng, draw=1)
+    return times[0], kinds[0], ks[0], SwarmState(state.n_agents, counts[0])
 
 
 def simulate(
@@ -248,37 +360,16 @@ def simulate(
     identical trajectory, and a same-seed run with a smaller bound is a
     prefix of it.  Null draws still advance time and count toward
     ``max_events`` when ``record_null_draws`` is off; they are merely
-    dropped from the record.
+    dropped from the record.  The record is the :class:`EventBlocks` of
+    the run, joined.
     """
-    n = initial.n_agents
-    count = initial.count_x1
-    max_events = config.max_events if config.max_events is not None else math.inf
-    t_max = config.t_max if config.t_max is not None else math.inf
-    stops = (0, n) if config.stop_at_consensus else ()
-    record_nulls = config.record_null_draws
-    times, kinds, ks, counts = array("d"), array("B"), _int_column(n), _int_column(n)
-    add_time, add_kind, add_k, add_count = times.append, kinds.append, ks.append, counts.append
-    t = 0.0
-    n_events = 0
-    if count not in stops:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        for dt, kind, k, count_after in _events(count, n, rules, config, rng, BLOCK_EVENTS):
-            if t + dt > t_max:
-                break
-            t += dt
-            n_events += 1
-            count = count_after
-            if record_nulls or kind != NULL:
-                add_time(t)
-                add_kind(kind)
-                add_k(k)
-                add_count(count)
-            if n_events >= max_events or count in stops:
-                break
+    blocks = EventBlocks(initial, rules, config, seed)
+    columns = _columns(initial.n_agents)
+    for block in blocks:
+        for column, part in zip(columns, block):
+            column.extend(part)
     return Trajectory(
-        initial, seed, times, kinds, ks, counts, SwarmState(n, count), t, n_events
+        initial, seed, *columns, blocks.final_state, blocks.final_time, blocks.n_events
     )
 
 
@@ -321,6 +412,24 @@ def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
 CSV_HEADER = "time,event,k,count_x1,z"
 
 
+def _csv_rows(
+    blocks: Iterable[tuple[array, array, array, array]], n_agents: int
+) -> Iterator[str]:
+    """CSV rows (no trailing newlines) of the recorded events in ``blocks``
+    of ``(times, kinds, ks, counts)`` columns of a run of ``N`` agents."""
+    # Everything after the time depends only on (kind, k, count).
+    suffixes: dict[tuple[int, int, int], str] = {}
+    for times, kinds, ks, counts in blocks:
+        for time, key in zip(times, zip(kinds, ks, counts)):
+            suffix = suffixes.get(key)
+            if suffix is None:
+                kind, k, count = key
+                k_field = "" if kind in (NOISE12, NOISE21) else k
+                z = lattice_z(count, n_agents)
+                suffix = suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
+            yield f"{time:.17g}{suffix}"
+
+
 def trajectory_csv_lines(
     trajectory: Trajectory, provenance: str | None = None
 ) -> Iterator[str]:
@@ -333,15 +442,5 @@ def trajectory_csv_lines(
     if provenance is not None:
         yield provenance
     yield CSV_HEADER
-    n = trajectory.initial_state.n_agents
-    # Everything after the time depends only on (kind, k, count).
-    suffixes: dict[tuple[int, int, int], str] = {}
-    keys = zip(trajectory.kinds, trajectory.ks, trajectory.counts)
-    for time, key in zip(trajectory.times, keys):
-        suffix = suffixes.get(key)
-        if suffix is None:
-            kind, k, count = key
-            k_field = "" if kind in (NOISE12, NOISE21) else k
-            z = lattice_z(count, n)
-            suffix = suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
-        yield f"{time:.17g}{suffix}"
+    columns = (trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
+    yield from _csv_rows([columns], trajectory.initial_state.n_agents)

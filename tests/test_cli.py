@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -325,6 +327,123 @@ class TestSimulate:
         assert_config_error(code, capsys, out)
 
 
+class TestSimulateMemory:
+    def test_peak_does_not_grow_with_events(self, tmp_path, capsys):
+        # Held as a Trajectory before the write, the record peaked at 2.0 MiB
+        # at 2*10**4 events and 4.0 MiB at 2*10**5 here.  Streamed to the
+        # writer process, the peak is 0.3 MiB at both, about one block of
+        # columns.  tracemalloc slows the SSA about tenfold, hence 2*10**5.
+        args = ["simulate", "--rules", "Mmm", "--epsilon", "0.1", "--seed", "1",
+                "--out", str(tmp_path / "run.csv")]
+        assert main([*args, "--events", "1000"]) == EXIT_OK  # imports, caches
+        peaks = []
+        for events in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert main([*args, "--events", str(events)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] < 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**18
+
+
+#: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit code
+#: and whether the process still has a child, live or zombie.
+_PIPELINE_PROBE = """\
+import json, os, sys
+from swarmdec import cli
+code = cli.main(json.loads(sys.argv[1]))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+print(json.dumps({"code": code, "children": children}))
+"""
+
+
+def _start_probe(argv: list[str], cwd: Path) -> subprocess.Popen:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.Popen(
+        [sys.executable, "-c", _PIPELINE_PROBE, json.dumps(argv)],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _probe_result(proc: subprocess.Popen, timeout: float = 120) -> tuple[list[dict], str]:
+    """The probe's result lines (one per return from ``main``) and its stderr."""
+    out, err = proc.communicate(timeout=timeout)
+    results = [json.loads(line) for line in out.splitlines() if line.startswith('{"code"')]
+    return results, err
+
+
+def _wait_for_temp_file(directory: Path, proc: subprocess.Popen) -> Path:
+    """The temp file the writer process is filling, once rows reach it."""
+    for _ in range(6000):
+        found = [p for p in directory.glob(".run.csv.*.tmp") if p.stat().st_size]
+        if found:
+            return found[0]
+        assert proc.poll() is None, "the run ended before its writer started"
+        time.sleep(0.01)
+    raise AssertionError("no temp file appeared")
+
+
+def _writer_pid(pid: int) -> int:
+    """The one child process of ``pid`` (Linux /proc), or skip."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    if not path.exists():
+        pytest.skip("/proc/PID/task/TID/children is not available")
+    (child,) = map(int, path.read_text().split())
+    return child
+
+
+class TestWriterProcess:
+    """``simulate`` writes its CSV from a forked process; every way that can
+    fail leaves no traceback, no file, no temp file and no child process."""
+
+    LONG_RUN = ["simulate", "--rules", "Mmm", "--epsilon", "0.1", "--events", str(10**7),
+                "--seed", "1", "--out", "run.csv"]
+
+    def test_success_returns_once(self, tmp_path):
+        argv = ["simulate", "--rules", "MMm", "--events", "20000", "--out", "run.csv"]
+        results, err = _probe_result(_start_probe(argv, tmp_path))
+        assert results == [{"code": EXIT_OK, "children": False}]
+        assert err == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_unwritable_out_directory(self, tmp_path):
+        argv = ["simulate", "--rules", "MMm", "--events", "100000", "--out", "missing/run.csv"]
+        results, err = _probe_result(_start_probe(argv, tmp_path))
+        assert results == [{"code": EXIT_IO, "children": False}]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("swarmdec: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigint_exits_130_promptly(self, tmp_path):
+        proc = _start_probe(self.LONG_RUN, tmp_path)
+        _wait_for_temp_file(tmp_path, proc)
+        start = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        results, err = _probe_result(proc)
+        assert time.monotonic() - start < 1.0
+        assert results == [{"code": 130, "children": False}]
+        assert err == "swarmdec: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_killed_writer(self, tmp_path):
+        proc = _start_probe(self.LONG_RUN, tmp_path)
+        _wait_for_temp_file(tmp_path, proc)
+        os.kill(_writer_pid(proc.pid), signal.SIGKILL)
+        results, err = _probe_result(proc)
+        assert results == [{"code": EXIT_IO, "children": False}]
+        assert err == "swarmdec: CSV writer process killed by signal 9\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_new_file_mode_follows_umask(self, tmp_path, umask):
@@ -371,6 +490,22 @@ class TestInterrupt:
 
 
 class TestFixedPoints:
+    def test_scan_is_streamed(self, tmp_path):
+        # Holding the grid, the drift values and the nonzero indices as lists,
+        # the scan peaked at 19 MiB here and grew with --grid.  Streamed, it
+        # holds one grid point and the ends of the current zero run.
+        out = tmp_path / "fp.json"
+        tracemalloc.start()
+        try:
+            code = main(["fixed-points", "--rules", "MMm", "--epsilon", "0.05",
+                         "--grid", "200001", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(read_json_with_header(out)[1]) == 3
+        assert peak < 2**20
+
     def test_all_minority(self, tmp_path):
         out = tmp_path / "fp.json"
         code = main(
@@ -737,6 +872,69 @@ class TestSamplesBound:
         assert resolve_config(args).samples == MAX_SAMPLES
 
 
+#: (case, sha256 of the CSV, JSON summary line, arguments) of seeded
+#: ``simulate`` runs.  They pin the SSA's RNG stream, where each run stops,
+#: the CSV bytes and the summary, for every stopping bound, null elision,
+#: the noise-only system, starts at consensus and 16-bit columns (N > 255).
+SIMULATE_OUTPUTS = [
+    ("events", "bcec4254c613e919d64d8bb1373bdcfd43c373677734e425261241897933512a",
+     '{"event_counts": {"noise12": 891, "noise21": 897, "null": 253, "rule": 17959}, '
+     '"final_count_x1": 52, "final_time": 356.76580230416204, "final_z": 0.02970297029702973, '
+     '"n_events": 20000, "seed": 5}',
+     ["--agents", "101", "--rules", "Mmm", "--epsilon", "0.1", "--events", "20000",
+      "--init-z", "0", "--seed", "5"]),
+    ("t_max", "69acf6a07ee83152165a0405dc261fd7fbbfa2a6c6328e6e9c36bbf23b83c477",
+     '{"event_counts": {"noise12": 701, "noise21": 760, "null": 230, "rule": 14705}, '
+     '"final_count_x1": 55, "final_time": 299.9965691886838, "final_z": 0.08910891089108919, '
+     '"n_events": 16396, "seed": 11}',
+     ["--rules", "Mmm", "--epsilon", "0.1", "--t-max", "300", "--seed", "11"]),
+    ("stop_at_consensus", "6e3a4e124a8038fffed40593e7e0df32e258d1b2f4fbfbfa42560f5b03628b4b",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 51, "rule": 114}, '
+     '"final_count_x1": 101, "final_time": 3.6127260165825605, "final_z": 1.0, '
+     '"n_events": 165, "seed": 3}',
+     ["--rules", "MMm", "--init-k", "51", "--stop-at-consensus", "--seed", "3"]),
+    ("elide_nulls", "dab04425a6f0b7a0236cf3654623cf29e04e1d7f2226fa6bc7d72b5b0cd14bd9",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 99934, "rule": 66}, '
+     '"final_count_x1": 101, "final_time": 1986.5599209885559, "final_z": 1.0, '
+     '"n_events": 100000, "seed": 7}',
+     ["--rules", "MMM", "--epsilon", "0", "--events", "100000", "--seed", "7",
+      "--init-z", "0.0099", "--elide-nulls"]),
+    ("rules_none", "0139b534ceaf58c77e8143be03ffd25525d2207d9cf32022592281e60ce81750",
+     '{"event_counts": {"noise12": 2507, "noise21": 2493, "null": 0, "rule": 0}, '
+     '"final_count_x1": 37, "final_time": 496.41612819463256, "final_z": -0.26732673267326734, '
+     '"n_events": 5000, "seed": 9}',
+     ["--rules", "none", "--epsilon", "0.2", "--events", "5000", "--seed", "9"]),
+    ("at_consensus", "39835b91c295eb8f71e28c910729d6575fcad0ea6453c5892b1644c2e1110e55",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 3000, "rule": 0}, '
+     '"final_count_x1": 101, "final_time": 59.83308666673695, "final_z": 1.0, '
+     '"n_events": 3000, "seed": 4}',
+     ["--rules", "MMM", "--init-k", "101", "--events", "3000", "--seed", "4"]),
+    ("at_consensus_stop", "fe5eb986ed084960f35e9c3d75ed3edd011ab3dfa464fd29991ebae94031a86f",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 0, "rule": 0}, '
+     '"final_count_x1": 0, "final_time": 0.0, "final_z": -1.0, "n_events": 0, "seed": 4}',
+     ["--rules", "MMM", "--init-k", "0", "--stop-at-consensus", "--seed", "4"]),
+    ("wide_columns", "20d261c27ee3ad7644db820159b8cd72e2fa2a44739110de38d3cb1e8ac9a99d",
+     '{"event_counts": {"noise12": 7, "noise21": 241, "null": 10807, "rule": 945}, '
+     '"final_count_x1": 3, "final_time": 23.500391867562698, "final_z": -0.994005994005994, '
+     '"n_events": 12000, "seed": 13}',
+     ["--agents", "1001", "--rules", "Mm", "--epsilon", "0.02", "--events", "12000",
+      "--init-k", "300", "--seed", "13", "--elide-nulls"]),
+]
+
+
+class TestSimulateGoldenOutputs:
+    @pytest.mark.parametrize(
+        "name, digest, summary, args", SIMULATE_OUTPUTS,
+        ids=[name for name, _, _, _ in SIMULATE_OUTPUTS],
+    )
+    def test_seeded_run_bytes(self, tmp_path, monkeypatch, capsys, name, digest, summary, args):
+        monkeypatch.delenv("SWARMDEC_SEED", raising=False)
+        out = tmp_path / "run.csv"
+        assert main(["simulate", *args, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == summary + "\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 #: Runs ``cli.main(argv)`` in a fresh interpreter; prints the exit code and
 #: whether numpy was imported, as the last line of standard output.
 _NUMPY_PROBE = """\
@@ -788,6 +986,17 @@ class TestNumpyOnlyWhenSampling:
         (tmp_path / "schema.txt").write_text(MMm_SCHEMA)
         last = _fresh_run(_NUMPY_PROBE, json.dumps(argv), cwd=tmp_path)
         assert json.loads(last) == [code, numpy]
+
+
+class TestStartup:
+    def test_import_loads_no_process_modules(self, tmp_path):
+        # The simulate pipeline forks with os.fork/os.pipe alone, so the other
+        # commands do not pay for importing subprocess or multiprocessing.
+        probe = (
+            "import sys, swarmdec.cli;"
+            "print(sorted({'subprocess', 'multiprocessing'} & set(sys.modules)))"
+        )
+        assert _fresh_run(probe, cwd=tmp_path) == "[]"
 
 
 class TestArgparseBehaviour:

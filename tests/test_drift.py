@@ -133,7 +133,7 @@ class TestAnalyticDrift:
     def test_grid_is_numpy_linspace_bit_for_bit(self, sizes):
         for n in sizes:
             expected = np.linspace(-1.0, 1.0, n)
-            assert np.array(drift._uniform_grid(n)).tobytes() == expected.tobytes(), n
+            assert np.array(list(drift._Grid(n))).tobytes() == expected.tobytes(), n
 
 
 def per_point_drift(n: int, rules: RuleSet | None, epsilon: float, z: float) -> float:
@@ -184,7 +184,7 @@ class TestLatticeEngine:
                 curve = analytic_drift_curve(n, rules, noise, grid)
                 expected = [per_point_drift(n, rules, epsilon, z) for z in curve.z]
                 assert bits(curve.dzdt) == bits(expected), (epsilon, grid)
-                assert curve.z == tuple(drift._uniform_grid(grid))
+                assert curve.z == tuple(drift._Grid(grid))
             expected = [per_point_drift(n, rules, epsilon, z) for z in off_lattice]
             values = drift._drift_values(n, rules, epsilon, off_lattice)
             assert bits(values) == bits(expected), epsilon

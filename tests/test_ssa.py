@@ -9,7 +9,10 @@ import pytest
 from swarmdec.model import SwarmState
 from swarmdec.schema import parse_polarity_string
 from swarmdec.ssa import (
+    BLOCK_EVENTS,
+    BLOCK_ROWS,
     EVENT_LABELS,
+    EventBlocks,
     NOISE12,
     NOISE21,
     NULL,
@@ -192,7 +195,7 @@ class TestStep:
     @pytest.mark.slow
     def test_group_composition_conditional_law(self):
         # The urn every group event runs: _urn over one block of picks drawn
-        # as _events draws them, at K = 51.  Conditioned on a rule firing --
+        # as EventBlocks draws them, at K = 51.  Conditioned on a rule firing --
         # an interior composition, since step() labels k = 0 and k = G as
         # null draws -- the composition must follow the hypergeometric
         # table renormalized over the interior compositions.
@@ -337,6 +340,35 @@ class TestSimulate:
             z_prev = 2.0 * count / 101 - 1.0
         time_average = acc / trajectory.final_time
         assert -0.15 <= time_average <= 0.15
+
+
+class TestEventBlocks:
+    def test_blocks_join_to_the_trajectory(self):
+        config = SimConfig(noise_rate=0.05, max_events=3 * BLOCK_ROWS + 1000)
+        events = EventBlocks(SwarmState(101, 51), MMm, config, 17)
+        blocks = list(events)
+        trajectory = simulate(SwarmState(101, 51), MMm, config, seed=17)
+        assert len(blocks) == 4
+        for times, *_ in blocks[:-1]:
+            assert BLOCK_ROWS <= len(times) < BLOCK_ROWS + BLOCK_EVENTS
+        for i, name in enumerate(("times", "kinds", "ks", "counts")):
+            joined = blocks[0][i][:0]
+            for block in blocks:
+                joined.extend(block[i])
+            assert joined == getattr(trajectory, name)
+        assert (events.final_state, events.final_time, events.n_events) == (
+            trajectory.final_state, trajectory.final_time, trajectory.n_events
+        )
+        assert events.event_counts() == trajectory.event_counts()
+
+    def test_configuration_checked_before_any_event(self):
+        frozen = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=10)
+        with pytest.raises(FrozenSystemError):
+            EventBlocks(SwarmState(101, 51), None, frozen, 0)
+        with pytest.raises(ValueError, match="overflows"):
+            EventBlocks(SwarmState(101, 51), MMM, SimConfig(rule_rate=1e308, max_events=1), 0)
+        with pytest.raises(ValueError, match="requires a rule set"):
+            EventBlocks(SwarmState(101, 51), None, SimConfig(max_events=1), 0)
 
 
 class TestTrajectoryCsv:
