@@ -19,9 +19,9 @@ from pathlib import Path
 from swarmdec import (
     NoiseSpec,
     analytic_drift_curve,
-    enumerate_rulesets,
     find_fixed_points,
     format_schema,
+    iter_rulesets,
     negate_check,
     schema_of_ruleset,
 )
@@ -35,7 +35,7 @@ def main() -> None:
     OUT_DIR.mkdir(exist_ok=True)
     quiet = NoiseSpec(0.0)
 
-    rulesets = enumerate_rulesets(GROUP)
+    rulesets = list(iter_rulesets(GROUP))
     print(f"{len(rulesets)} rule sets for group size {GROUP}:\n")
     for rules in rulesets:
         print(rules.label)

@@ -27,7 +27,6 @@ from .model import (
     RulePolarity,
     RuleSet,
     SwarmState,
-    enumerate_rulesets,
     iter_rulesets,
     signed_weight,
     state_of_z,
@@ -51,11 +50,8 @@ from .ssa import (
     FrozenSystemError,
     SimConfig,
     Trajectory,
-    draw_group_composition,
     simulate,
-    step,
     trajectory_csv_lines,
-    verify_trajectory,
 )
 
 __version__ = "0.1.0"
@@ -81,11 +77,9 @@ __all__ = [
     "Trajectory",
     "analytic_drift",
     "analytic_drift_curve",
-    "draw_group_composition",
     "empirical_drift",
     "empirical_firing_probabilities",
     "empirical_firing_table",
-    "enumerate_rulesets",
     "iter_rulesets",
     "find_fixed_points",
     "format_schema",
@@ -103,7 +97,5 @@ __all__ = [
     "signed_weight",
     "simulate",
     "state_of_z",
-    "step",
     "trajectory_csv_lines",
-    "verify_trajectory",
 ]

@@ -56,7 +56,6 @@ from .model import (
     SwarmState,
     check_group_size,
     check_swarm_size,
-    enumerate_rulesets,
     iter_rulesets,
     lattice_z,
     state_of_z,
@@ -126,7 +125,7 @@ class ExperimentConfig:
     rules: RuleSet | None
     pure_noise: bool
     epsilon: float
-    rule_rate: float
+    rule_rate: float  # the effective rate: 0 for the noise-only system
     seed: int
     out: Path | None
     grid: int
@@ -355,7 +354,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         rules=rules,
         pure_noise=pure_noise,
         epsilon=epsilon,
-        rule_rate=rule_rate,
+        rule_rate=0.0 if pure_noise else rule_rate,
         seed=seed,
         out=Path(out_arg) if out_arg is not None else None,
         grid=grid,
@@ -587,18 +586,17 @@ def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
 
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
-    rule_rate = 0.0 if cfg.pure_noise else cfg.rule_rate
     if cfg.empirical:  # sampled first, so that a failure leaves no file behind
         try:
             emp = empirical_drift(
-                cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=rule_rate
+                cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=cfg.rule_rate
             )
         except ValueError as exc:  # the total event rate overflows
             raise ConfigError(str(exc)) from exc
     points = analytic_drift_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     _write_text(cfg.out, _curve_csv(points, _run_header(cfg, grid=cfg.grid)))
     if cfg.empirical:
-        emp_header = _run_header(cfg, samples=cfg.samples, rule_rate=rule_rate)
+        emp_header = _run_header(cfg, samples=cfg.samples, rule_rate=cfg.rule_rate)
         _write_text(_empirical_path(cfg.out), _curve_csv(zip(emp.z, emp.dzdt), emp_header))
     if cfg.plot_script:
         title = cfg.rules_label or "drift"
@@ -642,9 +640,9 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    sim_config = SimConfig(
-        rule_rate=0.0 if cfg.pure_noise else cfg.rule_rate,
-        noise_rate=cfg.epsilon / 2.0,
+    sim_config = SimConfig.from_noise_level(
+        cfg.epsilon,
+        rule_rate=cfg.rule_rate,
         max_events=cfg.events,
         t_max=cfg.t_max,
         record_null_draws=not cfg.elide_nulls,
@@ -656,7 +654,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError(str(exc)) from exc
     header = _run_header(
         cfg,
-        rule_rate=sim_config.rule_rate,
+        rule_rate=cfg.rule_rate,
         events=cfg.events,
         t_max=cfg.t_max,
         init_k=cfg.initial.count_x1,
@@ -796,7 +794,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     # per rule set and state, shared by the three drift checks.
     drifts = {
         rules: _lattice_drift(_CHECK_AGENTS, rules, _CHECK_EPSILONS)
-        for rules in enumerate_rulesets(7)
+        for rules in iter_rulesets(7)
     }
     checks = [
         _check_pmf_oracle(),

@@ -76,24 +76,16 @@ MAX_SAMPLES = 1_000_000_000
 
 @dataclass(frozen=True)
 class DriftCurve:
-    """Sampled ``(z, dz/dt)`` curve plus the configuration it came from."""
+    """Sampled ``(z, dz/dt)`` curve."""
 
     z: tuple[float, ...]
     dzdt: tuple[float, ...]
-    n_agents: int
-    epsilon: float
-    source: str  # "analytic" | "empirical"
-    group_size: int | None = None
-    rule_label: str | None = None
-    samples_per_point: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.z) != len(self.dzdt):
             raise ValueError("z and dzdt must have equal length")
         if any(b <= a for a, b in zip(self.z, self.z[1:])):
             raise ValueError("z values must be strictly increasing")
-        if self.source not in ("analytic", "empirical"):
-            raise ValueError(f"unknown curve source {self.source!r}")
 
 
 class Stability(Enum):
@@ -211,15 +203,7 @@ def analytic_drift_curve(
 ) -> DriftCurve:
     """Analytic drift evaluated on a uniform z grid over [-1, 1]."""
     zs, values = zip(*analytic_drift_points(n_agents, rules, noise, grid_points))
-    return DriftCurve(
-        zs,
-        values,
-        n_agents,
-        noise.epsilon,
-        "analytic",
-        group_size=rules.group_size if rules else None,
-        rule_label=rules.label if rules else None,
-    )
+    return DriftCurve(zs, values)
 
 
 def _lattice_drift(
@@ -386,17 +370,7 @@ def empirical_drift(
         mean_step = delta_sum / samples_per_state
         return (2.0 / n_agents) * mean_step * total
 
-    estimates = _per_state(estimate, n_agents)
-    return DriftCurve(
-        lattice_z_values(n_agents),
-        tuple(estimates),
-        n_agents,
-        noise.epsilon,
-        "empirical",
-        group_size=rules.group_size if rules else None,
-        rule_label=rules.label if rules else None,
-        samples_per_point=samples_per_state,
-    )
+    return DriftCurve(lattice_z_values(n_agents), tuple(_per_state(estimate, n_agents)))
 
 
 def rule_firing_probabilities(

@@ -32,7 +32,6 @@ __all__ = [
     "check_group_size",
     "check_swarm_size",
     "count_of_z",
-    "enumerate_rulesets",
     "iter_rulesets",
     "lattice_z",
     "signed_weight",
@@ -229,8 +228,3 @@ def iter_rulesets(group_size: int) -> Iterator[RuleSet]:
             (RulePolarity.MAJORITY, RulePolarity.MINORITY), repeat=slots
         )
     )
-
-
-def enumerate_rulesets(group_size: int) -> list[RuleSet]:
-    """:func:`iter_rulesets` as a list."""
-    return list(iter_rulesets(group_size))

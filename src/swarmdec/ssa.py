@@ -22,10 +22,9 @@ that stops earlier is therefore an exact prefix of a longer one.
 There is one event loop, :class:`EventBlocks`: it yields the record as
 blocks of about :data:`BLOCK_ROWS` rows of columns while the run goes on,
 and knows the run's end once it is exhausted.  :func:`simulate` joins the
-blocks into a :class:`Trajectory`, :func:`step` takes one event of the
-same stream, and the ``simulate`` command passes each block on to a
-writer process as it comes (see :mod:`swarmdec.cli`), so the command's
-memory does not grow with the number of events.
+blocks into a :class:`Trajectory`, and the ``simulate`` command passes
+each block on to a writer process as it comes (see :mod:`swarmdec.cli`),
+so the command's memory does not grow with the number of events.
 
 With ``rule_rate = 0.5`` and ``noise_rate = epsilon / 2`` the expected
 motion of ``z = 2K/N - 1`` per unit time equals the analytic drift
@@ -36,15 +35,16 @@ A single run is strictly sequential; independent replicates may run
 concurrently, each with its own generator (seed ``base + index``).
 
 numpy is imported only where random numbers are drawn (iterating
-:class:`EventBlocks`, and the urn bounds of every draw), so importing this
-module, as every analytic command does, does not load it.
+:class:`EventBlocks`), so importing this module, as every analytic
+command does, does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .model import RuleSet, SwarmState, check_event_rate, lattice_z
@@ -64,11 +64,8 @@ __all__ = [
     "RULE",
     "SimConfig",
     "Trajectory",
-    "draw_group_composition",
     "simulate",
-    "step",
     "trajectory_csv_lines",
-    "verify_trajectory",
 ]
 
 #: Event kinds: the CSV label of each kind code stored in ``Trajectory.kinds``.
@@ -94,6 +91,8 @@ class SimConfig:
     level ``epsilon`` corresponds to ``noise_rate = epsilon / 2``
     (see :meth:`from_noise_level`).  At least one stopping condition
     (``max_events``, ``t_max`` or ``stop_at_consensus``) must be set.
+    The clock is a double, so without ``t_max`` a run ends before an
+    event that would happen after the largest finite one.
     """
 
     rule_rate: float = 0.5
@@ -138,7 +137,6 @@ class Trajectory:
     """
 
     initial_state: SwarmState
-    seed: int
     times: array
     kinds: array
     ks: array
@@ -153,36 +151,11 @@ class Trajectory:
         return _label_counts(recorded, self.n_events)
 
 
-def _urn(picks: Sequence[int], favorable: int) -> int:
-    """X1 agents among urn picks: ``picks[j]`` is uniform over the ``N - j``
-    agents left, of which those below ``favorable`` hold X1 (integer
-    comparison, so the count follows the hypergeometric law exactly)."""
-    hits = 0
-    for pick in picks:
-        if pick < favorable:
-            hits += 1
-            favorable -= 1
-    return hits
-
-
-def _check_group_fits(n_agents: int, group_size: int) -> None:
-    if group_size > n_agents:
-        raise ValueError(f"group size {group_size} exceeds swarm size {n_agents}")
-
-
 def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
     """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
-    _check_group_fits(n_agents, group_size)
     import numpy as np
 
     return np.arange(n_agents, n_agents - group_size, -1)
-
-
-def draw_group_composition(
-    rng: np.random.Generator, n_agents: int, count_x1: int, group_size: int
-) -> int:
-    """Sequential urn draw: pick ``G`` agents one by one, count X1 picks."""
-    return _urn(rng.integers(_pick_bounds(n_agents, group_size)).tolist(), count_x1)
 
 
 def _int_column(largest: int) -> array:
@@ -214,10 +187,9 @@ class EventBlocks:
     ``final_time``, ``n_events`` and :meth:`event_counts` describe the
     run's end.
 
-    ``rng`` is a numpy generator, or a seed for one made when the
-    iteration starts, so that a caller can check the configuration and
-    fork before numpy is loaded.  Randomness is drawn ``draw`` events at
-    a time.  The configuration is checked here, before any event:
+    ``seed`` seeds the numpy generator made when the iteration starts, so
+    that a caller can check the configuration and fork before numpy is
+    loaded.  The configuration is checked here, before any event:
     ValueError for an impossible or overflowing one,
     :class:`FrozenSystemError` when every propensity is zero.  A run that
     stops before its first event (``stop_at_consensus`` from a consensus)
@@ -229,18 +201,18 @@ class EventBlocks:
         initial: SwarmState,
         rules: RuleSet | None,
         config: SimConfig,
-        rng: np.random.Generator | int,
-        draw: int = BLOCK_EVENTS,
+        seed: int,
     ) -> None:
         n = initial.n_agents
-        self.initial, self.rules, self.config = initial, rules, config
-        self.rng, self.draw = rng, draw
+        self.initial, self.rules, self.config, self.seed = initial, rules, config, seed
         self.final_state, self.final_time, self.n_events = initial, 0.0, 0
         self._recorded = [0] * len(EVENT_LABELS)
         self._stops = (0, n) if config.stop_at_consensus else ()
         if initial.count_x1 in self._stops:
             return
-        _check_group_fits(n, rules.group_size if rules is not None else 0)
+        group_size = rules.group_size if rules is not None else 0
+        if group_size > n:
+            raise ValueError(f"group size {group_size} exceeds swarm size {n}")
         self._a_group = config.rule_rate * n
         if self._a_group > 0 and rules is None:
             raise ValueError("rule_rate > 0 requires a rule set")
@@ -264,7 +236,7 @@ class EventBlocks:
         count = self.initial.count_x1
         config, stops = self.config, self._stops
         max_events = config.max_events if config.max_events is not None else math.inf
-        t_max = config.t_max if config.t_max is not None else math.inf
+        t_max = config.t_max if config.t_max is not None else sys.float_info.max
         record_nulls = config.record_null_draws
         t = 0.0
         n_events = 0
@@ -272,10 +244,8 @@ class EventBlocks:
         if running:
             import numpy as np
 
-            rng = self.rng
-            if not isinstance(rng, np.random.Generator):
-                rng = np.random.default_rng(rng)
-            rules, draw, a_group, total = self.rules, self.draw, self._a_group, self._total
+            rng = np.random.default_rng(self.seed)
+            rules, a_group, total = self.rules, self._a_group, self._total
             group_size = rules.group_size if rules is not None else 0
             bounds = _pick_bounds(n, group_size)
             weights = rules.signed_weights if rules is not None else ()
@@ -284,16 +254,20 @@ class EventBlocks:
         while running:
             times, kinds, ks, counts = columns
             add_time, add_kind, add_k, add_count = times.append, kinds.append, ks.append, counts.append
-            dts = (rng.standard_exponential(draw) / total).tolist()
-            us = (rng.random(draw) * total).tolist()
-            picks = rng.integers(bounds, size=(draw, group_size)).tolist()
+            with np.errstate(over="ignore"):  # an infinite wait passes t_max
+                dts = (rng.standard_exponential(BLOCK_EVENTS) / total).tolist()
+            us = (rng.random(BLOCK_EVENTS) * total).tolist()
+            picks = rng.integers(bounds, size=(BLOCK_EVENTS, group_size)).tolist()
             for dt, u, group in zip(dts, us, picks):
                 if t + dt > t_max:
                     running = False
                     break
                 t += dt
                 n_events += 1
-                if u < a_group:  # the urn of _urn, inlined
+                # Group event: pick j is uniform over the N - j agents left,
+                # and those below `favorable` hold X1 (integer comparison, so
+                # k follows the hypergeometric law exactly).
+                if u < a_group:
                     k = 0
                     favorable = count
                     for pick in group:
@@ -327,27 +301,6 @@ class EventBlocks:
             yield columns
 
 
-def step(
-    state: SwarmState,
-    rules: RuleSet | None,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> tuple[float, int, int, SwarmState]:
-    """Advance by one event; returns ``(dt, kind, k, new_state)``.
-
-    ``kind`` is a code into :data:`EVENT_LABELS` and ``k`` the group
-    composition (0 for noise flips).  ``rules`` may be None only when
-    ``rule_rate`` is zero (noise-only system).  The stopping bounds of
-    ``config`` are ignored.  Raises :class:`FrozenSystemError` when the
-    total propensity vanishes.
-    """
-    one_event = replace(
-        config, max_events=1, t_max=None, record_null_draws=True, stop_at_consensus=False
-    )
-    ((times, kinds, ks, counts),) = EventBlocks(state, rules, one_event, rng, draw=1)
-    return times[0], kinds[0], ks[0], SwarmState(state.n_agents, counts[0])
-
-
 def simulate(
     initial: SwarmState,
     rules: RuleSet | None,
@@ -369,44 +322,8 @@ def simulate(
         for column, part in zip(columns, block):
             column.extend(part)
     return Trajectory(
-        initial, seed, *columns, blocks.final_state, blocks.final_time, blocks.n_events
+        initial, *columns, blocks.final_state, blocks.final_time, blocks.n_events
     )
-
-
-def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
-    """Replay a trajectory record and raise ValueError on any inconsistency.
-
-    Checks strictly increasing times and that every recorded count
-    follows from the previous one under the recorded event kind.
-    """
-    count = trajectory.initial_state.count_x1
-    n = trajectory.initial_state.n_agents
-    last_time = 0.0
-    rows = zip(trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
-    for i, (time, kind, k, recorded) in enumerate(rows):
-        if not time > last_time:
-            raise ValueError(f"event {i}: time {time} does not increase")
-        last_time = time
-        if kind == RULE:
-            if rules is None:
-                raise ValueError("rule events in a trajectory without rules")
-            count += rules.signed_weight(k)
-        elif kind == NOISE12:
-            count -= 1
-        elif kind == NOISE21:
-            count += 1
-        elif kind != NULL:
-            raise ValueError(f"event {i}: unknown kind code {kind}")
-        if not 0 <= count <= n:
-            raise ValueError(f"event {i}: count {count} leaves [0, {n}]")
-        if count != recorded:
-            raise ValueError(
-                f"event {i}: recorded count {recorded}, replay gives {count}"
-            )
-    # Elided events are null draws, which never change the count, so the
-    # final state must match the last recorded count unconditionally.
-    if trajectory.counts and trajectory.counts[-1] != trajectory.final_state.count_x1:
-        raise ValueError("final state disagrees with the last recorded event")
 
 
 CSV_HEADER = "time,event,k,count_x1,z"

@@ -24,7 +24,7 @@ from swarmdec.drift import (
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf, pmf_bruteforce, pmf_table
-from swarmdec.model import NoiseSpec, SwarmState, enumerate_rulesets
+from swarmdec.model import NoiseSpec, SwarmState, iter_rulesets
 from swarmdec.schema import (
     format_schema,
     parse_polarity_string,
@@ -125,7 +125,7 @@ def test_03_noise_superposition():
     # checked in the floating-point-exact rearrangement
     # drift(z; eps) == drift(z; 0) - eps*z, which is 0 ulp.
     zs = lattice_z_values(N_AGENTS)
-    for rules in enumerate_rulesets(7):
+    for rules in iter_rulesets(7):
         for epsilon in (0.05, 0.1):
             noisy = NoiseSpec(epsilon)
             for z in zs:
@@ -236,12 +236,12 @@ def test_10_ssa_absorption():
 @criterion("11", "schema text round-trips and matches the canonical listings")
 def test_11_parser_round_trip():
     for g in (3, 5, 7, 9):
-        for rules in enumerate_rulesets(g):
+        for rules in iter_rulesets(g):
             schema = schema_of_ruleset(rules)
             text = format_schema(schema)
             assert parse_schema(text) == schema
             assert ruleset_of_schema(parse_schema(text)) == rules
-    for rules in enumerate_rulesets(7):
+    for rules in iter_rulesets(7):
         text = format_schema(schema_of_ruleset(rules))
         assert text == EXPECTED_G7_LISTINGS[rules.label]
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,21 @@ class TestSimulate:
         out = tmp_path / "t.csv"
         code = main(["simulate", "--rules", "MMM", *flags, "--out", str(out)])
         assert_config_error(code, capsys, out)
+
+    def test_waits_past_the_largest_double_end_the_run(self, tmp_path, capsys):
+        # At 1e-320 per agent every waiting time overflows a double: the run
+        # ends before its first event, without a warning, where it recorded
+        # events at time inf and reported a final time of Infinity.
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--rules", "MMM", "--rule-rate", "1e-320",
+                         "--events", "10", "--out", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["n_events"], summary["final_time"]) == (0, 0.0)
+        _, header, rows = read_csv(out)
+        assert header == "time,event,k,count_x1,z" and rows == []
 
 
 class TestSimulateMemory:

@@ -27,7 +27,7 @@ from swarmdec.drift import (
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf_table
-from swarmdec.model import NoiseSpec, RuleSet, enumerate_rulesets
+from swarmdec.model import NoiseSpec, RuleSet, iter_rulesets
 from swarmdec.schema import parse_polarity_string
 
 NO_NOISE = NoiseSpec(0.0)
@@ -70,7 +70,7 @@ class TestAnalyticDrift:
             assert analytic_drift(101, None, NoiseSpec(0.1), z) == -(0.1 * z)
 
     def test_boundaries_are_critical_without_noise(self):
-        for rules in enumerate_rulesets(7):
+        for rules in iter_rulesets(7):
             assert analytic_drift(101, rules, NO_NOISE, 1.0) == 0.0
             assert analytic_drift(101, rules, NO_NOISE, -1.0) == 0.0
 
@@ -114,7 +114,7 @@ class TestAnalyticDrift:
         n = 101
         noise = NoiseSpec(epsilon)
         zs = lattice_z_values(n)
-        for rules in enumerate_rulesets(7):
+        for rules in iter_rulesets(7):
             for count in range(n + 1):
                 a = analytic_drift(n, rules, noise, zs[count])
                 b = analytic_drift(n, rules, noise, zs[n - count])
@@ -126,8 +126,6 @@ class TestAnalyticDrift:
         assert len(curve.z) == 201
         assert curve.z[0] == -1.0 and curve.z[-1] == 1.0
         assert curve.dzdt[0] == 0.0 and curve.dzdt[-1] == 0.0
-        assert curve.source == "analytic"
-        assert curve.rule_label == "MMM"
 
     @pytest.mark.parametrize("sizes", [range(2, 3000), [20001, 10**6]], ids=["2-2999", "large"])
     def test_grid_is_numpy_linspace_bit_for_bit(self, sizes):
@@ -159,7 +157,7 @@ def bits(values) -> bytes:
 ENGINE_CASES = [
     (n, rules)
     for n in (1, 3, 101, 100001)
-    for rules in (None, *(r for g in (3, 5, 7) for r in enumerate_rulesets(g)))
+    for rules in (None, *(r for g in (3, 5, 7) for r in iter_rulesets(g)))
     if rules is None or rules.group_size <= n
 ]
 
@@ -211,7 +209,7 @@ class TestLatticeEngine:
 
     def test_lattice_drift_is_the_per_point_curve(self):
         zs = lattice_z_values(101)
-        for rules in enumerate_rulesets(7):
+        for rules in iter_rulesets(7):
             by_epsilon = drift._lattice_drift(101, rules, (0.0, 0.05, 0.1))
             for epsilon, values in by_epsilon.items():
                 expected = [per_point_drift(101, rules, epsilon, z) for z in zs]
@@ -352,8 +350,6 @@ class TestEmpiricalDrift:
     def test_metadata_and_lattice(self):
         rules = parse_polarity_string("MM", 5)
         curve = empirical_drift(11, rules, NO_NOISE, 50, seed=0)
-        assert curve.source == "empirical"
-        assert curve.samples_per_point == 50
         assert curve.z == lattice_z_values(11)
 
     def test_deterministic_and_order_independent_seeding(self):
@@ -547,7 +543,7 @@ class TestFixedPoints:
 
     def test_bracket_soundness(self):
         noise = NoiseSpec(0.05)
-        for rules in enumerate_rulesets(7):
+        for rules in iter_rulesets(7):
             for fp in find_fixed_points(101, rules, noise):
                 lo, hi = fp.bracket
                 assert lo <= fp.z <= hi
@@ -563,7 +559,7 @@ class TestFixedPoints:
         # The reported interior fixed points must reproduce the sign
         # structure of the exact rational drift over the lattice.
         n = 101
-        for rules in enumerate_rulesets(g):
+        for rules in iter_rulesets(g):
             runs = rational_sign_runs(n, rules)
             assert runs[0] == 0 and runs[-1] == 0  # consensus plateaus
             interior_runs = [s for s in runs[1:-1]]
@@ -630,12 +626,8 @@ class TestMixedG5RuleSet:
 class TestDriftCurveType:
     def test_rejects_non_monotone_z(self):
         with pytest.raises(ValueError):
-            DriftCurve((0.0, 0.0), (1.0, 1.0), 101, 0.0, "analytic")
+            DriftCurve((0.0, 0.0), (1.0, 1.0))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            DriftCurve((0.0, 1.0), (1.0,), 101, 0.0, "analytic")
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            DriftCurve((0.0, 1.0), (1.0, 1.0), 101, 0.0, "guessed")
+            DriftCurve((0.0, 1.0), (1.0,))

@@ -5,7 +5,7 @@ from swarmdec.model import (
     RulePolarity,
     RuleSet,
     SwarmState,
-    enumerate_rulesets,
+    iter_rulesets,
     signed_weight,
     state_of_z,
 )
@@ -128,18 +128,18 @@ class TestRuleSet:
 
 class TestEnumerateRulesets:
     def test_g7_labels(self):
-        labels = [rs.label for rs in enumerate_rulesets(7)]
+        labels = [rs.label for rs in iter_rulesets(7)]
         assert labels == ["MMM", "MMm", "MmM", "Mmm", "mMM", "mMm", "mmM", "mmm"]
 
     def test_g5_labels(self):
-        assert [rs.label for rs in enumerate_rulesets(5)] == ["MM", "Mm", "mM", "mm"]
+        assert [rs.label for rs in iter_rulesets(5)] == ["MM", "Mm", "mM", "mm"]
 
     def test_g3_labels(self):
-        assert [rs.label for rs in enumerate_rulesets(3)] == ["M", "m"]
+        assert [rs.label for rs in iter_rulesets(3)] == ["M", "m"]
 
     @pytest.mark.parametrize("g", [3, 5, 7, 9])
     def test_cardinality_and_uniqueness(self, g):
-        rulesets = enumerate_rulesets(g)
+        rulesets = list(iter_rulesets(g))
         labels = [rs.label for rs in rulesets]
         assert len(rulesets) == 2 ** ((g - 1) // 2)
         assert len(set(labels)) == len(labels)
@@ -148,7 +148,7 @@ class TestEnumerateRulesets:
     @pytest.mark.parametrize("g", [4, 2, 1, 0, -3])
     def test_invalid_group(self, g):
         with pytest.raises(ValueError):
-            enumerate_rulesets(g)
+            iter_rulesets(g)
 
 
 class TestNoiseSpec:

@@ -1,6 +1,6 @@
 import pytest
 
-from swarmdec.model import RulePolarity, enumerate_rulesets
+from swarmdec.model import RulePolarity, iter_rulesets
 from swarmdec.schema import (
     Reaction,
     ReactionSchema,
@@ -248,7 +248,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("g", [3, 5, 7, 9])
     def test_round_trip_every_ruleset(self, g):
-        for rules in enumerate_rulesets(g):
+        for rules in iter_rulesets(g):
             schema = schema_of_ruleset(rules)
             reparsed = parse_schema(format_schema(schema))
             assert reparsed == schema

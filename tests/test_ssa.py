@@ -2,11 +2,12 @@ import math
 import tracemalloc
 from array import array
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from swarmdec.model import SwarmState
+from swarmdec.model import RuleSet, SwarmState
 from swarmdec.schema import parse_polarity_string
 from swarmdec.ssa import (
     BLOCK_EVENTS,
@@ -19,19 +20,75 @@ from swarmdec.ssa import (
     RULE,
     FrozenSystemError,
     SimConfig,
+    Trajectory,
     _pick_bounds,
-    _urn,
-    draw_group_composition,
     simulate,
-    step,
     trajectory_csv_lines,
-    verify_trajectory,
 )
 from swarmdec.hypergeom import pmf_table
 
 MMM = parse_polarity_string("MMM", 7)
 MMm = parse_polarity_string("MMm", 7)
 MMM_G5 = parse_polarity_string("MM", 5)
+
+
+def _urn(picks: Sequence[int], favorable: int) -> int:
+    """X1 agents among urn picks: ``picks[j]`` is uniform over the ``N - j``
+    agents left, of which those below ``favorable`` hold X1 (integer
+    comparison, so the count follows the hypergeometric law exactly).
+    The reference for the urn that :class:`EventBlocks` runs inline."""
+    hits = 0
+    for pick in picks:
+        if pick < favorable:
+            hits += 1
+            favorable -= 1
+    return hits
+
+
+def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
+    """Replay a trajectory record and raise ValueError on any inconsistency.
+
+    Checks strictly increasing times and that every recorded count
+    follows from the previous one under the recorded event kind.
+    """
+    count = trajectory.initial_state.count_x1
+    n = trajectory.initial_state.n_agents
+    last_time = 0.0
+    rows = zip(trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
+    for i, (time, kind, k, recorded) in enumerate(rows):
+        if not time > last_time:
+            raise ValueError(f"event {i}: time {time} does not increase")
+        last_time = time
+        if kind == RULE:
+            if rules is None:
+                raise ValueError("rule events in a trajectory without rules")
+            count += rules.signed_weight(k)
+        elif kind == NOISE12:
+            count -= 1
+        elif kind == NOISE21:
+            count += 1
+        elif kind != NULL:
+            raise ValueError(f"event {i}: unknown kind code {kind}")
+        if not 0 <= count <= n:
+            raise ValueError(f"event {i}: count {count} leaves [0, {n}]")
+        if count != recorded:
+            raise ValueError(
+                f"event {i}: recorded count {recorded}, replay gives {count}"
+            )
+    # Elided events are null draws, which never change the count, so the
+    # final state must match the last recorded count unconditionally.
+    if trajectory.counts and trajectory.counts[-1] != trajectory.final_state.count_x1:
+        raise ValueError("final state disagrees with the last recorded event")
+
+
+def one_event(state, rules, config, seed):
+    """``(dt, kind, k, new_state)`` of the first event of a run from ``state``,
+    the stopping bounds of ``config`` aside."""
+    config = replace(
+        config, max_events=1, t_max=None, record_null_draws=True, stop_at_consensus=False
+    )
+    ((times, kinds, ks, counts),) = EventBlocks(state, rules, config, seed)
+    return times[0], kinds[0], ks[0], SwarmState(state.n_agents, counts[0])
 
 
 class TestSimConfig:
@@ -74,10 +131,10 @@ class TestSimConfig:
 
 class TestPropensities:
     # The total rate (r + c) * N sets each waiting time exactly: dt is the
-    # first standard exponential of the event's block divided by it.
+    # first standard exponential of the run's first block divided by it.
     @staticmethod
     def first_event(state, rules, config, seed):
-        dt, kind, _, _ = step(state, rules, config, np.random.default_rng(seed))
+        dt, kind, _, _ = one_event(state, rules, config, seed)
         return dt, kind, np.random.default_rng(seed).standard_exponential(1)[0]
 
     def test_rule_only(self):
@@ -102,102 +159,93 @@ class TestPropensities:
         config = SimConfig(rule_rate=1e308, max_events=1)
         with pytest.raises(ValueError, match="overflows"):
             simulate(SwarmState(101, 51), MMM, config, seed=0)
-        with pytest.raises(ValueError, match="overflows"):
-            step(SwarmState(101, 51), MMM, config, np.random.default_rng(0))
 
     def test_channel_frequencies_and_waiting_times(self):
-        # Held at K = 40 of 101 with r = 0.5, c = 0.2, the channels fire
-        # with probabilities r*N, c*K, c*(N-K) over the total (r+c)*N, and
-        # dt*(r+c)*N is a unit exponential.  Bounds are 5 standard errors.
+        # From K = 40 of 101 with r = 0.5, c = 0.2, event i fires its channel
+        # with probability r*N, c*K_i or c*(N-K_i) over the total (r+c)*N,
+        # K_i being the count before it, and dt*(r+c)*N is a unit
+        # exponential.  Summed over the run, each channel's count minus its
+        # summed probabilities is a martingale of variance sum p_i(1-p_i).
+        # Bounds are 5 standard errors.
         n, count, r, c = 101, 40, 0.5, 0.2
-        config = SimConfig(rule_rate=r, noise_rate=c, max_events=1)
-        rng = np.random.default_rng(11)
-        state = SwarmState(n, count)
         draws = 20_000
-        tallies = dict.fromkeys(EVENT_LABELS, 0)
-        scaled_dt = 0.0
-        for _ in range(draws):
-            dt, kind, _, _ = step(state, MMM, config, rng)
-            tallies[EVENT_LABELS[kind]] += 1
-            scaled_dt += dt * (r + c) * n
+        config = SimConfig(rule_rate=r, noise_rate=c, max_events=draws)
+        run = simulate(SwarmState(n, count), MMM, config, seed=11)
         total = (r + c) * n
-        for labels, rate in (
-            (("rule", "null"), r * n),
-            (("noise12",), c * count),
-            (("noise21",), c * (n - count)),
+        before = [count, *run.counts[:-1]]
+        for codes, rate in (
+            ((RULE, NULL), lambda k: r * n),
+            ((NOISE12,), lambda k: c * k),
+            ((NOISE21,), lambda k: c * (n - k)),
         ):
-            p = rate / total
-            observed = sum(tallies[label] for label in labels) / draws
-            assert abs(observed - p) <= 5 * math.sqrt(p * (1 - p) / draws)
-        assert abs(scaled_dt / draws - 1.0) <= 5 / math.sqrt(draws)
+            ps = [rate(k) / total for k in before]
+            observed = sum(kind in codes for kind in run.kinds)
+            assert abs(observed - math.fsum(ps)) <= 5 * math.sqrt(math.fsum(p * (1 - p) for p in ps))
+        assert abs(run.final_time * total / draws - 1.0) <= 5 / math.sqrt(draws)
 
 
 class TestDrawGroupComposition:
+    # The urn of a group event, as _urn over picks drawn as EventBlocks
+    # draws them; test_group_compositions_follow_the_urn ties the two.
     def test_bounds(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            draw_group_composition(rng, 5, 3, 7)
-        assert draw_group_composition(rng, 7, 0, 3) == 0
-        assert draw_group_composition(rng, 7, 7, 3) == 3
+        with pytest.raises(ValueError, match="exceeds swarm size"):
+            one_event(SwarmState(5, 3), MMM, SimConfig(max_events=1), 0)
+        assert _urn(rng.integers(_pick_bounds(7, 3)).tolist(), 0) == 0
+        assert _urn(rng.integers(_pick_bounds(7, 3)).tolist(), 7) == 3
 
     def test_matches_hypergeometric_law(self):
         rng = np.random.default_rng(42)
         n, count, g = 11, 5, 3
         draws = 100_000
         counts = np.zeros(g + 1, dtype=int)
-        for _ in range(draws):
-            counts[draw_group_composition(rng, n, count, g)] += 1
+        for picks in rng.integers(_pick_bounds(n, g), size=(draws, g)).tolist():
+            counts[_urn(picks, count)] += 1
         expected = pmf_table(n, count, g)
         for k in range(g + 1):
             assert abs(counts[k] / draws - expected[k]) < 0.01
 
 
 class TestStep:
+    # Single events and short runs of EventBlocks.
     def test_frozen_system(self):
         config = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=1)
         with pytest.raises(FrozenSystemError):
-            step(SwarmState(101, 50), MMM, config, np.random.default_rng(0))
+            one_event(SwarmState(101, 50), MMM, config, 0)
 
     def test_rules_required_when_rule_rate_positive(self):
         with pytest.raises(ValueError):
-            step(SwarmState(101, 50), None, SimConfig(max_events=1), np.random.default_rng(0))
+            one_event(SwarmState(101, 50), None, SimConfig(max_events=1), 0)
 
     def test_group_larger_than_swarm(self):
         with pytest.raises(ValueError):
-            step(SwarmState(5, 2), MMM, SimConfig(max_events=1), np.random.default_rng(0))
+            one_event(SwarmState(5, 2), MMM, SimConfig(max_events=1), 0)
 
     def test_consensus_without_noise_only_nulls(self):
-        config = SimConfig(max_events=1)
-        state = SwarmState(101, 101)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            dt, kind, k, new_state = step(state, MMM, config, rng)
-            assert (kind, k) == (NULL, 7)
-            assert new_state == state
-            assert dt > 0
+        config = SimConfig(max_events=50)
+        ((times, kinds, ks, counts),) = EventBlocks(SwarmState(101, 101), MMM, config, 3)
+        assert set(zip(kinds, ks, counts)) == {(NULL, 7, 101)}
+        assert len(times) == 50
+        assert all(b > a for a, b in zip([0.0, *times], times))
 
     def test_noise_only_steps(self):
         config = SimConfig(rule_rate=0.0, noise_rate=0.2, max_events=1)
-        rng = np.random.default_rng(4)
-        dt, kind, k, new_state = step(SwarmState(101, 101), None, config, rng)
+        dt, kind, k, new_state = one_event(SwarmState(101, 101), None, config, 4)
         assert kind == NOISE12
         assert new_state.count_x1 == 100
 
     def test_determinism(self):
-        config = SimConfig(noise_rate=0.01, max_events=1)
+        config = SimConfig(noise_rate=0.01, max_events=200)
         state = SwarmState(101, 51)
-        results = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            results.append([step(state, MMm, config, rng) for _ in range(200)])
-        assert results[0] == results[1]
+        runs = [list(EventBlocks(state, MMm, config, 123)) for _ in range(2)]
+        assert runs[0] == runs[1]
 
     @pytest.mark.slow
     def test_group_composition_conditional_law(self):
-        # The urn every group event runs: _urn over one block of picks drawn
-        # as EventBlocks draws them, at K = 51.  Conditioned on a rule firing --
-        # an interior composition, since step() labels k = 0 and k = G as
-        # null draws -- the composition must follow the hypergeometric
+        # The urn every group event runs: _urn over picks drawn as
+        # EventBlocks draws them, at K = 51.  Conditioned on a rule firing --
+        # an interior composition, since EventBlocks labels k = 0 and k = G
+        # as null draws -- the composition must follow the hypergeometric
         # table renormalized over the interior compositions.
         n, g, count = 101, 7, 51
         rng = np.random.default_rng(2024)
@@ -361,6 +409,31 @@ class TestEventBlocks:
         )
         assert events.event_counts() == trajectory.event_counts()
 
+    def test_group_compositions_follow_the_urn(self):
+        # Redraw the run's blocks from a same-seeded generator: every group
+        # event's k is _urn of its own row of picks at the count before it,
+        # and every time is the running sum of exponential / total.
+        n, seed, c = 101, 31, 0.05
+        config = SimConfig(noise_rate=c, max_events=4 * BLOCK_EVENTS + 17)
+        run = simulate(SwarmState(n, 51), MMm, config, seed=seed)
+        assert len(run.kinds) == config.max_events
+        rng = np.random.default_rng(seed)
+        total = config.rule_rate * n + c * n  # as EventBlocks sums it
+        dts, picks = [], []
+        for _ in range(5):
+            dts.extend((rng.standard_exponential(BLOCK_EVENTS) / total).tolist())
+            rng.random(BLOCK_EVENTS)
+            picks.extend(rng.integers(_pick_bounds(n, 7), size=(BLOCK_EVENTS, 7)).tolist())
+        t, count, groups = 0.0, 51, 0
+        for i, (time, kind, k) in enumerate(zip(run.times, run.kinds, run.ks)):
+            t += dts[i]
+            assert time == t
+            if kind in (RULE, NULL):
+                assert k == _urn(picks[i], count)
+                groups += 1
+            count = run.counts[i]
+        assert groups > config.max_events // 2
+
     def test_configuration_checked_before_any_event(self):
         frozen = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=10)
         with pytest.raises(FrozenSystemError):
@@ -417,3 +490,69 @@ class TestTrajectoryCsv:
         assert EVENT_LABELS[NULL] == "null"
         assert EVENT_LABELS[NOISE12] == "noise12"
         assert EVENT_LABELS[NOISE21] == "noise21"
+
+
+try:
+    from hypothesis import assume, example, given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    st = None
+
+if st is not None:
+    FUZZ_AGENTS = 11
+    # All-majority and all-minority rules of every group size up to N + 2.
+    FUZZ_RULES = [
+        None, *(parse_polarity_string(p * (g // 2), g) for g in range(3, 15, 2) for p in "Mm")
+    ]
+    # Any float, often a plain rate, and rates whose waiting times overflow
+    # a double or whose total barely fits one.
+    FUZZ_RATES = (
+        st.floats()
+        | st.floats(0.0, 10.0)
+        | st.sampled_from([0.0, 5e-324, 1e-310, 1e-306, 1e300, 1.6e307])
+    )
+
+    @settings(max_examples=300, deadline=None)
+    # Found by this test: waiting times that overflow a double were recorded.
+    @example(
+        rule_rate=0.0, noise_rate=5e-324, max_events=2, t_max=None, record_nulls=False,
+        stop_at_consensus=False, count=0, rules=None, seed=0,
+    )
+    @given(
+        rule_rate=FUZZ_RATES,
+        noise_rate=FUZZ_RATES,
+        max_events=st.none() | st.integers(-1, 1000),
+        t_max=st.none() | st.floats() | st.floats(0.0, 100.0),
+        record_nulls=st.booleans(),
+        stop_at_consensus=st.booleans(),
+        count=st.integers(-1, FUZZ_AGENTS + 1),
+        rules=st.sampled_from(FUZZ_RULES),
+        seed=st.integers(0, 2**32),
+    )
+    def test_construction_raises_or_runs_a_valid_record(
+        rule_rate, noise_rate, max_events, t_max, record_nulls, stop_at_consensus,
+        count, rules, seed,
+    ):
+        # Any rates (negative, NaN, infinite, huge, subnormal), bounds and
+        # start in an N = 11 swarm: construction raises ValueError or
+        # FrozenSystemError, or the run yields a record that replays.
+        try:
+            config = SimConfig(
+                rule_rate=rule_rate,
+                noise_rate=noise_rate,
+                max_events=max_events,
+                t_max=t_max,
+                record_null_draws=record_nulls,
+                stop_at_consensus=stop_at_consensus,
+            )
+            initial = SwarmState(FUZZ_AGENTS, count)
+            EventBlocks(initial, rules, config, seed)
+        except (ValueError, FrozenSystemError):
+            return
+        # Only a run that max_events or a short t_max bounds surely ends soon.
+        total = (rule_rate + noise_rate) * FUZZ_AGENTS
+        assume(max_events is not None or (t_max is not None and t_max * total <= 10**4))
+        trajectory = simulate(initial, rules, config, seed)
+        verify_trajectory(trajectory, rules)
+        assert trajectory.n_events <= (max_events or math.inf)
+        assert trajectory.final_time <= (t_max or math.inf)
+        assert math.isfinite(trajectory.final_time)
