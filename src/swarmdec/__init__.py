@@ -15,7 +15,6 @@ from .drift import (
     analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
-    empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
     negate_check,
@@ -79,7 +78,6 @@ __all__ = [
     "analytic_drift_curve",
     "empirical_drift",
     "empirical_firing_probabilities",
-    "empirical_firing_table",
     "iter_rulesets",
     "find_fixed_points",
     "format_schema",

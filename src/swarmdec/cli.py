@@ -44,7 +44,7 @@ from .drift import (
     _negates,
     analytic_drift_points,
     empirical_drift,
-    empirical_firing_table,
+    empirical_firing_probabilities,
     find_fixed_points,
     lattice_z_values,
     rule_firing_probabilities,
@@ -81,6 +81,8 @@ MAX_GRID = 10_000_000
 #: Largest ``--agents`` of ``probs`` and ``--empirical``, whose work is one
 #: table or sample per lattice state ``K = 0..N`` (see README).
 MAX_STATE_AGENTS = 10_000_000
+#: Event bound of ``simulate`` when neither ``--events`` nor ``--t-max`` is given.
+DEFAULT_EVENTS = 100_000
 
 _FILE_COMMANDS = ("drift", "probs", "simulate", "fixed-points")
 _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
@@ -99,7 +101,7 @@ _OPTIONS = (
     ("out", str, "output file path", False),
     ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False),
     ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", False),
-    ("events", int, "maximum number of simulated events", False),
+    ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", False),
     ("t_max", float, "maximum simulated time", False),
     ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False),
     ("config", None, "JSON file with the same keys; flags take precedence", False),
@@ -326,8 +328,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     events = pick("events")
     t_max = pick("t_max")
     stop_at_consensus = bool(pick("stop_at_consensus", False))
+    # The provenance line of a --stop-at-consensus run records the event
+    # bound as given ("-" for none); cmd_simulate still applies the default.
     if command == "simulate" and events is None and t_max is None and not stop_at_consensus:
-        events = 100_000
+        events = DEFAULT_EVENTS
     if events is not None and events < 1:
         raise ConfigError(f"--events must be >= 1, got {events}")
     if t_max is not None and not 0 < t_max < math.inf:
@@ -627,8 +631,11 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
         for count in range(cfg.agents + 1)
     )
     _write_text(cfg.out, _probs_csv(cfg, tables))
-    if cfg.empirical:  # sampled in full before the file is opened
-        tables = empirical_firing_table(cfg.agents, cfg.group, cfg.samples, cfg.seed)
+    if cfg.empirical:
+        tables = (
+            empirical_firing_probabilities(cfg.agents, cfg.group, count, cfg.samples, cfg.seed)
+            for count in range(cfg.agents + 1)
+        )
         _write_text(_empirical_path(cfg.out), _probs_csv(cfg, tables, samples=cfg.samples))
     if cfg.plot_script:
         body = (
@@ -640,10 +647,11 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    unbounded = cfg.events is None and cfg.t_max is None
     sim_config = SimConfig.from_noise_level(
         cfg.epsilon,
         rule_rate=cfg.rule_rate,
-        max_events=cfg.events,
+        max_events=DEFAULT_EVENTS if unbounded else cfg.events,
         t_max=cfg.t_max,
         record_null_draws=not cfg.elide_nulls,
         stop_at_consensus=cfg.stop_at_consensus,

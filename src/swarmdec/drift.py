@@ -20,8 +20,19 @@ compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
 at every point (``_drift_values``).  ``analytic_drift`` is one such point,
 ``analytic_drift_points`` streams a uniform grid, and
 ``find_fixed_points`` scans one and bisects its sign changes.
-``empirical_drift`` estimates the same quantity by Monte Carlo
-resampling of single events.
+
+``empirical_drift`` estimates the same quantity by Monte Carlo, and
+``empirical_firing_probabilities`` the composition law itself, by
+sampling the urn that the law describes (a group is drawn one agent at a
+time, without replacement, from ``K`` X1 and ``N - K`` X2 agents), never
+the pmf.  Only the histogram of the groups' X1 counts is used, so
+``_urn_counts`` draws that histogram directly, by binomial splitting:
+all groups take each pick together, and the groups holding ``d`` X1 so
+far split binomially into those that draw an X1 and those that do not.
+Each group still follows the urn, independently of the others, so the
+histogram has the same law as that of groups drawn one by one, and a
+state costs at most ``G(G+1)/2`` binomials whatever the number of
+samples.
 
 The analytic route is pure Python.  numpy is imported inside the two
 samplers, ``empirical_drift`` and ``empirical_firing_probabilities``, so
@@ -31,13 +42,11 @@ that commands which draw nothing never pay its import time.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .hypergeom import PmfTable, pmf_table
+from .hypergeom import PmfTable, _validate, pmf_table
 from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 if TYPE_CHECKING:
@@ -53,7 +62,6 @@ __all__ = [
     "analytic_drift_points",
     "empirical_drift",
     "empirical_firing_probabilities",
-    "empirical_firing_table",
     "find_fixed_points",
     "lattice_z_values",
     "negate_check",
@@ -64,13 +72,9 @@ __all__ = [
 _BISECT_TOL = 1e-9
 #: Slope magnitude below which a fixed point is classified as marginal.
 _MARGINAL_SLOPE_TOL = 1e-10
-#: Group draws per ``rng.hypergeometric`` call in the empirical samplers,
-#: which bounds their memory whatever the number of samples; 128 KiB arrays
-#: keep each sampling thread's working set small and in cache.
-_DRAW_CHUNK = 1 << 14
 #: Largest number of samples per state of the empirical samplers: every
-#: count stays within the C ``long`` that numpy's binomial and
-#: hypergeometric samplers accept, also where a ``long`` has 32 bits.
+#: count stays within the C ``long`` that numpy's binomial sampler accepts,
+#: also where a ``long`` has 32 bits.
 MAX_SAMPLES = 1_000_000_000
 
 
@@ -216,89 +220,39 @@ def _lattice_drift(
     return {eps: list(_drift_values(n_agents, rules, eps, zs, terms)) for eps in epsilons}
 
 
-def _worker_count(n_states: int) -> int:
-    """Threads for :func:`_per_state`: one per usable CPU, at most ``n_states``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_states))
+def _urn_counts(
+    rng: np.random.Generator, n_agents: int, good: int, group_size: int, draws: int
+) -> list[int]:
+    """Histogram ``c[k]``, ``k = 0..group_size``, of the X1 counts of
+    ``draws`` independent groups, each drawn one agent at a time without
+    replacement from an urn of ``good`` X1 among ``n_agents`` agents.
 
-
-class _Stopped(Exception):
-    """Raised inside a state's sampling once another state has failed."""
-
-
-#: ``stop``: the stop event of the :func:`_per_state` call this thread works for.
-_worker = threading.local()
-
-
-def _per_state(fn: Callable[[int], object], n_agents: int) -> list:
-    """``[fn(K) for K in range(n_agents + 1)]``, computed concurrently.
-
-    :func:`_worker_count` threads, the calling one among them, take the
-    states in K order and store each result at its K, so the list does
-    not depend on the number of threads as long as ``fn(K)`` depends on
-    K alone.  numpy's samplers release the GIL while they fill an array,
-    so the draws of different states run in parallel.  When ``fn`` raises
-    (or the caller is interrupted) the other threads stop at their next
-    chunk of draws, and the exception of the lowest failed K is raised.
+    All groups are drawn together, by binomial splitting (Davis 1993):
+    ``c[d]`` holds the groups with ``d`` X1 among their first ``j`` picks,
+    and at pick ``j`` each of them draws an X1 with probability
+    ``(good - d) / (n_agents - j)``, independently of the others, so
+    ``Binomial(c[d], (good - d) / (n_agents - j))`` of them move to
+    ``d + 1``.  After ``group_size`` picks ``c`` has the law of the
+    histogram of ``draws`` urn draws, at a cost of at most
+    ``group_size * (group_size + 1) / 2`` binomials, whatever ``draws``.
+    The urn's per-pick ratios are its only input: this never reads the
+    hypergeometric pmf it is meant to check.
     """
-    stop = threading.Event()
-    lock = threading.Lock()
-    states = iter(range(n_agents + 1))
-    results = [None] * (n_agents + 1)
-    failures: dict[int, BaseException] = {}
-
-    def work() -> None:
-        _worker.stop = stop
-        try:
-            while not stop.is_set():
-                with lock:
-                    count = next(states, None)
-                if count is None:
-                    return
-                try:
-                    results[count] = fn(count)
-                except _Stopped:
-                    return
-                except BaseException as exc:
-                    failures[count] = exc
-                    stop.set()
-        finally:
-            _worker.stop = None
-
-    threads: list[threading.Thread] = []
-    try:
-        for _ in range(_worker_count(n_agents + 1) - 1):
-            threads.append(threading.Thread(target=work))
-            threads[-1].start()
-        work()
-        for thread in threads:
-            thread.join()
-    except BaseException:  # e.g. KeyboardInterrupt in this thread
-        stop.set()
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-        raise
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
-def _hypergeometric_chunks(
-    rng: np.random.Generator, good: int, bad: int, group_size: int, draws: int
-) -> Iterator[np.ndarray]:
-    """``rng.hypergeometric(good, bad, group_size, size=draws)`` in chunks of
-    at most :data:`_DRAW_CHUNK`; their concatenation is the one-shot draw.
-    Inside :func:`_per_state`, raises :class:`_Stopped` before a chunk once
-    another state has failed."""
-    stop = getattr(_worker, "stop", None)
-    for start in range(0, draws, _DRAW_CHUNK):
-        if stop is not None and stop.is_set():
-            raise _Stopped
-        yield rng.hypergeometric(good, bad, group_size, size=min(_DRAW_CHUNK, draws - start))
+    _validate(n_agents, good, group_size, 0)
+    counts = [draws] + [0] * group_size
+    for pick in range(group_size):
+        left = n_agents - pick
+        # Highest d first, so that groups moved at this pick move once.
+        for d in range(min(pick, good), -1, -1):
+            if not counts[d] or d == good:
+                continue  # no group here, or no X1 left in the urn
+            if good - d == left:  # only X1 left
+                moved = counts[d]
+            else:
+                moved = rng.binomial(counts[d], (good - d) / left)
+            counts[d] -= moved
+            counts[d + 1] += moved
+    return counts
 
 
 def _split_events(
@@ -332,15 +286,20 @@ def empirical_drift(
     """Monte Carlo drift estimate on the full lattice ``K = 0..N``.
 
     At every lattice state the chain is reset and ``samples_per_state``
-    single events are drawn (channel chosen by propensity, composition
-    by the group law); the mean count change per event times the total
-    event rate, rescaled by ``2/N``, estimates ``dz/dt`` there.
+    independent single events are sampled: a channel chosen by
+    propensity, and for a group event the X1 count of a group drawn from
+    the urn.  The mean count change per event times the total event
+    rate, rescaled by ``2/N``, estimates ``dz/dt`` there.
+
+    Only the number of events per channel and the histogram of the
+    groups' X1 counts enter that mean, so these are drawn directly, with
+    the same law as the events one by one: the channel counts by chained
+    binomials, the histogram by :func:`_urn_counts`.  The cost per state
+    is a few dozen binomials, whatever ``samples_per_state``.
 
     Each state uses its own generator seeded from ``(seed, K)``, so the
-    curve is independent of evaluation order, and the states are sampled
-    concurrently on the usable CPUs (:func:`_per_state`) with the same
-    result for any number of them.  Raises ValueError when the total
-    event rate overflows, and when ``samples_per_state`` is not in
+    curve is independent of evaluation order.  Raises ValueError when the
+    total event rate overflows, and when ``samples_per_state`` is not in
     ``1..MAX_SAMPLES``.
     """
     import numpy as np
@@ -352,7 +311,6 @@ def empirical_drift(
     if rules is None and rule_rate != 0:
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
-    weights = np.array(rules.signed_weights) if rules is not None else None
 
     def estimate(count: int) -> float:
         a_group = rule_rate * n_agents
@@ -365,12 +323,13 @@ def empirical_drift(
         n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
         delta_sum = n_21 - n_12
         if n_group > 0:
-            for ks in _hypergeometric_chunks(rng, count, n_agents - count, rules.group_size, n_group):
-                delta_sum += int(weights[ks].sum())
+            hits = _urn_counts(rng, n_agents, count, rules.group_size, n_group)
+            delta_sum += sum(w * h for w, h in zip(rules.signed_weights, hits))
         mean_step = delta_sum / samples_per_state
         return (2.0 / n_agents) * mean_step * total
 
-    return DriftCurve(lattice_z_values(n_agents), tuple(_per_state(estimate, n_agents)))
+    dzdt = tuple(estimate(count) for count in range(n_agents + 1))
+    return DriftCurve(lattice_z_values(n_agents), dzdt)
 
 
 def rule_firing_probabilities(
@@ -388,29 +347,14 @@ def empirical_firing_probabilities(
     n_agents: int, group_size: int, count_x1: int, draws: int, seed: int
 ) -> PmfTable:
     """Observed composition frequencies over ``draws`` group draws
-    (``1..MAX_SAMPLES``)."""
+    (``1..MAX_SAMPLES``) from the urn (:func:`_urn_counts`), by a generator
+    seeded from ``(seed, count_x1)``."""
     import numpy as np
 
     _check_samples("draws", draws)
     rng = np.random.default_rng([seed, count_x1])
-    counts = np.zeros(group_size + 1, dtype=np.int64)
-    for ks in _hypergeometric_chunks(rng, count_x1, n_agents - count_x1, group_size, draws):
-        counts += np.bincount(ks, minlength=group_size + 1)
+    counts = _urn_counts(rng, n_agents, count_x1, group_size, draws)
     return PmfTable(group_size, tuple(float(c) / draws for c in counts))
-
-
-def empirical_firing_table(
-    n_agents: int, group_size: int, draws: int, seed: int
-) -> list[PmfTable]:
-    """:func:`empirical_firing_probabilities` at every lattice state
-    ``K = 0..N``, in K order, sampled concurrently like
-    :func:`empirical_drift`."""
-    import numpy  # noqa: F401  (loaded before the sampling threads start)
-
-    return _per_state(
-        lambda count: empirical_firing_probabilities(n_agents, group_size, count, draws, seed),
-        n_agents,
-    )
 
 
 def _bisect(

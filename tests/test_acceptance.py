@@ -199,7 +199,6 @@ def test_07_noise_pushes_inside():
 
 
 @criterion("08", "Monte Carlo drift matches the analytic curve")
-@pytest.mark.slow
 def test_08_empirical_vs_analytic_drift():
     rules = parse_polarity_string("MMm", 7)
     noise = NoiseSpec(0.05)

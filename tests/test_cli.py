@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmdec import cli, drift
+from swarmdec import cli
 from swarmdec.cli import (
     _CONFIG_KEYS,
     EXIT_CONFIG,
@@ -147,14 +150,6 @@ class TestDrift:
         assert_config_error(code, capsys, out)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_empirical_overflow_rejected_on_any_pool(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setattr(drift, "_worker_count", lambda n_states: workers)
-        out = tmp_path / "d.csv"
-        code = main(["drift", "--rules", "MMm", "--empirical", "--rule-rate", "1e308", "--out", str(out)])
-        assert_config_error(code, capsys, out)
-        assert list(tmp_path.iterdir()) == []
-
     def test_csv_is_streamed(self, tmp_path):
         # 200001 rows make a 7 MB CSV; held as DriftCurve tuples before the
         # write, the curve peaked at 15.7 MiB here and grew with --grid.
@@ -230,6 +225,29 @@ class TestProbs:
             tracemalloc.stop()
         assert out.read_text().count("\n") == 20002 + 2
         assert peak < 4 * 2**20
+
+    def test_empirical_csv_is_streamed(self, tmp_path, monkeypatch):
+        # The sampled sibling was built from all N + 1 tables before it was
+        # written, so its peak grew by ≈350 bytes per state.  Streamed, the
+        # peak is one write chunk, here smaller than either CSV.
+        monkeypatch.setattr(cli, "_WRITE_CHUNK_LINES", 1024)
+
+        def peak(agents: int) -> int:
+            out = tmp_path / f"p{agents}.csv"
+            argv = ["probs", "--group", "3", "--agents", str(agents), "--empirical",
+                    "--samples", "10", "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.with_suffix(".empirical.csv").read_text().count("\n") == agents + 3
+            return traced
+
+        main(["probs", "--group", "3", "--agents", "5", "--empirical", "--samples", "10",
+              "--out", str(tmp_path / "warm.csv")])  # imports numpy untraced
+        assert abs(peak(20001) - peak(2001)) < 2**19
 
     def test_group_required(self, tmp_path):
         assert main(["probs", "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
@@ -326,6 +344,15 @@ class TestSimulate:
         out = tmp_path / "t.csv"
         code = main(["simulate", "--rules", "MMM", *flags, "--out", str(out)])
         assert_config_error(code, capsys, out)
+
+    def test_stop_at_consensus_alone_is_bounded(self, tmp_path, capsys):
+        # All-minority rules from K = 51 never reach consensus; without the
+        # default bound this run did not end and its CSV grew until the disk
+        # was full.
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--rules", "mmm", "--stop-at-consensus", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_events"] == cli.DEFAULT_EVENTS == 100_000
 
     def test_waits_past_the_largest_double_end_the_run(self, tmp_path, capsys):
         # At 1e-320 per agent every waiting time overflows a double: the run
@@ -619,12 +646,12 @@ class TestValidate:
 #: (file name, sha256, arguments) of the ``--empirical`` sibling files of two
 #: seeded runs; ``--out`` is the name without ``.empirical``.  Their bytes
 #: follow numpy's generators, so they pin the samplers' RNG streams and that
-#: each row lands at its own state, however many threads sample.
+#: each row lands at its own state.
 SAMPLED_OUTPUTS = [
-    ("g7_probs.empirical.csv", "753dc1ebe6930331a64c791e15fd83c12a45200073e425a35b62f4755d04c9b3",
+    ("g7_probs.empirical.csv", "7b9c0b2e150708869dfab734899dcb979473f9ef12b20f892ce60c95b65a4fb6",
      ["probs", "--agents", "101", "--group", "7", "--empirical", "--samples", "20000",
       "--seed", "42"]),
-    ("mmm_drift.empirical.csv", "73be0de2f54e1fa94e3f620a4dc06cef671475933627d164301500d48fe9f0a5",
+    ("mmm_drift.empirical.csv", "a030ab648bad8251ffa1368a9d6c4a077726ae24d583fe7e607c029ed4c3d092",
      ["drift", "--agents", "101", "--rules", "MMm", "--epsilon", "0.05", "--empirical",
       "--samples", "20000", "--seed", "7"]),
 ]
@@ -677,16 +704,6 @@ class TestGoldenOutputs:
         assert main([*args, "--out", str(tmp_path / name.replace(".empirical", ""))]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize(
-        "name, digest, args", SAMPLED_OUTPUTS, ids=[name for name, _, _ in SAMPLED_OUTPUTS]
-    )
-    def test_sampled_bytes_independent_of_worker_count(
-        self, tmp_path, monkeypatch, capsys, workers, name, digest, args
-    ):
-        monkeypatch.setattr(drift, "_worker_count", lambda n_states: workers)
-        self.test_readme_output_bytes(tmp_path, monkeypatch, capsys, name, digest, args)
 
 
 class TestConfigFileAndEnvironment:
@@ -886,6 +903,66 @@ class TestSamplesBound:
             ["probs", "--group", "3", "--empirical", "--samples", str(MAX_SAMPLES), "--out", "s.csv"]
         )
         assert resolve_config(args).samples == MAX_SAMPLES
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    st = None
+
+if st is not None:
+
+    #: Values of the --empirical commands' flags that a run accepts (None
+    #: leaves the flag out), and values that are refused or extreme.
+    FUZZ_USUAL = st.fixed_dictionaries({
+        "agents": st.none() | st.integers(1, 100).map(lambda i: 2 * i + 1),
+        "rules": st.sampled_from(["none", "M", "m", "MM", "Mm", "mMm", "MMM"]),
+        "epsilon": st.none() | st.floats(0.0, 1.0),
+        "rule-rate": st.none() | st.floats(0.0, 2.0),
+        "samples": st.integers(1, 10**4) | st.just(MAX_SAMPLES),
+    })
+    FUZZ_HOSTILE = {
+        "agents": st.integers(-1, 201),
+        "group": st.integers(-1, 9),
+        "rules": st.sampled_from([None, "MMMM", "Mx", ""]),
+        "epsilon": st.floats() | st.just(1e308),
+        "rule-rate": st.floats() | st.sampled_from([1e308, math.nan, math.inf]),
+        "samples": st.sampled_from([0, MAX_SAMPLES + 1]),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["probs", "drift"]),
+        flags=FUZZ_USUAL,
+        hostile=st.lists(
+            st.sampled_from(sorted(FUZZ_HOSTILE)).flatmap(
+                lambda name: st.tuples(st.just(name), FUZZ_HOSTILE[name])
+            ),
+            max_size=2,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_empirical_flags_exit_0_or_2(command, flags, hostile, seed):
+        # Any combination of the --empirical commands' flags runs or is
+        # refused by one "swarmdec:" line, without a traceback, a warning or
+        # a file left behind; a refused run writes nothing.
+        flags = {**flags, **dict(hostile), "seed": seed}
+        argv = [command, "--empirical"]
+        argv += [f"--{name}={value}" for name, value in flags.items() if value is not None]
+        with tempfile.TemporaryDirectory() as tmp:
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main([*argv, "--out", os.path.join(tmp, "out.csv")])
+            written = sorted(os.listdir(tmp))
+        err_lines = stderr.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert err_lines == []
+            assert written == ["out.csv", "out.empirical.csv"]
+        else:
+            assert code == EXIT_CONFIG
+            assert len(err_lines) == 1 and err_lines[0].startswith("swarmdec: ")
+            assert written == []
 
 
 #: (case, sha256 of the CSV, JSON summary line, arguments) of seeded

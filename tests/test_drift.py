@@ -1,16 +1,16 @@
 import math
-import os
 import random
 import struct
 import sys
-import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from swarmdec import drift
+import swarmdec
+from swarmdec import cli, drift, hypergeom
 from swarmdec.drift import (
     MAX_SAMPLES,
     DriftCurve,
@@ -20,7 +20,6 @@ from swarmdec.drift import (
     analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
-    empirical_firing_table,
     find_fixed_points,
     lattice_z_values,
     negate_check,
@@ -321,12 +320,6 @@ class TestEmpiricalDrift:
         with pytest.raises(ValueError, match="overflows"):
             empirical_drift(101, rules, NoiseSpec(epsilon), 10, seed=0, rule_rate=rule_rate)
 
-    def test_chunked_draws_match_one_shot(self, monkeypatch):
-        rules = parse_polarity_string("MM", 5)
-        one_shot = empirical_drift(11, rules, NoiseSpec(0.1), 5000, seed=4)
-        monkeypatch.setattr(drift, "_DRAW_CHUNK", 997)  # several chunks per state
-        assert empirical_drift(11, rules, NoiseSpec(0.1), 5000, seed=4) == one_shot
-
     def test_frozen_states_report_zero(self):
         curve = empirical_drift(11, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
         assert set(curve.dzdt) == {0.0}
@@ -375,21 +368,117 @@ class TestFiringProbabilities:
         for draws in (MAX_SAMPLES + 1, 10**20):
             with pytest.raises(ValueError, match="draws must be in 1"):
                 empirical_firing_probabilities(101, 7, 51, draws=draws, seed=1)
-            with pytest.raises(ValueError, match="draws must be in 1"):
-                empirical_firing_table(101, 7, draws=draws, seed=1)
 
-    def test_empirical_chunks_equal_one_shot_draws(self, monkeypatch):
-        monkeypatch.setattr(drift, "_DRAW_CHUNK", 997)
-        draws = 10 * 997 + 3
-        table = empirical_firing_probabilities(101, 7, 40, draws=draws, seed=6)
-        ks = np.random.default_rng([6, 40]).hypergeometric(40, 61, 7, size=draws)
-        expected = tuple(float(c) / draws for c in np.bincount(ks, minlength=8))
-        assert table.probabilities == expected
+
+#: False-alarm probability of each cell's bound in the sampled-law tests.
+CELL_FALSE_ALARM = 1e-9
+
+
+def bernstein_radius(draws: int, p: float, delta: float = CELL_FALSE_ALARM) -> float:
+    """Smallest ``t`` with ``P(|Binomial(draws, p) - draws*p| >= t) <= delta``
+    by Bernstein's inequality (summands in [0, 1])."""
+    log_term = math.log(2.0 / delta)
+    a = log_term / 3.0
+    return a + math.sqrt(a * a + 2.0 * draws * p * (1.0 - p) * log_term)
+
+
+class TestUrnCounts:
+    """``_urn_counts`` draws the histogram of ``draws`` sequential-urn groups."""
+
+    N, G, DRAWS = 21, 7, 10**7
+
+    @pytest.mark.parametrize("count", range(N + 1))
+    def test_histogram_follows_the_composition_law(self, count):
+        rng = np.random.default_rng([20, count])
+        hits = drift._urn_counts(rng, self.N, count, self.G, self.DRAWS)
+        assert sum(hits) == self.DRAWS
+        lowest, highest = max(0, self.G - (self.N - count)), min(self.G, count)
+        assert all(h == 0 for k, h in enumerate(hits) if not lowest <= k <= highest)
+        # Each cell is Binomial(DRAWS, p_k); 8 cells per state at 1e-9 each.
+        for k, p in enumerate(pmf_table(self.N, count, self.G).probabilities):
+            assert abs(hits[k] - self.DRAWS * p) <= bernstein_radius(self.DRAWS, p), (count, k)
+
+    def test_cost_does_not_grow_with_draws(self):
+        start = time.perf_counter()
+        table = empirical_firing_probabilities(101, 7, 51, MAX_SAMPLES, seed=5)
+        assert time.perf_counter() - start < 5.0
+        assert math.fsum(table.probabilities) == 1.0
+
+    def test_group_larger_than_swarm_rejected(self):
+        with pytest.raises(ValueError, match="group size"):
+            empirical_firing_probabilities(3, 5, 1, draws=10, seed=0)
+        with pytest.raises(ValueError, match="count_x1"):
+            empirical_firing_probabilities(11, 5, 12, draws=10, seed=0)
+
+
+class _NoHypergeometric(np.random.Generator):
+    def hypergeometric(self, *args, **kwargs):
+        raise AssertionError("the samplers drew from numpy's hypergeometric")
+
+
+class TestRouteIndependence:
+    """The samplers never read the pmf they are compared with: the pmf,
+    ``pmf_table`` and numpy's hypergeometric sampler raise when called
+    from inside a sampler, and the sampled outputs are unchanged."""
+
+    SAMPLERS = {drift.empirical_drift.__code__, drift.empirical_firing_probabilities.__code__}
+    COMMANDS = [
+        ["probs", "--agents", "31", "--group", "7", "--empirical", "--samples", "5000"],
+        ["drift", "--agents", "31", "--rules", "MMm", "--epsilon", "0.05", "--empirical",
+         "--samples", "5000"],
+    ]
+
+    def run_everything(self, tmp_path):
+        rules = parse_polarity_string("MMm", 7)
+        results = [
+            empirical_drift(31, rules, NoiseSpec(0.05), 5000, seed=3),
+            [empirical_firing_probabilities(31, 7, count, 5000, seed=3) for count in range(32)],
+        ]
+        tmp_path.mkdir()
+        for index, argv in enumerate(self.COMMANDS):
+            out = tmp_path / f"{index}.csv"
+            assert cli.main([*argv, "--seed", "3", "--out", str(out)]) == 0
+            results.append(out.with_suffix(".empirical.csv").read_bytes())
+        return results
+
+    def forbid(self, monkeypatch):
+        samplers = self.SAMPLERS
+
+        def guarded(fn):
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code in samplers:
+                        raise AssertionError(f"a sampler called {fn.__name__}")
+                    frame = frame.f_back
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (swarmdec, hypergeom, drift, cli):
+            for name in ("pmf", "pmf_table"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: _NoHypergeometric(np.random.PCG64(seed))
+        )
+
+    def test_samplers_run_without_the_pmf(self, tmp_path, monkeypatch, capsys):
+        expected = self.run_everything(tmp_path / "free")
+        with monkeypatch.context() as patch:
+            self.forbid(patch)
+            assert self.run_everything(tmp_path / "guarded") == expected
+        capsys.readouterr()
+
+    def test_guard_catches_a_sampler_reading_the_pmf(self, monkeypatch):
+        self.forbid(monkeypatch)
+        monkeypatch.setattr(drift, "_urn_counts", lambda *args: list(drift.pmf_table(*args[1:4])))
+        with pytest.raises(AssertionError, match="a sampler called pmf_table"):
+            empirical_firing_probabilities(31, 7, 10, 100, seed=0)
 
 
 def test_sampler_memory_is_bounded():
-    # One-shot sampling would hold 8 bytes per draw (16 MB for each call
-    # here); chunked draws hold at most a chunk at a time.
+    # Drawing groups one by one would hold 8 bytes per draw (16 MB for
+    # each call here); the samplers hold one histogram per state.
     tracemalloc.start()
     try:
         empirical_firing_probabilities(101, 7, 51, draws=2_000_000, seed=1)
@@ -398,93 +487,6 @@ def test_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-
-
-def _use_workers(monkeypatch, workers):
-    monkeypatch.setattr(drift, "_worker_count", lambda n_states: min(workers, n_states))
-
-
-class TestPerStatePool:
-    """The samplers' lattice states run on a pool of threads; results must
-    not depend on its size, and a failure must stop the other workers."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_results_independent_of_worker_count(self, monkeypatch, workers):
-        rules = parse_polarity_string("MMm", 7)
-        serial = [
-            empirical_firing_probabilities(31, 7, count, 3000, seed=8) for count in range(32)
-        ]
-        drift_serial = empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8)
-        _use_workers(monkeypatch, workers)
-        assert empirical_firing_table(31, 7, 3000, seed=8) == serial
-        assert empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8) == drift_serial
-
-    def test_states_spread_over_threads_in_k_order(self, monkeypatch):
-        _use_workers(monkeypatch, 3)
-        barrier = threading.Barrier(3, timeout=30)
-
-        def state(count):
-            if count < 3:
-                barrier.wait()  # the first three states run at the same time
-            return count, threading.get_ident()
-
-        results = drift._per_state(state, 20)
-        assert [count for count, _ in results] == list(range(21))
-        assert len({ident for _, ident in results[:3]}) == 3
-
-    def test_every_state_taken_once_under_contention(self, monkeypatch):
-        _use_workers(monkeypatch, 8)  # more threads than cores
-        calls: list[int] = []
-
-        def state(count):
-            calls.append(count)
-            return -count
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = drift._per_state(state, 2000)
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [-count for count in range(2001)]
-        assert sorted(calls) == list(range(2001))
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_overflowing_rate_rejected(self, monkeypatch, workers):
-        _use_workers(monkeypatch, workers)
-        rules = parse_polarity_string("MMm", 7)
-        with pytest.raises(ValueError, match="overflows for N = 101"):
-            empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=1e308)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failure_stops_other_workers_within_a_chunk(self, monkeypatch, workers, error):
-        _use_workers(monkeypatch, workers)
-        monkeypatch.setattr(drift, "_DRAW_CHUNK", 100)
-        original = drift._hypergeometric_chunks
-        drawn: list[int] = []  # the state of every chunk drawn, in order
-        failed_after: list[int] = []
-
-        def chunks(rng, good, bad, group_size, draws):
-            for index, chunk in enumerate(original(rng, good, bad, group_size, draws)):
-                drawn.append(good)
-                if good == 1 and index == 4:
-                    failed_after.append(len(drawn))
-                    raise error("injected")
-                yield chunk
-
-        monkeypatch.setattr(drift, "_hypergeometric_chunks", chunks)
-        threads_before = threading.active_count()
-        # 1000 chunks per state: without the stop, the other workers would
-        # draw hundreds of chunks after state 1 fails.
-        with pytest.raises(error, match="injected"):
-            empirical_firing_table(20, 3, 100 * 1000, seed=1)
-        assert len(drawn) - failed_after[0] <= workers - 1
-        assert threading.active_count() == threads_before
-
-    def test_worker_count_is_capped_by_states(self):
-        assert drift._worker_count(1) == 1
-        assert 1 <= drift._worker_count(10**6) <= (os.cpu_count() or 1)
 
 
 class TestFixedPoints:
