@@ -12,6 +12,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,24 @@ class TestDrift:
         out = tmp_path / "d.csv"
         code = main(["drift", "--rules", "MMm", "--empirical", *flags, "--out", str(out)])
         assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_empirical_overflow_rejected_on_any_pool(self, tmp_path, capsys, workers):
+        # Runs sharing a process on a pool of threads each fail on their own.
+        outs = [tmp_path / f"d{index}.csv" for index in range(workers)]
+        with ThreadPoolExecutor(workers) as pool:
+            codes = list(pool.map(
+                lambda out: main(
+                    ["drift", "--rules", "MMm", "--empirical", "--rule-rate", "1e308",
+                     "--out", str(out)]
+                ),
+                outs,
+            ))
+        assert codes == [EXIT_CONFIG] * workers
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == workers
+        assert all(line.startswith("swarmdec: ") for line in err_lines)
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_is_streamed(self, tmp_path):
@@ -704,6 +723,31 @@ class TestGoldenOutputs:
         assert main([*args, "--out", str(tmp_path / name.replace(".empirical", ""))]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "name, digest, args", SAMPLED_OUTPUTS, ids=[name for name, _, _ in SAMPLED_OUTPUTS]
+    )
+    def test_sampled_bytes_independent_of_worker_count(
+        self, tmp_path, monkeypatch, capsys, workers, name, digest, args
+    ):
+        # The same seeded run on each thread of a pool: every state draws
+        # from its own generator, so concurrent runs write the same bytes.
+        monkeypatch.delenv("SWARMDEC_SEED", raising=False)
+        dirs = [tmp_path / str(index) for index in range(workers)]
+        for directory in dirs:
+            directory.mkdir()
+        with ThreadPoolExecutor(workers) as pool:
+            codes = list(pool.map(
+                lambda directory: main(
+                    [*args, "--out", str(directory / name.replace(".empirical", ""))]
+                ),
+                dirs,
+            ))
+        capsys.readouterr()
+        assert codes == [EXIT_OK] * workers
+        digests = {hashlib.sha256((d / name).read_bytes()).hexdigest() for d in dirs}
+        assert digests == {digest}
 
 
 class TestConfigFileAndEnvironment:

@@ -4,6 +4,7 @@ import struct
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -487,6 +488,44 @@ def test_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+class TestPerStatePool:
+    """Each lattice state draws from its own generator, seeded by
+    ``[seed, K]``, and the samplers share no state between calls, so the
+    states may be sampled in any order on a pool of threads; results must
+    not depend on its size."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_independent_of_worker_count(self, workers):
+        rules = parse_polarity_string("MMm", 7)
+        serial = [
+            empirical_firing_probabilities(31, 7, count, 3000, seed=8) for count in range(32)
+        ]
+        drift_serial = empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8)
+        with ThreadPoolExecutor(workers) as pool:
+            pooled = pool.map(
+                lambda count: empirical_firing_probabilities(31, 7, count, 3000, seed=8),
+                reversed(range(32)),
+            )
+            drifts = [
+                pool.submit(empirical_drift, 31, rules, NoiseSpec(0.05), 3000, seed=8)
+                for _ in range(workers)
+            ]
+            assert list(pooled)[::-1] == serial
+            assert [future.result() for future in drifts] == [drift_serial] * workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_overflowing_rate_rejected(self, workers):
+        rules = parse_polarity_string("MMm", 7)
+
+        def sample():
+            with pytest.raises(ValueError, match="overflows for N = 101"):
+                empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=1e308)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(sample) for _ in range(workers)]:
+                future.result()
 
 
 class TestFixedPoints:
