@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import stat
 import sys
 import tempfile
 from array import array
-from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -54,6 +52,7 @@ from .model import (
     NoiseSpec,
     RuleSet,
     SwarmState,
+    _Record,
     check_group_size,
     check_swarm_size,
     iter_rulesets,
@@ -68,7 +67,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import CSV_HEADER, EventBlocks, FrozenSystemError, SimConfig, _columns, _csv_rows
+from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _columns, _csv_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,8 +90,8 @@ _RULE_COMMANDS = ("drift", "simulate", "fixed-points")
 #: ``--name`` and, unless the type is None (``--config`` itself), the config
 #: file key ``name``.  Listed in ``--help`` order.
 _OPTIONS = (
-    ("agents", int, f"swarm size N, odd (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical)", False),
-    ("group", int, "group size G, odd (inferred from --rules when omitted)", False),
+    ("agents", int, f"swarm size N, odd (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", False),
+    ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", False),
     ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False),
     ("schema", str, "path to a reaction schema file (alternative to --rules)", False),
     ("epsilon", float, "noise level (default 0)", False),
@@ -119,8 +118,7 @@ class ConfigError(Exception):
     """Inconsistent or incomplete experiment configuration."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     command: str
     agents: int
     group: int | None
@@ -186,6 +184,8 @@ def _read_utf8(path: str, what: str) -> str:
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     text = _read_utf8(path, "config file")
     try:
         data = json.loads(text)
@@ -647,6 +647,8 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    import json
+
     unbounded = cfg.events is None and cfg.t_max is None
     sim_config = SimConfig.from_noise_level(
         cfg.epsilon,
@@ -697,6 +699,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_fixed_points(cfg: ExperimentConfig) -> int:
+    import json
+
     points = find_fixed_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     payload = [
         {
@@ -798,6 +802,8 @@ def _check_noise_superposition(drifts: dict) -> dict:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
+    import json
+
     # The G=7 lattice drifts at every checked noise level, one rule term
     # per rule set and state, shared by the three drift checks.
     drifts = {

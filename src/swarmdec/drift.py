@@ -42,12 +42,11 @@ that commands which draw nothing never pay its import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .hypergeom import PmfTable, _validate, pmf_table
-from .model import NoiseSpec, RuleSet, check_event_rate, check_swarm_size, count_of_z, lattice_z
+from .model import NoiseSpec, RuleSet, _Record, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,8 +77,7 @@ _MARGINAL_SLOPE_TOL = 1e-10
 MAX_SAMPLES = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class DriftCurve:
+class DriftCurve(_Record):
     """Sampled ``(z, dz/dt)`` curve."""
 
     z: tuple[float, ...]
@@ -98,8 +96,7 @@ class Stability(Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(_Record):
     """A zero of the drift curve with its stability classification."""
 
     z: float

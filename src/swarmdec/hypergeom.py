@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+
+from .model import _Record
 
 __all__ = ["PmfTable", "pmf", "pmf_bruteforce", "pmf_table"]
 
@@ -24,8 +25,7 @@ _SUM_TOL = 1e-12
 _BRUTEFORCE_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class PmfTable:
+class PmfTable(_Record):
     """Probabilities of each composition ``k = 0..G`` at one swarm state."""
 
     group_size: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -65,6 +64,48 @@ def check_event_rate(total: float, n_agents: int) -> float:
     return total
 
 
+class _Record:
+    """Base of the package's immutable records.  A subclass lists its fields
+    as class annotations, in order, with optional defaults.  An instance is
+    built from positional or keyword arguments, checked by ``__post_init__``,
+    equal and hashed by its fields (equal only within one class), read-only,
+    and reprs as ``Name(field=value, ...)``."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields, values = type(self), self._fields, self.__dict__
+        values.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            values[name] = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes only the fields {', '.join(fields)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 class RulePolarity(Enum):
     """Whether a group interaction reinforces its majority or its minority."""
 
@@ -72,8 +113,7 @@ class RulePolarity(Enum):
     MINORITY = "m"
 
 
-@dataclass(frozen=True)
-class SwarmState:
+class SwarmState(_Record):
     """Macroscopic swarm state: ``n_agents`` total, ``count_x1`` holding X1.
 
     The swarm size must be odd so that the population can never split
@@ -104,8 +144,7 @@ class SwarmState:
         return self.count_x1 in (0, self.n_agents)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Record):
     """Macroscopic noise level ``epsilon`` (drift per unit z per unit time)."""
 
     epsilon: float = 0.0
@@ -115,8 +154,7 @@ class NoiseSpec:
             raise ValueError(f"noise level must be finite and >= 0, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(_Record):
     """A symmetric assignment of rule polarities for one group size.
 
     ``polarities[i]`` governs both group compositions whose minority

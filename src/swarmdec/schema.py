@@ -26,9 +26,8 @@ canonicalizes any accepted text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .model import RulePolarity, RuleSet, check_group_size, signed_weight
+from .model import RulePolarity, RuleSet, _Record, check_group_size, signed_weight
 
 __all__ = [
     "Reaction",
@@ -80,8 +79,7 @@ class SchemaValidationError(SchemaError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(_Record):
     """One conversion: a group of fixed size in which one agent flips."""
 
     lhs_x1: int
@@ -176,8 +174,7 @@ def _check_rows(group_size: int, rows: list[tuple[int | None, int, int, int, int
             )
 
 
-@dataclass(frozen=True)
-class ReactionSchema:
+class ReactionSchema(_Record):
     """A complete rule listing: one reaction per composition 1..G-1."""
 
     group_size: int

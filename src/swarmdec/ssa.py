@@ -44,10 +44,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .model import RuleSet, SwarmState, check_event_rate, lattice_z
+from .model import RuleSet, SwarmState, _Record, check_event_rate, lattice_z
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,14 +76,15 @@ BLOCK_EVENTS = 256
 #: Records per block of columns that :class:`EventBlocks` yields, at least
 #: (a block ends with a block of draws).
 BLOCK_ROWS = 8192
+#: Largest swarm size of a run: the urn's picks are drawn as int64 integers.
+MAX_AGENTS = 2**63 - 1
 
 
 class FrozenSystemError(RuntimeError):
     """Every propensity is zero; no further event can occur."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Rates and stopping bounds for a simulation run.
 
     ``noise_rate`` is the per-agent flip rate; a macroscopic noise
@@ -122,8 +122,7 @@ class SimConfig:
         return cls(noise_rate=epsilon / 2.0, **kwargs)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Recorded events of one simulation run, stored as columns.
 
     Recorded event ``i`` happened at ``times[i]``, has kind code
@@ -204,6 +203,8 @@ class EventBlocks:
         seed: int,
     ) -> None:
         n = initial.n_agents
+        if n > MAX_AGENTS:
+            raise ValueError(f"swarm size must be <= {MAX_AGENTS} to simulate, got {n}")
         self.initial, self.rules, self.config, self.seed = initial, rules, config, seed
         self.final_state, self.final_time, self.n_events = initial, 0.0, 0
         self._recorded = [0] * len(EVENT_LABELS)

@@ -923,6 +923,25 @@ class TestAgentsBound:
         args = build_parser().parse_args([*command, "--agents", str(10**12 + 1), "--out", "a.csv"])
         assert resolve_config(args).agents == 10**12 + 1
 
+    def test_largest_simulated_swarm_runs(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--rules", "M", "--agents", str(2**63 - 1), "--events", "10",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_events"] == 10
+        _, _, rows = read_csv(out)
+        assert len(rows) == 10
+
+    @pytest.mark.parametrize("agents", [2**63 + 1, 2**64 - 3])
+    def test_simulated_swarm_above_int64_rejected(self, tmp_path, capsys, agents):
+        # The urn's picks are drawn as int64: above 2**63 - 1 numpy raised,
+        # or (at 2**63 + 1) silently drew from float64 bounds.
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--rules", "M", "--agents", str(agents), "--events", "10",
+                     "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_swarm_drift_runs(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["drift", "--rules", "M", "--agents", str(10**12 + 1), "--grid", "5",
@@ -1125,6 +1144,18 @@ class TestNumpyOnlyWhenSampling:
         assert json.loads(last) == [code, numpy]
 
 
+#: Imports ``swarmdec.cli`` in a fresh interpreter and runs ``cli.main`` on
+#: the arguments, if any; prints the exit code, then those of ``dataclasses``,
+#: ``inspect`` and ``json`` that were loaded after the interpreter started.
+_STARTUP_PROBE = """\
+import sys
+before = set(sys.modules)
+from swarmdec import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted({"dataclasses", "inspect", "json"} & set(sys.modules) - before))
+"""
+
+
 class TestStartup:
     def test_import_loads_no_process_modules(self, tmp_path):
         # The simulate pipeline forks with os.fork/os.pipe alone, so the other
@@ -1135,8 +1166,36 @@ class TestStartup:
         )
         assert _fresh_run(probe, cwd=tmp_path) == "[]"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["drift", "--rules", "MMm", "--out", "d.csv"], ["probs", "--group", "5", "--out", "p.csv"],
+         ["rulesets", "--group", "5"]],
+        ids=["import", "drift", "probs", "rulesets"],
+    )
+    def test_lean_commands_load_no_dataclasses_inspect_or_json(self, tmp_path, argv):
+        # The records are plain classes and json is imported where it is used.
+        assert _fresh_run(_STARTUP_PROBE, *argv, cwd=tmp_path) == "0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fixed-points", "--rules", "MMM", "--out", "fp.json"], ["validate"],
+         ["simulate", "--rules", "MMM", "--events", "100", "--out", "s.csv"],
+         ["drift", "--config", "cfg.json"]],
+        ids=["fixed-points", "validate", "simulate", "config"],
+    )
+    def test_json_commands_succeed_in_a_fresh_process(self, tmp_path, argv):
+        (tmp_path / "cfg.json").write_text('{"rules": "MMm", "out": "d.csv"}')
+        code, *loaded = _fresh_run(_STARTUP_PROBE, *argv, cwd=tmp_path).split()
+        assert code == "0" and "json" in loaded
+
 
 class TestArgparseBehaviour:
+    def test_resolved_config_is_read_only(self):
+        cfg = resolve_config(build_parser().parse_args(["drift", "--rules", "MMm", "--out", "d.csv"]))
+        with pytest.raises(AttributeError):
+            cfg.agents = 11
+        assert cfg == resolve_config(build_parser().parse_args(["drift", "--rules", "MMm", "--out", "d.csv"]))
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
 

@@ -1,5 +1,11 @@
+import math
+import re
+from array import array
+
 import pytest
 
+from swarmdec.drift import DriftCurve, FixedPoint, Stability
+from swarmdec.hypergeom import PmfTable
 from swarmdec.model import (
     NoiseSpec,
     RulePolarity,
@@ -9,6 +15,8 @@ from swarmdec.model import (
     signed_weight,
     state_of_z,
 )
+from swarmdec.schema import Reaction, ReactionSchema, SchemaValidationError, schema_of_ruleset
+from swarmdec.ssa import SimConfig, Trajectory
 
 M = RulePolarity.MAJORITY
 m = RulePolarity.MINORITY
@@ -160,3 +168,146 @@ class TestNoiseSpec:
     def test_invalid(self, eps):
         with pytest.raises(ValueError):
             NoiseSpec(eps)
+
+
+#: One factory per hashable public record class, each building a fresh
+#: instance with the same fields on every call.
+RECORDS = {
+    "SwarmState": lambda: SwarmState(101, 51),
+    "NoiseSpec": lambda: NoiseSpec(0.05),
+    "RuleSet": lambda: RuleSet(5, (M, m)),
+    "PmfTable": lambda: PmfTable(1, (0.5, 0.5)),
+    "DriftCurve": lambda: DriftCurve((-1.0, 1.0), (0.5, -0.5)),
+    "FixedPoint": lambda: FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
+    "Reaction": lambda: Reaction(1, 2, 0, 3),
+    "ReactionSchema": lambda: schema_of_ruleset(RuleSet(3, (M,))),
+    "SimConfig": lambda: SimConfig(noise_rate=0.05, max_events=10),
+}
+
+
+class TestRecords:
+    """The public classes are immutable records: built from positional or
+    keyword fields with defaults, validated when built, equal and hashed by
+    their fields within one class, read-only, and shown as
+    ``Name(field=value, ...)``."""
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_equal_fields_compare_and_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_equal_only_within_one_class(self, make):
+        record = make()
+        twin = type("Twin", (type(record),), {})(**vars(record))
+        assert vars(twin) == vars(record)
+        assert twin != record and record != twin
+        assert record != tuple(vars(record).values())
+        assert record.__eq__(tuple(vars(record).values())) is NotImplemented
+
+    def test_unequal_fields_compare_unequal(self):
+        assert SwarmState(101, 51) != SwarmState(101, 50)
+        assert RuleSet(5, (M, m)) != RuleSet(5, (m, M))
+        assert SimConfig(max_events=10) != SimConfig(max_events=11)
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_assignment_and_deletion_raise(self, make):
+        record = make()
+        before = repr(record)
+        field = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert repr(record) == before
+
+    def test_trajectory_is_read_only_and_unhashable(self):
+        state = SwarmState(3, 1)
+        record = Trajectory(state, array("d"), array("B"), array("B"), array("B"), state, 0.0, 0)
+        with pytest.raises(AttributeError):
+            record.n_events = 1
+        with pytest.raises(TypeError):
+            hash(record)  # array columns are unhashable
+
+    @pytest.mark.parametrize(
+        "record, text",
+        [
+            (SwarmState(101, 51), "SwarmState(n_agents=101, count_x1=51)"),
+            (NoiseSpec(), "NoiseSpec(epsilon=0.0)"),
+            (RuleSet(3, (M,)), "RuleSet(group_size=3, polarities=(<RulePolarity.MAJORITY: 'M'>,))"),
+            (PmfTable(1, (0.5, 0.5)), "PmfTable(group_size=1, probabilities=(0.5, 0.5))"),
+            (FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
+             "FixedPoint(z=0.0, stability=<Stability.STABLE: 'stable'>, bracket=(-0.1, 0.1))"),
+            (Reaction(1, 2, 0, 3), "Reaction(lhs_x1=1, lhs_x2=2, rhs_x1=0, rhs_x2=3)"),
+            (SimConfig(max_events=10),
+             "SimConfig(rule_rate=0.5, noise_rate=0.0, max_events=10, t_max=None, "
+             "record_null_draws=True, stop_at_consensus=False)"),
+        ],
+        ids=lambda value: type(value).__name__ if not isinstance(value, str) else None,
+    )
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_positional_keyword_and_default_construction(self):
+        assert SwarmState(101, 51) == SwarmState(n_agents=101, count_x1=51)
+        assert SwarmState(101, count_x1=51) == SwarmState(count_x1=51, n_agents=101)
+        assert NoiseSpec() == NoiseSpec(0.0)
+        config = SimConfig(0.5, 0.0, 10)
+        assert config == SimConfig(max_events=10)
+        assert (config.t_max, config.record_null_draws, config.stop_at_consensus) == (None, True, False)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: SwarmState(101), lambda: SwarmState(101, 51, 3),
+         lambda: SwarmState(101, 51, extra=1), lambda: NoiseSpec(eps=0.1)],
+        ids=["missing", "too-many", "unknown-keyword", "unknown-keyword-with-default"],
+    )
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_signed_weights_cached_outside_the_fields(self):
+        rules = RuleSet(5, (M, m))
+        assert rules.signed_weights is rules.signed_weights
+        assert rules.signed_weights == (0, -1, 1, -1, 1, 0)
+        fresh = RuleSet(5, (M, m))
+        assert rules == fresh and hash(rules) == hash(fresh)
+        assert repr(rules) == repr(fresh)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: SwarmState(100, 50), ValueError, "swarm size must be a positive odd integer, got 100"),
+            (lambda: SwarmState(101, 102), ValueError, "count_x1 must lie in [0, 101], got 102"),
+            (lambda: NoiseSpec(-0.1), ValueError, "noise level must be finite and >= 0, got -0.1"),
+            (lambda: NoiseSpec(math.inf), ValueError, "noise level must be finite and >= 0, got inf"),
+            (lambda: RuleSet(4, ()), ValueError, "group size must be an odd integer >= 3, got 4"),
+            (lambda: RuleSet(5, (M,)), ValueError, "group size 5 needs 2 polarity entries, got 1"),
+            (lambda: RuleSet(3, ("M",)), TypeError, "polarities must be RulePolarity values"),
+            (lambda: PmfTable(3, (0.5, 0.5)), ValueError, "table for group size 3 needs 4 entries, got 2"),
+            (lambda: PmfTable(1, (1.5, -0.5)), ValueError, "probabilities must lie in [0, 1]"),
+            (lambda: PmfTable(1, (0.5, 0.25)), ValueError, "probabilities sum to 0.75, expected 1"),
+            (lambda: DriftCurve((0.0,), ()), ValueError, "z and dzdt must have equal length"),
+            (lambda: DriftCurve((0.0, 0.0), (1.0, 1.0)), ValueError, "z values must be strictly increasing"),
+            (lambda: Reaction(-1, 3, 0, 2), ValueError, "coefficients must be non-negative"),
+            (lambda: Reaction(1, 2, 1, 1), ValueError, "group size must be conserved across the arrow"),
+            (lambda: Reaction(1, 2, 1, 2), ValueError, "exactly one agent must flip per reaction"),
+            (lambda: ReactionSchema(3, (Reaction(1, 2, 2, 1),)), SchemaValidationError,
+             "schema must cover every composition 1..2; missing [2]"),
+            (lambda: SimConfig(rule_rate=-0.5, max_events=1), ValueError,
+             "rule rate must be finite and >= 0, got -0.5"),
+            (lambda: SimConfig(noise_rate=math.nan, max_events=1), ValueError,
+             "noise rate must be finite and >= 0, got nan"),
+            (lambda: SimConfig(max_events=0), ValueError, "max_events must be >= 1, got 0"),
+            (lambda: SimConfig(t_max=0.0), ValueError, "t_max must be finite and > 0, got 0.0"),
+            (lambda: SimConfig(), ValueError, "unbounded run: set max_events, t_max or stop_at_consensus"),
+        ],
+    )
+    def test_validation_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from array import array
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +42,11 @@ def _urn(picks: Sequence[int], favorable: int) -> int:
             hits += 1
             favorable -= 1
     return hits
+
+
+def replace(record, **changes):
+    """A new record of the same class, with ``changes`` to its fields."""
+    return type(record)(**{**vars(record), **changes})
 
 
 def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
