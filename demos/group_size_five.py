@@ -32,8 +32,8 @@ N_AGENTS = 101
 OUT_DIR = Path("demo_output")
 
 
-def write_curve(path: Path, curve) -> None:
-    rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
+def write_curve(path: Path, points) -> None:
+    rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in points)
     path.write_text(f"z,dzdt\n{rows}\n")
 
 

@@ -29,8 +29,8 @@ N_AGENTS = 101
 OUT_DIR = Path("demo_output")
 
 
-def write_curve(path: Path, curve) -> None:
-    rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
+def write_curve(path: Path, points) -> None:
+    rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in points)
     path.write_text(f"z,dzdt\n{rows}\n")
 
 
@@ -60,10 +60,10 @@ def main() -> None:
     )
     print(f"  drift(z; 0.1) == drift(z; 0) - 0.1*z at every state: {exact}")
 
-    pure = analytic_drift_curve(N_AGENTS, None, noisy, 201)
+    pure = list(analytic_drift_curve(N_AGENTS, None, noisy, 201))
     out = OUT_DIR / "drift_pure_noise_eps0.1.csv"
     write_curve(out, pure)
-    print(f"\npure noise: drift(-1) = {pure.dzdt[0]:+g}, drift(+1) = {pure.dzdt[-1]:+g}"
+    print(f"\npure noise: drift(-1) = {pure[0][1]:+g}, drift(+1) = {pure[-1][1]:+g}"
           f"  -> {out}")
 
 

@@ -44,7 +44,7 @@ def main() -> None:
 
         curve = analytic_drift_curve(N_AGENTS, rules, quiet, grid_points=201)
         out = OUT_DIR / f"drift_g7_{rules.label}.csv"
-        rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in zip(curve.z, curve.dzdt))
+        rows = "\n".join(f"{z:.17g},{d:.17g}" for z, d in curve)
         out.write_text(f"z,dzdt\n{rows}\n")
 
         points = find_fixed_points(N_AGENTS, rules, quiet)

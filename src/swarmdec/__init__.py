@@ -8,7 +8,6 @@ law), including fixed-point and stability analysis.
 """
 
 from .drift import (
-    DriftCurve,
     FixedPoint,
     Stability,
     analytic_drift,
@@ -56,7 +55,6 @@ from .ssa import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DriftCurve",
     "EVENT_LABELS",
     "EventBlocks",
     "FixedPoint",

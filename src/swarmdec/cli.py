@@ -40,7 +40,7 @@ from .drift import (
     MAX_SAMPLES,
     _lattice_drift,
     _negates,
-    analytic_drift_points,
+    analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
@@ -228,16 +228,26 @@ def _resolve_seed(flag_value, file_cfg: dict) -> int:
     return seed
 
 
+def _file_name(key: str, path: str | None) -> str | None:
+    """``path``, unless no file can have that name: it holds a NUL or a
+    character that the file-system encoding cannot encode."""
+    with contextlib.suppress(UnicodeEncodeError):
+        if path is None or b"\0" not in os.fsencode(path):
+            return path
+    raise ConfigError(f"--{key.replace('_', '-')}: not a usable file name: {path!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge flags, config file, environment and defaults; validate."""
     command = args.command
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    config_path = _file_name("config", getattr(args, "config", None))
+    file_cfg = _load_config_file(config_path) if config_path else {}
 
     def pick(name, default=None):
         value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_cfg.get(name, default)
+        if value is None:
+            value = file_cfg.get(name, default)
+        return _file_name(name, value) if name in ("out", "schema", "plot_script") else value
 
     agents = pick("agents", 101)
     try:
@@ -590,18 +600,17 @@ def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
 
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
-    if cfg.empirical:  # sampled first, so that a failure leaves no file behind
+    if cfg.empirical:  # sampled first, so that a refused run leaves no file behind
+        points = empirical_drift(
+            cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=cfg.rule_rate
+        )
+        header = _run_header(cfg, samples=cfg.samples, rule_rate=cfg.rule_rate)
         try:
-            emp = empirical_drift(
-                cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=cfg.rule_rate
-            )
+            _write_text(_empirical_path(cfg.out), _curve_csv(points, header))
         except ValueError as exc:  # the total event rate overflows
             raise ConfigError(str(exc)) from exc
-    points = analytic_drift_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
+    points = analytic_drift_curve(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     _write_text(cfg.out, _curve_csv(points, _run_header(cfg, grid=cfg.grid)))
-    if cfg.empirical:
-        emp_header = _run_header(cfg, samples=cfg.samples, rule_rate=cfg.rule_rate)
-        _write_text(_empirical_path(cfg.out), _curve_csv(zip(emp.z, emp.dzdt), emp_header))
     if cfg.plot_script:
         title = cfg.rules_label or "drift"
         body = (

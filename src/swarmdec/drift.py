@@ -18,7 +18,7 @@ an exact sum.  ``_rule_term`` is the one place that computes it, and the
 analytic routes walk their ``z`` values in increasing order, so they
 compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
 at every point (``_drift_values``).  ``analytic_drift`` is one such point,
-``analytic_drift_points`` streams a uniform grid, and
+``analytic_drift_curve`` streams a uniform grid, and
 ``find_fixed_points`` scans one and bisects its sign changes.
 
 ``empirical_drift`` estimates the same quantity by Monte Carlo, and
@@ -34,9 +34,11 @@ histogram has the same law as that of groups drawn one by one, and a
 state costs at most ``G(G+1)/2`` binomials whatever the number of
 samples.
 
-The analytic route is pure Python.  numpy is imported inside the two
-samplers, ``empirical_drift`` and ``empirical_firing_probabilities``, so
-that commands which draw nothing never pay its import time.
+Both drift routes yield the curve as ``(z, dz/dt)`` pairs, lazily, so
+that memory does not grow with the grid or the lattice.  The analytic
+route is pure Python.  numpy is imported inside the two samplers,
+``empirical_drift`` and ``empirical_firing_probabilities``, so that
+commands which draw nothing never pay its import time.
 """
 
 from __future__ import annotations
@@ -52,13 +54,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DriftCurve",
     "FixedPoint",
     "MAX_SAMPLES",
     "Stability",
     "analytic_drift",
     "analytic_drift_curve",
-    "analytic_drift_points",
     "empirical_drift",
     "empirical_firing_probabilities",
     "find_fixed_points",
@@ -75,19 +75,6 @@ _MARGINAL_SLOPE_TOL = 1e-10
 #: count stays within the C ``long`` that numpy's binomial sampler accepts,
 #: also where a ``long`` has 32 bits.
 MAX_SAMPLES = 1_000_000_000
-
-
-class DriftCurve(_Record):
-    """Sampled ``(z, dz/dt)`` curve."""
-
-    z: tuple[float, ...]
-    dzdt: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.z) != len(self.dzdt):
-            raise ValueError("z and dzdt must have equal length")
-        if any(b <= a for a, b in zip(self.z, self.z[1:])):
-            raise ValueError("z values must be strictly increasing")
 
 
 class Stability(Enum):
@@ -182,7 +169,7 @@ def analytic_drift(
     return next(_drift_values(n_agents, rules, noise.epsilon, (z,)))
 
 
-def analytic_drift_points(
+def analytic_drift_curve(
     n_agents: int,
     rules: RuleSet | None,
     noise: NoiseSpec,
@@ -194,17 +181,6 @@ def analytic_drift_points(
         raise ValueError(f"grid must have at least 2 points, got {grid_points}")
     zs = _Grid(grid_points)
     return zip(zs, _drift_values(n_agents, rules, noise.epsilon, zs))
-
-
-def analytic_drift_curve(
-    n_agents: int,
-    rules: RuleSet | None,
-    noise: NoiseSpec,
-    grid_points: int = 201,
-) -> DriftCurve:
-    """Analytic drift evaluated on a uniform z grid over [-1, 1]."""
-    zs, values = zip(*analytic_drift_points(n_agents, rules, noise, grid_points))
-    return DriftCurve(zs, values)
 
 
 def _lattice_drift(
@@ -279,8 +255,9 @@ def empirical_drift(
     samples_per_state: int,
     seed: int,
     rule_rate: float = 0.5,
-) -> DriftCurve:
-    """Monte Carlo drift estimate on the full lattice ``K = 0..N``.
+) -> Iterator[tuple[float, float]]:
+    """Monte Carlo drift estimate on the full lattice ``K = 0..N``, yielded
+    as ``(z_K, dz/dt)`` one state at a time, in K order.
 
     At every lattice state the chain is reset and ``samples_per_state``
     independent single events are sampled: a channel chosen by
@@ -295,9 +272,9 @@ def empirical_drift(
     is a few dozen binomials, whatever ``samples_per_state``.
 
     Each state uses its own generator seeded from ``(seed, K)``, so the
-    curve is independent of evaluation order.  Raises ValueError when the
-    total event rate overflows, and when ``samples_per_state`` is not in
-    ``1..MAX_SAMPLES``.
+    curve is independent of evaluation order.  Raises ValueError, when
+    iterated, if ``samples_per_state`` is not in ``1..MAX_SAMPLES``, and
+    at the first state whose total event rate overflows.
     """
     import numpy as np
 
@@ -308,25 +285,21 @@ def empirical_drift(
     if rules is None and rule_rate != 0:
         raise ValueError("rule_rate > 0 requires a rule set")
     c = noise.epsilon / 2.0
-
-    def estimate(count: int) -> float:
-        a_group = rule_rate * n_agents
+    a_group = rule_rate * n_agents
+    for count in range(n_agents + 1):
         a_12 = c * count
         a_21 = c * (n_agents - count)
         total = check_event_rate(a_group + a_12 + a_21, n_agents)
-        if total == 0.0:
-            return 0.0
-        rng = np.random.default_rng([seed, count])
-        n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
-        delta_sum = n_21 - n_12
-        if n_group > 0:
-            hits = _urn_counts(rng, n_agents, count, rules.group_size, n_group)
-            delta_sum += sum(w * h for w, h in zip(rules.signed_weights, hits))
-        mean_step = delta_sum / samples_per_state
-        return (2.0 / n_agents) * mean_step * total
-
-    dzdt = tuple(estimate(count) for count in range(n_agents + 1))
-    return DriftCurve(lattice_z_values(n_agents), dzdt)
+        estimate = 0.0
+        if total != 0.0:
+            rng = np.random.default_rng([seed, count])
+            n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
+            delta_sum = n_21 - n_12
+            if n_group > 0:
+                hits = _urn_counts(rng, n_agents, count, rules.group_size, n_group)
+                delta_sum += sum(w * h for w, h in zip(rules.signed_weights, hits))
+            estimate = (2.0 / n_agents) * (delta_sum / samples_per_state) * total
+        yield lattice_z(count, n_agents), estimate
 
 
 def rule_firing_probabilities(

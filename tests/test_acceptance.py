@@ -143,7 +143,7 @@ def test_04_pure_noise_drift():
 
     samples = 10**5
     curve = empirical_drift(N_AGENTS, None, noise, samples, seed=1, rule_rate=0.0)
-    for z, estimate in zip(curve.z, curve.dzdt):
+    for z, estimate in curve:
         expected = analytic_drift(N_AGENTS, None, noise, z)
         stderr = epsilon * math.sqrt(max(0.0, 1.0 - z * z) / samples)
         # 1e-15 absorbs the rescaling round-off where the standard
@@ -205,7 +205,7 @@ def test_08_empirical_vs_analytic_drift():
     curve = empirical_drift(N_AGENTS, rules, noise, samples_per_state=10**5, seed=0)
     sup = max(
         abs(estimate - analytic_drift(N_AGENTS, rules, noise, z))
-        for z, estimate in zip(curve.z, curve.dzdt)
+        for z, estimate in curve
     )
     assert sup < 0.02
 

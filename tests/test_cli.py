@@ -23,6 +23,7 @@ from swarmdec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_VALIDATION,
     MAX_GRID,
     MAX_SAMPLES,
     MAX_STATE_AGENTS,
@@ -170,8 +171,8 @@ class TestDrift:
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_is_streamed(self, tmp_path):
-        # 200001 rows make a 7 MB CSV; held as DriftCurve tuples before the
-        # write, the curve peaked at 15.7 MiB here and grew with --grid.
+        # 200001 rows make a 7 MB CSV; held as two tuples of doubles before
+        # the write, the curve peaked at 15.7 MiB here and grew with --grid.
         # Streamed, the peak is a write chunk.
         out = tmp_path / "d.csv"
         tracemalloc.start()
@@ -183,6 +184,29 @@ class TestDrift:
         assert code == EXIT_OK
         assert out.read_text().count("\n") == 200001 + 2
         assert peak < 4 * 2**20
+
+    def test_empirical_csv_is_streamed(self, tmp_path, monkeypatch):
+        # The sampled curve was held as two tuples of N + 1 estimates before
+        # it was written, so its peak grew by ≈65 bytes per state.  Streamed,
+        # the peak is one write chunk.
+        monkeypatch.setattr(cli, "_WRITE_CHUNK_LINES", 1024)
+
+        def peak(agents: int) -> int:
+            out = tmp_path / f"d{agents}.csv"
+            argv = ["drift", "--rules", "MMm", "--epsilon", "0.05", "--agents", str(agents),
+                    "--empirical", "--samples", "10", "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.with_suffix(".empirical.csv").read_text().count("\n") == agents + 3
+            return traced
+
+        main(["drift", "--rules", "M", "--agents", "5", "--empirical", "--samples", "10",
+              "--out", str(tmp_path / "warm.csv")])  # imports numpy untraced
+        assert abs(peak(20001) - peak(2001)) < 2**19
 
     def test_plot_script(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -828,6 +852,54 @@ class TestConfigFileAndEnvironment:
         assert err_lines[0].startswith(f"swarmdec: config file {config}: invalid JSON (")
 
 
+#: (key, the other config keys) of each file-name option read from a config
+#: file or a flag, set so that only that key's name can be refused.
+UNUSABLE_NAME_CASES = [
+    ("out", {"rules": "MMm"}),
+    ("plot_script", {"rules": "MMm", "out": "ok.csv"}),
+    ("schema", {"out": "ok.csv"}),
+]
+
+
+class TestUnusableFileNames:
+    """A file name holding a NUL, or a lone surrogate that the file-system
+    encoding cannot encode, ended in a ValueError traceback from the first
+    file call, after ``--plot-script`` had already written the CSV.  It is
+    a configuration error, raised before any file is written."""
+
+    @staticmethod
+    def assert_refused(code, capsys, work):
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("swarmdec: ") and "not a usable file name" in err_lines[0]
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["a\x00b", "a\ud800b"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("via", ["config-file", "argv"])
+    @pytest.mark.parametrize(
+        "key, others", UNUSABLE_NAME_CASES, ids=[key for key, _ in UNUSABLE_NAME_CASES]
+    )
+    def test_refused_before_any_file(self, tmp_path, monkeypatch, capsys, key, others, via, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        settings = {**others, key: name}
+        if via == "config-file":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(settings))
+            argv = ["drift", "--config", str(config)]
+        else:
+            argv = ["drift", *(f"--{k.replace('_', '-')}={v}" for k, v in settings.items())]
+        self.assert_refused(main(argv), capsys, work)
+
+    @pytest.mark.parametrize("name", ["a\x00b", "a\ud800b"], ids=["nul", "surrogate"])
+    def test_config_name_refused(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        code = main(["drift", "--rules", "MMm", "--out", "ok.csv", "--config", name])
+        self.assert_refused(code, capsys, tmp_path)
+
+
 class TestSchemaFileInput:
     def test_schema_file(self, tmp_path):
         schema_path = tmp_path / "rules.txt"
@@ -969,7 +1041,7 @@ class TestSamplesBound:
 
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # hypothesis comes with the test extra
     st = None
 
@@ -1026,6 +1098,97 @@ if st is not None:
             assert code == EXIT_CONFIG
             assert len(err_lines) == 1 and err_lines[0].startswith("swarmdec: ")
             assert written == []
+
+    #: Random JSON: scalars, some of them usual option values, and lists and
+    #: objects nesting them.
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=12)
+        | st.integers(-3, 203) | st.sampled_from([2**31, 2**63 + 1, 10**20 + 1])
+        | st.sampled_from(["none", "M", "Mm", "MMm", "mMmM", "Mx"]),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=6,
+    )
+    #: Names relative to the working directory (no "/"), or any other value.
+    FILE_NAMES = (
+        st.sampled_from(["ok.csv", "plot.gp", "", ".", "missing/x.csv", "a\x00b", "a\ud800b"])
+        | st.text(max_size=12).map(lambda text: text.replace("/", "_"))
+        | JSON_VALUES.filter(lambda value: not isinstance(value, str))
+    )
+    #: Per config key, values that a run accepts.
+    USUAL = {
+        "agents": st.integers(1, 100).map(lambda i: 2 * i + 1),
+        "group": st.sampled_from([3, 5, 7, 9]),
+        "epsilon": st.floats(0.0, 1.0),
+        "rule_rate": st.floats(0.0, 2.0),
+        "seed": st.integers(0, 2**32),
+        "plot_script": st.just("plot.gp"),
+        "grid": st.integers(3, 2001),
+        "samples": st.integers(1, 1000),
+        "empirical": st.booleans(),
+    }
+
+    def hostile_value(key):
+        # Random JSON, where ``group`` stays at most 9 (``rulesets`` lists
+        # 2**((G-1)/2) rule sets); ``grid`` is at most 2001 or refused.
+        if key in ("out", "plot_script", "schema"):
+            value = FILE_NAMES
+        elif key == "group":
+            value = JSON_VALUES.filter(lambda value: not isinstance(value, int) or value <= 9)
+        else:
+            value = JSON_VALUES
+        return st.tuples(st.just(key), value)
+
+    #: Config files: usual values for ``rules``, ``out`` and some other keys,
+    #: overridden or joined by up to two random known or unknown keys; or
+    #: text that need not be JSON.
+    CONFIG_TEXTS = st.text(max_size=40) | st.builds(
+        lambda usual, hostile: json.dumps({**usual, **dict(hostile)}),
+        st.fixed_dictionaries(
+            {"rules": st.sampled_from(["none", "M", "Mm", "MMm", "mMmM"]),
+             "out": st.sampled_from(["ok.csv", "ok"])},
+            optional=USUAL,
+        ),
+        st.lists(st.sampled_from([*_CONFIG_KEYS, "unknown"]).flatmap(hostile_value), max_size=2),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["drift", "fixed-points", "rulesets"]), text=CONFIG_TEXTS)
+    @example(command="drift", text=json.dumps({"rules": "MMm", "out": "a\x00b"}))
+    @example(command="drift", text=json.dumps({"rules": "MMm", "out": "ok.csv", "plot_script": "a\x00b"}))
+    @example(command="drift", text=json.dumps({"schema": "a\x00b", "out": "ok.csv"}))
+    @example(command="fixed-points", text=json.dumps({"rules": "M", "out": "a\x00b"}))
+    @example(command="rulesets", text=json.dumps({"group": 3, "out": "a\x00b"}))
+    def test_config_files_exit_0_2_3_or_4(command, text):
+        # Any config file runs, or is refused by one "swarmdec:" line and no
+        # traceback; only whole outputs named by the file are left behind,
+        # and none at all by a refused run.
+        with tempfile.TemporaryDirectory() as tmp:
+            config, work = Path(tmp, "run.json"), Path(tmp, "work")
+            config.write_text(text, encoding="utf-8")
+            work.mkdir()
+            stderr, cwd = io.StringIO(), os.getcwd()
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", str(config)])
+            finally:
+                os.chdir(cwd)
+            written = set(os.listdir(work))
+        err_lines = stderr.getvalue().splitlines()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+        assert len(err_lines) == (code != EXIT_OK)
+        assert all(line.startswith("swarmdec: ") for line in err_lines)
+        try:
+            named = json.loads(text)
+        except ValueError:
+            named = {}
+        names = [named.get(key) for key in ("out", "plot_script")] if isinstance(named, dict) else []
+        outputs = {name for name in names if isinstance(name, str)}
+        outputs |= {str(cli._empirical_path(Path(name))) for name in outputs}
+        assert written <= outputs
+        if code == EXIT_CONFIG:
+            assert written == set()
 
 
 #: (case, sha256 of the CSV, JSON summary line, arguments) of seeded

@@ -14,7 +14,6 @@ import swarmdec
 from swarmdec import cli, drift, hypergeom
 from swarmdec.drift import (
     MAX_SAMPLES,
-    DriftCurve,
     FixedPoint,
     Stability,
     analytic_drift,
@@ -122,10 +121,9 @@ class TestAnalyticDrift:
 
     def test_curve_on_grid(self):
         rules = parse_polarity_string("MMM", 7)
-        curve = analytic_drift_curve(101, rules, NO_NOISE, grid_points=201)
-        assert len(curve.z) == 201
-        assert curve.z[0] == -1.0 and curve.z[-1] == 1.0
-        assert curve.dzdt[0] == 0.0 and curve.dzdt[-1] == 0.0
+        points = list(analytic_drift_curve(101, rules, NO_NOISE, grid_points=201))
+        assert len(points) == 201
+        assert points[0] == (-1.0, 0.0) and points[-1] == (1.0, 0.0)
 
     @pytest.mark.parametrize("sizes", [range(2, 3000), [20001, 10**6]], ids=["2-2999", "large"])
     def test_grid_is_numpy_linspace_bit_for_bit(self, sizes):
@@ -179,10 +177,10 @@ class TestLatticeEngine:
         for epsilon in (0.0, 0.05, 0.1):
             noise = NoiseSpec(epsilon)
             for grid in (2, 201, 2001):
-                curve = analytic_drift_curve(n, rules, noise, grid)
-                expected = [per_point_drift(n, rules, epsilon, z) for z in curve.z]
-                assert bits(curve.dzdt) == bits(expected), (epsilon, grid)
-                assert curve.z == tuple(drift._Grid(grid))
+                zs, values = zip(*analytic_drift_curve(n, rules, noise, grid))
+                expected = [per_point_drift(n, rules, epsilon, z) for z in zs]
+                assert bits(values) == bits(expected), (epsilon, grid)
+                assert zs == tuple(drift._Grid(grid))
             expected = [per_point_drift(n, rules, epsilon, z) for z in off_lattice]
             values = drift._drift_values(n, rules, epsilon, off_lattice)
             assert bits(values) == bits(expected), epsilon
@@ -248,7 +246,9 @@ def count_bisect_evaluations(monkeypatch) -> list:
 class TestTablesBuilt:
     def test_curve_builds_one_table_per_state(self, monkeypatch):
         calls = count_pmf_tables(monkeypatch)
-        analytic_drift_curve(101, parse_polarity_string("MMm", 7), NoiseSpec(0.05), 20001)
+        points = analytic_drift_curve(101, parse_polarity_string("MMm", 7), NoiseSpec(0.05), 20001)
+        assert calls == []  # lazy: no table until the points are read
+        assert len(list(points)) == 20001
         assert len(calls) == 102
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
@@ -301,35 +301,35 @@ class TestNegateCheck:
 class TestEmpiricalDrift:
     def test_validation(self):
         with pytest.raises(ValueError):
-            empirical_drift(101, None, NO_NOISE, 0, seed=0)
+            list(empirical_drift(101, None, NO_NOISE, 0, seed=0))
         with pytest.raises(ValueError, match="samples_per_state must be in 1"):
-            empirical_drift(101, None, NO_NOISE, MAX_SAMPLES + 1, seed=0, rule_rate=0.0)
+            list(empirical_drift(101, None, NO_NOISE, MAX_SAMPLES + 1, seed=0, rule_rate=0.0))
         with pytest.raises(ValueError):
-            empirical_drift(101, None, NO_NOISE, 10, seed=0, rule_rate=0.5)
+            list(empirical_drift(101, None, NO_NOISE, 10, seed=0, rule_rate=0.5))
         with pytest.raises(ValueError):
-            empirical_drift(100, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
+            list(empirical_drift(100, None, NO_NOISE, 10, seed=0, rule_rate=0.0))
 
     @pytest.mark.parametrize("rule_rate", [math.nan, math.inf, -0.5])
     def test_non_finite_or_negative_rule_rate_rejected(self, rule_rate):
         rules = parse_polarity_string("MMm", 7)
         with pytest.raises(ValueError, match="rule rate must be finite and >= 0"):
-            empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=rule_rate)
+            list(empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=rule_rate))
 
     @pytest.mark.parametrize("epsilon, rule_rate", [(0.0, 1e308), (1e308, 0.5), (1e308, 0.0)])
     def test_overflowing_rate_rejected(self, epsilon, rule_rate):
         rules = parse_polarity_string("MMm", 7)
         with pytest.raises(ValueError, match="overflows"):
-            empirical_drift(101, rules, NoiseSpec(epsilon), 10, seed=0, rule_rate=rule_rate)
+            list(empirical_drift(101, rules, NoiseSpec(epsilon), 10, seed=0, rule_rate=rule_rate))
 
     def test_frozen_states_report_zero(self):
         curve = empirical_drift(11, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
-        assert set(curve.dzdt) == {0.0}
+        assert {estimate for _, estimate in curve} == {0.0}
 
     def test_consensus_exact_zero_without_noise(self):
         rules = parse_polarity_string("MMM", 7)
-        curve = empirical_drift(101, rules, NO_NOISE, 200, seed=3)
-        assert curve.dzdt[0] == 0.0
-        assert curve.dzdt[-1] == 0.0
+        curve = list(empirical_drift(101, rules, NO_NOISE, 200, seed=3))
+        assert curve[0] == (-1.0, 0.0)
+        assert curve[-1] == (1.0, 0.0)
 
     def test_matches_analytic_small_system(self):
         rules = parse_polarity_string("M", 3)
@@ -337,19 +337,19 @@ class TestEmpiricalDrift:
         curve = empirical_drift(21, rules, noise, 20_000, seed=2)
         worst = max(
             abs(estimate - analytic_drift(21, rules, noise, z))
-            for z, estimate in zip(curve.z, curve.dzdt)
+            for z, estimate in curve
         )
         assert worst < 0.05
 
     def test_metadata_and_lattice(self):
         rules = parse_polarity_string("MM", 5)
         curve = empirical_drift(11, rules, NO_NOISE, 50, seed=0)
-        assert curve.z == lattice_z_values(11)
+        assert tuple(z for z, _ in curve) == lattice_z_values(11)
 
     def test_deterministic_and_order_independent_seeding(self):
         rules = parse_polarity_string("MM", 5)
-        a = empirical_drift(11, rules, NoiseSpec(0.1), 500, seed=9)
-        b = empirical_drift(11, rules, NoiseSpec(0.1), 500, seed=9)
+        a = list(empirical_drift(11, rules, NoiseSpec(0.1), 500, seed=9))
+        b = list(empirical_drift(11, rules, NoiseSpec(0.1), 500, seed=9))
         assert a == b
 
 
@@ -432,7 +432,7 @@ class TestRouteIndependence:
     def run_everything(self, tmp_path):
         rules = parse_polarity_string("MMm", 7)
         results = [
-            empirical_drift(31, rules, NoiseSpec(0.05), 5000, seed=3),
+            list(empirical_drift(31, rules, NoiseSpec(0.05), 5000, seed=3)),
             [empirical_firing_probabilities(31, 7, count, 5000, seed=3) for count in range(32)],
         ]
         tmp_path.mkdir()
@@ -483,7 +483,7 @@ def test_sampler_memory_is_bounded():
     tracemalloc.start()
     try:
         empirical_firing_probabilities(101, 7, 51, draws=2_000_000, seed=1)
-        empirical_drift(3, parse_polarity_string("M", 3), NO_NOISE, 2_000_000, seed=1)
+        list(empirical_drift(3, parse_polarity_string("M", 3), NO_NOISE, 2_000_000, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,14 +502,14 @@ class TestPerStatePool:
         serial = [
             empirical_firing_probabilities(31, 7, count, 3000, seed=8) for count in range(32)
         ]
-        drift_serial = empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8)
+        drift_serial = list(empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8))
         with ThreadPoolExecutor(workers) as pool:
             pooled = pool.map(
                 lambda count: empirical_firing_probabilities(31, 7, count, 3000, seed=8),
                 reversed(range(32)),
             )
             drifts = [
-                pool.submit(empirical_drift, 31, rules, NoiseSpec(0.05), 3000, seed=8)
+                pool.submit(lambda: list(empirical_drift(31, rules, NoiseSpec(0.05), 3000, seed=8)))
                 for _ in range(workers)
             ]
             assert list(pooled)[::-1] == serial
@@ -521,7 +521,7 @@ class TestPerStatePool:
 
         def sample():
             with pytest.raises(ValueError, match="overflows for N = 101"):
-                empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=1e308)
+                list(empirical_drift(101, rules, NO_NOISE, 10, seed=0, rule_rate=1e308))
 
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(sample) for _ in range(workers)]:
@@ -663,12 +663,3 @@ class TestMixedG5RuleSet:
         assert rational_rule_drift(101, 50, rules) < 0
         assert rational_rule_drift(101, 51, rules) > 0
 
-
-class TestDriftCurveType:
-    def test_rejects_non_monotone_z(self):
-        with pytest.raises(ValueError):
-            DriftCurve((0.0, 0.0), (1.0, 1.0))
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            DriftCurve((0.0, 1.0), (1.0,))

@@ -4,7 +4,7 @@ from array import array
 
 import pytest
 
-from swarmdec.drift import DriftCurve, FixedPoint, Stability
+from swarmdec.drift import FixedPoint, Stability
 from swarmdec.hypergeom import PmfTable
 from swarmdec.model import (
     NoiseSpec,
@@ -177,7 +177,6 @@ RECORDS = {
     "NoiseSpec": lambda: NoiseSpec(0.05),
     "RuleSet": lambda: RuleSet(5, (M, m)),
     "PmfTable": lambda: PmfTable(1, (0.5, 0.5)),
-    "DriftCurve": lambda: DriftCurve((-1.0, 1.0), (0.5, -0.5)),
     "FixedPoint": lambda: FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
     "Reaction": lambda: Reaction(1, 2, 0, 3),
     "ReactionSchema": lambda: schema_of_ruleset(RuleSet(3, (M,))),
@@ -292,8 +291,6 @@ class TestRecords:
             (lambda: PmfTable(3, (0.5, 0.5)), ValueError, "table for group size 3 needs 4 entries, got 2"),
             (lambda: PmfTable(1, (1.5, -0.5)), ValueError, "probabilities must lie in [0, 1]"),
             (lambda: PmfTable(1, (0.5, 0.25)), ValueError, "probabilities sum to 0.75, expected 1"),
-            (lambda: DriftCurve((0.0,), ()), ValueError, "z and dzdt must have equal length"),
-            (lambda: DriftCurve((0.0, 0.0), (1.0, 1.0)), ValueError, "z values must be strictly increasing"),
             (lambda: Reaction(-1, 3, 0, 2), ValueError, "coefficients must be non-negative"),
             (lambda: Reaction(1, 2, 1, 1), ValueError, "group size must be conserved across the arrow"),
             (lambda: Reaction(1, 2, 1, 2), ValueError, "exactly one agent must flip per reaction"),
