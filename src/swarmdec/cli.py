@@ -31,7 +31,7 @@ import stat
 import sys
 import tempfile
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -176,26 +176,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _printed_name(path: str) -> str:
+    """``path`` as error messages print it: each control character is
+    escaped as in ``repr``, so that the message stays on one line."""
+    return "".join(repr(ch)[1:-1] if ch < " " or "\x7f" <= ch <= "\x9f" else ch for ch in path)
+
+
 def _read_utf8(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path}: not UTF-8 text ({exc})") from exc
+        raise ConfigError(f"{what} {_printed_name(path)}: not UTF-8 text ({exc})") from exc
 
 
 def _load_config_file(path: str) -> dict:
     import json
 
     text = _read_utf8(path, "config file")
+    name = _printed_name(path)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+        raise ConfigError(f"config file {name}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: expected a JSON object")
+        raise ConfigError(f"config file {name}: expected a JSON object")
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"config file {path}: unknown key {key!r}")
+            raise ConfigError(f"config file {name}: unknown key {key!r}")
         expected = _CONFIG_KEYS[key]
         if expected is float:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -205,7 +212,7 @@ def _load_config_file(path: str) -> dict:
             ok = isinstance(value, expected)
         if not ok:
             raise ConfigError(
-                f"config file {path}: key {key!r} must be {expected.__name__}"
+                f"config file {name}: key {key!r} must be {expected.__name__}"
             )
     return data
 
@@ -292,7 +299,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             rules = ruleset_of_schema(parse_schema(text))
         except SchemaError as exc:
-            raise ConfigError(f"schema file {schema_arg}: {exc}") from exc
+            raise ConfigError(f"schema file {_printed_name(schema_arg)}: {exc}") from exc
 
     group = explicit_group
     if rules is not None:
@@ -411,8 +418,10 @@ def _run_header(cfg: ExperimentConfig, **extra) -> str:
     return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.epsilon, cfg.seed, **extra)
 
 
-#: Lines joined per write call in :func:`_write_lines`.
+#: Lines joined per write call in :func:`_write_lines`, and the number of
+#: characters past which a chunk is written before it has that many.
 _WRITE_CHUNK_LINES = 8192
+_WRITE_CHUNK_CHARS = 1 << 20
 
 
 def _new_file_mode(path: Path) -> int:
@@ -425,11 +434,21 @@ def _new_file_mode(path: Path) -> int:
 
 
 def _write_lines(fh, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``fh``, each ended by a newline, in bounded chunks."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, _WRITE_CHUNK_LINES)):
+    """Write ``lines`` to ``fh``, each ended by a newline, in chunks bounded
+    in lines and, so that long rows are not held twice in full, in size."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= _WRITE_CHUNK_CHARS or len(chunk) >= _WRITE_CHUNK_LINES:
+            chunk.append("")
+            fh.write("\n".join(chunk))
+            chunk = []
+            size = 0
+    if chunk:
+        chunk.append("")
         fh.write("\n".join(chunk))
-        fh.write("\n")
 
 
 def _write_text(

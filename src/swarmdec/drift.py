@@ -35,23 +35,22 @@ state costs at most ``G(G+1)/2`` binomials whatever the number of
 samples.
 
 Both drift routes yield the curve as ``(z, dz/dt)`` pairs, lazily, so
-that memory does not grow with the grid or the lattice.  The analytic
-route is pure Python.  numpy is imported inside the two samplers,
-``empirical_drift`` and ``empirical_firing_probabilities``, so that
-commands which draw nothing never pay its import time.
+that memory does not grow with the grid or the lattice.  Both routes run
+on the standard library: each binomial is drawn by :func:`_binomial`
+from the uniforms of a ``random.Random`` (Mersenne Twister), whose
+stream Python keeps the same for the same seed, so the sampled files do
+not change with the Python version.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .hypergeom import PmfTable, _validate, pmf_table
 from .model import NoiseSpec, RuleSet, _Record, check_event_rate, check_swarm_size, count_of_z, lattice_z
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FixedPoint",
@@ -71,9 +70,9 @@ __all__ = [
 _BISECT_TOL = 1e-9
 #: Slope magnitude below which a fixed point is classified as marginal.
 _MARGINAL_SLOPE_TOL = 1e-10
-#: Largest number of samples per state of the empirical samplers: every
-#: count stays within the C ``long`` that numpy's binomial sampler accepts,
-#: also where a ``long`` has 32 bits.
+#: Largest number of samples per state of the empirical samplers.  Every
+#: count then stays far below 2**53, so it is exact as a float and each
+#: frequency ``count / draws`` is correctly rounded.
 MAX_SAMPLES = 1_000_000_000
 
 
@@ -193,8 +192,63 @@ def _lattice_drift(
     return {eps: list(_drift_values(n_agents, rules, eps, zs, terms)) for eps in epsilons}
 
 
+def _binomial(uniform: Callable[[], float], n: int, p: float) -> int:
+    """One ``Binomial(n, p)`` variate from the uniforms ``uniform()`` in [0, 1).
+
+    ``p > 0.5`` is reflected to ``n - Binomial(n, 1 - p)``.  Below a mean
+    ``n * p`` of 10 the geometric method (Devroye 1986, X.4.3) counts the
+    successes whose geometric waiting times fit within ``n`` trials;
+    otherwise Hörmann's BTRS (1993, *J. Stat. Comput. Simul.* 46:101)
+    samples by transformed rejection with squeeze, at a bounded expected
+    number of uniform pairs whatever ``n``.
+    """
+    if p > 0.5:
+        return n - _binomial(uniform, n, 1.0 - p)
+    if p <= 0.0:
+        return 0
+    if n * p < 10.0:
+        log_q = math.log1p(-p)
+        successes = trials = 0
+        while True:
+            # Failures before the next success, as a float: at a tiny p it
+            # exceeds any n, or is inf, so compare it before flooring.
+            gap = math.log(1.0 - uniform()) / log_q
+            if gap >= n - trials:
+                return successes
+            trials += math.floor(gap) + 1
+            successes += 1
+    q = 1.0 - p
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    while True:
+        u = uniform() - 0.5
+        v = 1.0 - uniform()  # in (0, 1], so that its log below is finite
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -0.5, where the hat has its pole
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        # Outside the squeeze (one pair in five at a large n*p*q): compare
+        # with the log of the pmf ratio f(k) / f(m) at the mode m.
+        alpha = (2.83 + 5.1 / b) * spq
+        m = math.floor((n + 1) * p)
+        v = math.log(v * alpha / (a / (us * us) + b))
+        log_ratio = (
+            math.lgamma(m + 1) + math.lgamma(n - m + 1) - math.lgamma(k + 1)
+            - math.lgamma(n - k + 1) + (k - m) * math.log(p / q)
+        )
+        if v <= log_ratio:
+            return k
+
+
 def _urn_counts(
-    rng: np.random.Generator, n_agents: int, good: int, group_size: int, draws: int
+    rng: random.Random, n_agents: int, good: int, group_size: int, draws: int
 ) -> list[int]:
     """Histogram ``c[k]``, ``k = 0..group_size``, of the X1 counts of
     ``draws`` independent groups, each drawn one agent at a time without
@@ -205,13 +259,14 @@ def _urn_counts(
     and at pick ``j`` each of them draws an X1 with probability
     ``(good - d) / (n_agents - j)``, independently of the others, so
     ``Binomial(c[d], (good - d) / (n_agents - j))`` of them move to
-    ``d + 1``.  After ``group_size`` picks ``c`` has the law of the
-    histogram of ``draws`` urn draws, at a cost of at most
-    ``group_size * (group_size + 1) / 2`` binomials, whatever ``draws``.
-    The urn's per-pick ratios are its only input: this never reads the
-    hypergeometric pmf it is meant to check.
+    ``d + 1``, drawn by :func:`_binomial` from ``rng``.  After
+    ``group_size`` picks ``c`` has the law of the histogram of ``draws``
+    urn draws, at a cost of at most ``group_size * (group_size + 1) / 2``
+    binomials, whatever ``draws``.  The urn's per-pick ratios are its only
+    input: this never reads the hypergeometric pmf it is meant to check.
     """
     _validate(n_agents, good, group_size, 0)
+    uniform = rng.random
     counts = [draws] + [0] * group_size
     for pick in range(group_size):
         left = n_agents - pick
@@ -222,25 +277,34 @@ def _urn_counts(
             if good - d == left:  # only X1 left
                 moved = counts[d]
             else:
-                moved = rng.binomial(counts[d], (good - d) / left)
+                moved = _binomial(uniform, counts[d], (good - d) / left)
             counts[d] -= moved
             counts[d + 1] += moved
     return counts
 
 
 def _split_events(
-    rng: np.random.Generator, samples: int, a_group: float, a_12: float, a_21: float
+    rng: random.Random, samples: int, a_group: float, a_12: float, a_21: float
 ) -> tuple[int, int, int]:
     # Multinomial split via chained binomials; identical in law, and
     # immune to "probabilities sum above 1" rounding complaints.
     total = a_group + a_12 + a_21
-    n_group = int(rng.binomial(samples, a_group / total)) if a_group > 0 else 0
+    n_group = _binomial(rng.random, samples, a_group / total) if a_group > 0 else 0
     rest = samples - n_group
     noise_total = a_12 + a_21
     if rest == 0 or noise_total == 0:
         return n_group, 0, rest
-    n_12 = int(rng.binomial(rest, a_12 / noise_total)) if a_12 > 0 else 0
+    n_12 = _binomial(rng.random, rest, a_12 / noise_total) if a_12 > 0 else 0
     return n_group, n_12, rest - n_12
+
+
+def _state_rng(seed: int, count: int) -> random.Random:
+    """The generator of lattice state ``count``: a ``random.Random`` seeded
+    with ``seed * 2**64 + count``, so one seed per ``(seed, count)`` while
+    ``count < 2**64``."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed * 2**64 + count)
 
 
 def _check_samples(name: str, count: int) -> None:
@@ -271,13 +335,12 @@ def empirical_drift(
     binomials, the histogram by :func:`_urn_counts`.  The cost per state
     is a few dozen binomials, whatever ``samples_per_state``.
 
-    Each state uses its own generator seeded from ``(seed, K)``, so the
-    curve is independent of evaluation order.  Raises ValueError, when
-    iterated, if ``samples_per_state`` is not in ``1..MAX_SAMPLES``, and
-    at the first state whose total event rate overflows.
+    Each state uses its own generator (:func:`_state_rng`), so the curve
+    is independent of evaluation order.  Raises ValueError, when iterated,
+    if ``samples_per_state`` is not in ``1..MAX_SAMPLES``, at the first
+    state whose total event rate overflows, and at the first state sampled
+    if ``seed`` is negative.
     """
-    import numpy as np
-
     check_swarm_size(n_agents)
     _check_samples("samples_per_state", samples_per_state)
     if not 0 <= rule_rate < math.inf:
@@ -292,7 +355,7 @@ def empirical_drift(
         total = check_event_rate(a_group + a_12 + a_21, n_agents)
         estimate = 0.0
         if total != 0.0:
-            rng = np.random.default_rng([seed, count])
+            rng = _state_rng(seed, count)
             n_group, n_12, n_21 = _split_events(rng, samples_per_state, a_group, a_12, a_21)
             delta_sum = n_21 - n_12
             if n_group > 0:
@@ -317,12 +380,10 @@ def empirical_firing_probabilities(
     n_agents: int, group_size: int, count_x1: int, draws: int, seed: int
 ) -> PmfTable:
     """Observed composition frequencies over ``draws`` group draws
-    (``1..MAX_SAMPLES``) from the urn (:func:`_urn_counts`), by a generator
-    seeded from ``(seed, count_x1)``."""
-    import numpy as np
-
+    (``1..MAX_SAMPLES``) from the urn (:func:`_urn_counts`), by the
+    generator of state ``count_x1`` (:func:`_state_rng`)."""
     _check_samples("draws", draws)
-    rng = np.random.default_rng([seed, count_x1])
+    rng = _state_rng(seed, count_x1)
     counts = _urn_counts(rng, n_agents, count_x1, group_size, draws)
     return PmfTable(group_size, tuple(float(c) / draws for c in counts))
 

@@ -185,6 +185,16 @@ class TestDrift:
         assert out.read_text().count("\n") == 200001 + 2
         assert peak < 4 * 2**20
 
+    def test_empirical_at_subnormal_rule_rate(self, tmp_path, capsys):
+        # The group channel's share is subnormal: a geometric waiting time
+        # that overflowed to inf must not reach floor(), which raises.
+        out = tmp_path / "d.csv"
+        argv = ["drift", "--agents", "11", "--rules", "M", "--epsilon", "0.1", "--empirical",
+                "--rule-rate", "1e-320", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.with_suffix(".empirical.csv").read_text().count("\n") == 12 + 2
+
     def test_empirical_csv_is_streamed(self, tmp_path, monkeypatch):
         # The sampled curve was held as two tuples of N + 1 estimates before
         # it was written, so its peak grew by ≈65 bytes per state.  Streamed,
@@ -205,7 +215,7 @@ class TestDrift:
             return traced
 
         main(["drift", "--rules", "M", "--agents", "5", "--empirical", "--samples", "10",
-              "--out", str(tmp_path / "warm.csv")])  # imports numpy untraced
+              "--out", str(tmp_path / "warm.csv")])  # a warm-up run, untraced
         assert abs(peak(20001) - peak(2001)) < 2**19
 
     def test_plot_script(self, tmp_path):
@@ -289,7 +299,7 @@ class TestProbs:
             return traced
 
         main(["probs", "--group", "3", "--agents", "5", "--empirical", "--samples", "10",
-              "--out", str(tmp_path / "warm.csv")])  # imports numpy untraced
+              "--out", str(tmp_path / "warm.csv")])  # a warm-up run, untraced
         assert abs(peak(20001) - peak(2001)) < 2**19
 
     def test_group_required(self, tmp_path):
@@ -550,6 +560,22 @@ class TestOutputFiles:
         assert out.read_text().startswith("# swarmdec ")
 
 
+    def test_long_rows_are_not_held_twice(self, tmp_path):
+        # 3000 rows of 12 KB (36 MB) fit in one 8192-line chunk, which was
+        # held as the list of rows and again as their join (a 72 MB peak).
+        # A chunk is also written once it passes _WRITE_CHUNK_CHARS.
+        out = tmp_path / "long.csv"
+        rows = (f"{index:05d}," + "x" * 12_000 for index in range(3000))
+        tracemalloc.start()
+        try:
+            cli._write_text(out, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 3000 * 12_007
+        assert peak < 8 * 2**20
+
+
 class TestInterrupt:
     def test_interrupted_handler_exits_130(self, tmp_path, capsys, monkeypatch):
         def interrupted(cfg):
@@ -688,13 +714,13 @@ class TestValidate:
 
 #: (file name, sha256, arguments) of the ``--empirical`` sibling files of two
 #: seeded runs; ``--out`` is the name without ``.empirical``.  Their bytes
-#: follow numpy's generators, so they pin the samplers' RNG streams and that
-#: each row lands at its own state.
+#: follow the samplers' ``random.Random`` streams, so they pin those streams
+#: and that each row lands at its own state.
 SAMPLED_OUTPUTS = [
-    ("g7_probs.empirical.csv", "7b9c0b2e150708869dfab734899dcb979473f9ef12b20f892ce60c95b65a4fb6",
+    ("g7_probs.empirical.csv", "177d5d8890fcc55186d1fc247d3df511f0112a4949bcdabd42e8d7cd62cb7e21",
      ["probs", "--agents", "101", "--group", "7", "--empirical", "--samples", "20000",
       "--seed", "42"]),
-    ("mmm_drift.empirical.csv", "a030ab648bad8251ffa1368a9d6c4a077726ae24d583fe7e607c029ed4c3d092",
+    ("mmm_drift.empirical.csv", "62ac90d55f77ee4e3b56c629d96a852e423b291e2dc8a899730ff3a3a91e7813",
      ["drift", "--agents", "101", "--rules", "MMm", "--epsilon", "0.05", "--empirical",
       "--samples", "20000", "--seed", "7"]),
 ]
@@ -898,6 +924,32 @@ class TestUnusableFileNames:
         monkeypatch.chdir(tmp_path)
         code = main(["drift", "--rules", "MMm", "--out", "ok.csv", "--config", name])
         self.assert_refused(code, capsys, tmp_path)
+
+
+class TestFileNamesInErrors:
+    """Error messages print a file name with its control characters
+    escaped, so that a name holding a newline still gives one line; other
+    names print as they are."""
+
+    @pytest.mark.parametrize(
+        "name, shown", [("a\nb", "a\\nb"), ("r\u00e8gles b.txt", "r\u00e8gles b.txt")],
+        ids=["newline", "plain"],
+    )
+    @pytest.mark.parametrize(
+        "text", [("# r\u00e8gles\n" + MMm_SCHEMA).encode("latin-1"), b"[1]"],
+        ids=["not-utf8", "not-a-schema-or-config"],
+    )
+    @pytest.mark.parametrize("option", ["--schema", "--config"])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, option, text, name, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(text)
+        code = main(["drift", option, name, "--out", "d.csv"])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err_lines) == 1
+        what = option.lstrip("-")
+        assert err_lines[0].startswith(f"swarmdec: {what} file {shown}: ")
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestSchemaFileInput:
@@ -1276,7 +1328,8 @@ def _fresh_run(code: str, *args: str, cwd: Path) -> str:
 
 
 class TestNumpyOnlyWhenSampling:
-    """Only the commands that draw random numbers import numpy."""
+    """Only ``simulate`` imports numpy; the samplers of ``--empirical`` run
+    on the standard library."""
 
     def test_import_leaves_numpy_out(self, tmp_path):
         probe = "import sys, swarmdec, swarmdec.cli; print('numpy' in sys.modules)"
@@ -1295,9 +1348,9 @@ class TestNumpyOnlyWhenSampling:
             (["drift", "--agents", "100", "--rules", "M", "--out", "d.csv"], EXIT_CONFIG, False),
             (["simulate", "--rules", "MMM", "--events", "100", "--out", "s.csv"], EXIT_OK, True),
             (["drift", "--rules", "M", "--agents", "11", "--empirical", "--samples", "10",
-              "--out", "d.csv"], EXIT_OK, True),
+              "--out", "d.csv"], EXIT_OK, False),
             (["probs", "--group", "3", "--agents", "11", "--empirical", "--samples", "10",
-              "--out", "p.csv"], EXIT_OK, True),
+              "--out", "p.csv"], EXIT_OK, False),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
     )

@@ -321,6 +321,13 @@ class TestEmpiricalDrift:
         with pytest.raises(ValueError, match="overflows"):
             list(empirical_drift(101, rules, NoiseSpec(epsilon), 10, seed=0, rule_rate=rule_rate))
 
+    def test_negative_seed_rejected(self):
+        rules = parse_polarity_string("MMm", 7)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            list(empirical_drift(11, rules, NO_NOISE, 10, seed=-1))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            empirical_firing_probabilities(11, 7, 5, 10, seed=-1)
+
     def test_frozen_states_report_zero(self):
         curve = empirical_drift(11, None, NO_NOISE, 10, seed=0, rule_rate=0.0)
         assert {estimate for _, estimate in curve} == {0.0}
@@ -383,6 +390,59 @@ def bernstein_radius(draws: int, p: float, delta: float = CELL_FALSE_ALARM) -> f
     return a + math.sqrt(a * a + 2.0 * draws * p * (1.0 - p) * log_term)
 
 
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """Exact ``Binomial(n, p)`` probabilities of ``k = 0..n``, each rounded
+    once from its rational value."""
+    q = Fraction(p)
+    return [float(math.comb(n, k) * q**k * (1 - q) ** (n - k)) for k in range(n + 1)]
+
+
+class TestBinomial:
+    """``drift._binomial`` draws ``Binomial(n, p)`` on each of its branches."""
+
+    DRAWS = 200_000
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (1, 0.3),  # n = 1
+            (1, 0.8),  # n = 1, reflected
+            (40, 0.1),  # geometric method, n*p = 4
+            (100, 0.0999),  # geometric method, n*p just below 10
+            (100, 0.1001),  # BTRS, n*p just above 10
+            (200, 0.3),  # BTRS
+            (60, 0.85),  # reflected to the geometric method
+            (200, 0.7),  # reflected to BTRS
+        ],
+    )
+    def test_every_cell_follows_the_binomial_law(self, n, p):
+        uniform = random.Random(0).random
+        hits = [0] * (n + 1)
+        for _ in range(self.DRAWS):
+            hits[drift._binomial(uniform, n, p)] += 1
+        # Each cell is Binomial(DRAWS, p_k); at most 201 cells at 1e-9 each.
+        for k, p_k in enumerate(binomial_pmf(n, p)):
+            assert abs(hits[k] - self.DRAWS * p_k) <= bernstein_radius(self.DRAWS, p_k), k
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 5e-9])  # BTRS, reflected, geometric
+    def test_largest_n(self, p):
+        # A sum of independent Binomial(n, p) draws is Binomial(draws * n, p).
+        uniform = random.Random(1).random
+        values = [drift._binomial(uniform, MAX_SAMPLES, p) for _ in range(2000)]
+        assert all(type(v) is int and 0 <= v <= MAX_SAMPLES for v in values)
+        total = len(values) * MAX_SAMPLES
+        assert abs(sum(values) - total * p) <= bernstein_radius(total, p)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1 - 2**-53, 1.0])
+    def test_extreme_p_draws_an_int_in_range(self, p):
+        # At a subnormal p the geometric gap is inf, which floor() refuses.
+        uniform = random.Random(2).random
+        for n in (1, 10, 1000, MAX_SAMPLES):
+            for _ in range(100):
+                value = drift._binomial(uniform, n, p)
+                assert type(value) is int and 0 <= value <= n, (n, value)
+
+
 class TestUrnCounts:
     """``_urn_counts`` draws the histogram of ``draws`` sequential-urn groups."""
 
@@ -390,7 +450,7 @@ class TestUrnCounts:
 
     @pytest.mark.parametrize("count", range(N + 1))
     def test_histogram_follows_the_composition_law(self, count):
-        rng = np.random.default_rng([20, count])
+        rng = random.Random(20 * 2**64 + count)
         hits = drift._urn_counts(rng, self.N, count, self.G, self.DRAWS)
         assert sum(hits) == self.DRAWS
         lowest, highest = max(0, self.G - (self.N - count)), min(self.G, count)
@@ -412,15 +472,10 @@ class TestUrnCounts:
             empirical_firing_probabilities(11, 5, 12, draws=10, seed=0)
 
 
-class _NoHypergeometric(np.random.Generator):
-    def hypergeometric(self, *args, **kwargs):
-        raise AssertionError("the samplers drew from numpy's hypergeometric")
-
-
 class TestRouteIndependence:
-    """The samplers never read the pmf they are compared with: the pmf,
-    ``pmf_table`` and numpy's hypergeometric sampler raise when called
-    from inside a sampler, and the sampled outputs are unchanged."""
+    """The samplers never read the pmf they are compared with: the pmf and
+    ``pmf_table`` raise when called from inside a sampler, numpy cannot be
+    imported, and the sampled outputs are unchanged."""
 
     SAMPLERS = {drift.empirical_drift.__code__, drift.empirical_firing_probabilities.__code__}
     COMMANDS = [
@@ -459,9 +514,8 @@ class TestRouteIndependence:
             for name in ("pmf", "pmf_table"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, guarded(getattr(module, name)))
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: _NoHypergeometric(np.random.PCG64(seed))
-        )
+        # The samplers run on the standard library: importing numpy fails.
+        monkeypatch.setitem(sys.modules, "numpy", None)
 
     def test_samplers_run_without_the_pmf(self, tmp_path, monkeypatch, capsys):
         expected = self.run_everything(tmp_path / "free")
@@ -474,6 +528,18 @@ class TestRouteIndependence:
         self.forbid(monkeypatch)
         monkeypatch.setattr(drift, "_urn_counts", lambda *args: list(drift.pmf_table(*args[1:4])))
         with pytest.raises(AssertionError, match="a sampler called pmf_table"):
+            empirical_firing_probabilities(31, 7, 10, 100, seed=0)
+
+    def test_guard_catches_a_sampler_importing_numpy(self, monkeypatch):
+        self.forbid(monkeypatch)
+
+        def numpy_counts(*args):
+            import numpy
+
+            return [numpy.int64(0)] * 8
+
+        monkeypatch.setattr(drift, "_urn_counts", numpy_counts)
+        with pytest.raises(ImportError, match="numpy"):
             empirical_firing_probabilities(31, 7, 10, 100, seed=0)
 
 
@@ -491,10 +557,10 @@ def test_sampler_memory_is_bounded():
 
 
 class TestPerStatePool:
-    """Each lattice state draws from its own generator, seeded by
-    ``[seed, K]``, and the samplers share no state between calls, so the
-    states may be sampled in any order on a pool of threads; results must
-    not depend on its size."""
+    """Each lattice state draws from its own generator, seeded with
+    ``seed * 2**64 + K``, and the samplers share no state between calls,
+    so the states may be sampled in any order on a pool of threads;
+    results must not depend on its size."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_independent_of_worker_count(self, workers):
