@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import operator
 import os
 import stat
 import sys
@@ -83,35 +84,57 @@ MAX_STATE_AGENTS = 10_000_000
 #: Event bound of ``simulate`` when neither ``--events`` nor ``--t-max`` is given.
 DEFAULT_EVENTS = 100_000
 
-_FILE_COMMANDS = ("drift", "probs", "simulate", "fixed-points")
-_RULE_COMMANDS = ("drift", "simulate", "fixed-points")
-
-#: Every experiment option as ``(name, type, help, simulate-only)``: the flag
-#: ``--name`` and, unless the type is None (``--config`` itself), the config
-#: file key ``name``.  Listed in ``--help`` order.
-_OPTIONS = (
-    ("agents", int, f"swarm size N, odd (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", False),
-    ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", False),
-    ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False),
-    ("schema", str, "path to a reaction schema file (alternative to --rules)", False),
-    ("epsilon", float, "noise level (default 0)", False),
-    ("rule_rate", float, "group interaction rate per agent (default 0.5)", False),
-    ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False),
-    ("out", str, "output file path", False),
-    ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False),
-    ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", False),
-    ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", False),
-    ("t_max", float, "maximum simulated time", False),
-    ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False),
-    ("config", None, "JSON file with the same keys; flags take precedence", False),
-    ("plot_script", str, "also write a gnuplot script for the output file", False),
-    ("init_z", float, "initial order parameter (default 0)", True),
-    ("init_k", int, "initial X1 count (alternative to --init-z)", True),
-    ("stop_at_consensus", bool, "stop as soon as |z| = 1", True),
-    ("elide_nulls", bool, "do not record null draws (time still advances)", True),
+#: Every command as ``(name, help, required options, own defaults)``, in
+#: ``--help`` order; ``cmd_<name>`` runs it.
+_COMMANDS = (
+    ("drift", "write the dz/dt vs z curve as CSV", ("rules", "out"), {}),
+    ("probs", "write rule firing probabilities per state as CSV", ("group", "out"), {"samples": 1_000_000}),
+    ("simulate", "run one Gillespie simulation, write the trajectory CSV", ("rules", "out"), {}),
+    ("fixed-points", "locate drift zeros and their stability, write JSON", ("rules", "out"), {"grid": 2001}),
+    ("rulesets", "list every rule set for a group size", ("group",), {}),
+    ("validate", "run internal cross-checks, write a JSON report", (), {}),
 )
 
-_CONFIG_KEYS = {name: kind for name, kind, _, _ in _OPTIONS if kind is not None}
+
+def _check_file_name(path: str) -> None:
+    """ValueError if no file can have the name ``path``: it holds a NUL or a
+    character that the file-system encoding cannot encode."""
+    with contextlib.suppress(UnicodeEncodeError):
+        if b"\0" not in os.fsencode(path):
+            return
+    raise ValueError(f"not a usable file name: {path!r}")
+
+
+#: Every experiment option as ``(name, type, help, simulate-only, default,
+#: check)``: the flag ``--name`` and, unless the type is None (``--config``
+#: itself), the config file key ``name``.  ``check`` is None, a function
+#: that raises ValueError, or bounds ``((op, bound), ...)``; a float must
+#: also be finite.  Listed in ``--help`` order.
+_OPTIONS = (
+    ("agents", int, f"swarm size N, odd and at most 2**1022 - 1 (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", False, 101, check_swarm_size),
+    ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", False, None, None),
+    ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False, None, None),
+    ("schema", str, "path to a reaction schema file (alternative to --rules)", False, None, _check_file_name),
+    ("epsilon", float, "noise level (default 0)", False, 0.0, ((">=", 0),)),
+    ("rule_rate", float, "group interaction rate per agent (default 0.5)", False, 0.5, ((">=", 0),)),
+    ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False, 0, ((">=", 0),)),
+    ("out", str, "output file path", False, None, _check_file_name),
+    ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False, 201, ((">=", 3), ("<=", MAX_GRID))),
+    ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", False, 100_000, ((">=", 1), ("<=", MAX_SAMPLES))),
+    ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", False, None, ((">=", 1),)),
+    ("t_max", float, "maximum simulated time", False, None, ((">", 0),)),
+    ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False, False, None),
+    ("config", None, "JSON file with the same keys; flags take precedence", False, None, _check_file_name),
+    ("plot_script", str, "also write a gnuplot script for the output file", False, None, _check_file_name),
+    ("init_z", float, "initial order parameter (default 0)", True, 0.0, None),
+    ("init_k", int, "initial X1 count (alternative to --init-z)", True, None, None),
+    ("stop_at_consensus", bool, "stop as soon as |z| = 1", True, False, None),
+    ("elide_nulls", bool, "do not record null draws (time still advances)", True, False, None),
+)
+
+_CONFIG_KEYS = {name: kind for name, kind, *_ in _OPTIONS if kind is not None}
+_CHECKS = {name: (kind, check) for name, kind, *_, check in _OPTIONS if check is not None}
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 class ConfigError(Exception):
@@ -123,8 +146,8 @@ class ExperimentConfig(_Record):
     agents: int
     group: int | None
     rules: RuleSet | None
-    pure_noise: bool
-    epsilon: float
+    rules_label: str | None  # "none" for the noise-only system
+    noise: NoiseSpec
     rule_rate: float  # the effective rate: 0 for the noise-only system
     seed: int
     out: Path | None
@@ -138,21 +161,13 @@ class ExperimentConfig(_Record):
     elide_nulls: bool
     plot_script: Path | None
 
-    @property
-    def rules_label(self) -> str | None:
-        if self.pure_noise:
-            return "none"
-        return self.rules.label if self.rules is not None else None
-
-    @property
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec(self.epsilon)
-
 
 def build_parser() -> argparse.ArgumentParser:
+    # Shared parent parsers: adding every option to every subparser instead
+    # takes about twice as long.
     common = argparse.ArgumentParser(add_help=False)
     simulate_only = argparse.ArgumentParser(add_help=False)
-    for name, kind, help_text, sim_only in _OPTIONS:
+    for name, kind, help_text, sim_only, _, _ in _OPTIONS:
         target = simulate_only if sim_only else common
         flag = f"--{name.replace('_', '-')}"
         if kind is bool:
@@ -166,13 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"swarmdec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("drift", parents=[common], help="write the dz/dt vs z curve as CSV")
-    sub.add_parser("probs", parents=[common], help="write rule firing probabilities per state as CSV")
-    sub.add_parser("simulate", parents=[common, simulate_only], help="run one Gillespie simulation, write the trajectory CSV")
-    sub.add_parser("fixed-points", parents=[common], help="locate drift zeros and their stability, write JSON")
-    sub.add_parser("rulesets", parents=[common], help="list every rule set for a group size")
-    sub.add_parser("validate", parents=[common], help="run internal cross-checks, write a JSON report")
+    for name, help_text, _, _ in _COMMANDS:
+        parents = [common, simulate_only] if name == "simulate" else [common]
+        sub.add_parser(name, parents=parents, help=help_text)
     return parser
 
 
@@ -190,8 +201,11 @@ def _read_utf8(path: str, what: str) -> str:
 
 
 def _load_config_file(path: str) -> dict:
+    """The keys of a config file, each of its option's type; a JSON integer
+    for a float option is converted as ``float()`` converts it."""
     import json
 
+    _check_option("config", path)
     text = _read_utf8(path, "config file")
     name = _printed_name(path)
     try:
@@ -204,96 +218,84 @@ def _load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config file {name}: unknown key {key!r}")
         expected = _CONFIG_KEYS[key]
-        if expected is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
-            raise ConfigError(
-                f"config file {name}: key {key!r} must be {expected.__name__}"
-            )
+        if expected is float and type(value) is int:
+            try:
+                value = data[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config file {name}: key {key!r} is too large for a float") from None
+        # bool is an int subclass, but true and false are no numbers here.
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise ConfigError(f"config file {name}: key {key!r} must be {expected.__name__}")
     return data
 
 
-def _resolve_seed(flag_value, file_cfg: dict) -> int:
-    if flag_value is not None:
-        seed = flag_value
-    elif "seed" in file_cfg:
-        seed = file_cfg["seed"]
-    elif SEED_ENV_VAR in os.environ:
-        raw = os.environ[SEED_ENV_VAR]
+def _check_option(name: str, value) -> None:
+    """ConfigError unless ``value`` passes the check of the option ``name``."""
+    kind, check = _CHECKS[name]
+    flag = f"--{name.replace('_', '-')}"
+    if callable(check):
         try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    else:
-        seed = 0
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _file_name(key: str, path: str | None) -> str | None:
-    """``path``, unless no file can have that name: it holds a NUL or a
-    character that the file-system encoding cannot encode."""
-    with contextlib.suppress(UnicodeEncodeError):
-        if path is None or b"\0" not in os.fsencode(path):
-            return path
-    raise ConfigError(f"--{key.replace('_', '-')}: not a usable file name: {path!r}")
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
+        return
+    for op, bound in check:
+        if not (_COMPARISONS[op](value, bound) and (kind is int or math.isfinite(value))):
+            # A seed can come from the environment, so its message names no flag.
+            label = "seed" if name == "seed" else flag
+            finite = "finite and " if kind is float else ""
+            raise ConfigError(f"{label} must be {finite}{op} {bound}, got {value}")
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge flags, config file, environment and defaults; validate."""
+    """Merge flags, config file, environment and defaults; validate.
+
+    Each option is taken from its flag, else the config file, else (the
+    seed only) ``$SWARMDEC_SEED``, else the command's default, else its
+    own, and checked; then the rules that tie options together apply.
+    """
     command = args.command
-    config_path = _file_name("config", getattr(args, "config", None))
+    _, _, requires, own_defaults = next(row for row in _COMMANDS if row[0] == command)
+    config_path = getattr(args, "config", None)
     file_cfg = _load_config_file(config_path) if config_path else {}
 
-    def pick(name, default=None):
+    values, given = {}, set()
+    for name, kind, _, _, default, _ in _OPTIONS:
+        if kind is None:
+            continue
         value = getattr(args, name, None)
         if value is None:
-            value = file_cfg.get(name, default)
-        return _file_name(name, value) if name in ("out", "schema", "plot_script") else value
+            value = file_cfg.get(name)
+        if value is not None:
+            given.add(name)
+        elif name == "seed" and SEED_ENV_VAR in os.environ:
+            raw = os.environ[SEED_ENV_VAR]
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        else:
+            value = own_defaults.get(name, default)
+        if value is not None and name in _CHECKS:
+            _check_option(name, value)
+        values[name] = value
 
-    agents = pick("agents", 101)
-    try:
-        check_swarm_size(agents)
-    except ValueError as exc:
-        raise ConfigError(f"--agents: {exc}") from exc
-
-    epsilon = pick("epsilon", 0.0)
-    if epsilon < 0 or not math.isfinite(epsilon):
-        raise ConfigError(f"--epsilon must be finite and >= 0, got {epsilon}")
-    rule_rate = pick("rule_rate", 0.5)
-    if rule_rate < 0 or not math.isfinite(rule_rate):
-        raise ConfigError(f"--rule-rate must be finite and >= 0, got {rule_rate}")
-    seed = _resolve_seed(getattr(args, "seed", None), file_cfg)
-
-    rules_arg = pick("rules")
-    schema_arg = pick("schema")
+    agents, group = values["agents"], values["group"]
+    rules_arg, schema_arg = values["rules"], values["schema"]
     if rules_arg is not None and schema_arg is not None:
         raise ConfigError("--rules and --schema are mutually exclusive")
-
+    pure_noise = rules_arg == "none"
     rules: RuleSet | None = None
-    pure_noise = False
-    explicit_group = pick("group")
-    if rules_arg is not None:
-        if rules_arg == "none":
-            pure_noise = True
-        else:
-            # An explicit --group drives the parse so that a length
-            # mismatch is reported as such; otherwise infer the group
-            # size from the string length.
-            target_group = (
-                explicit_group
-                if explicit_group is not None
-                else 2 * len(rules_arg) + 1
+    if rules_arg is not None and not pure_noise:
+        # An explicit --group drives the parse so that a length mismatch is
+        # reported as such; otherwise infer the group size from the string
+        # length.
+        try:
+            rules = parse_polarity_string(
+                rules_arg, group if group is not None else 2 * len(rules_arg) + 1
             )
-            try:
-                rules = parse_polarity_string(rules_arg, target_group)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     elif schema_arg is not None:
         text = _read_utf8(schema_arg, "schema file")
         try:
@@ -301,13 +303,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         except SchemaError as exc:
             raise ConfigError(f"schema file {_printed_name(schema_arg)}: {exc}") from exc
 
-    group = explicit_group
     if rules is not None:
         if group is not None and group != rules.group_size:
-            raise ConfigError(
-                f"--group {group} conflicts with the rule set's group size "
-                f"{rules.group_size}"
-            )
+            raise ConfigError(f"--group {group} conflicts with the rule set's group size {rules.group_size}")
         group = rules.group_size
     if group is not None:
         try:
@@ -317,77 +315,43 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if group > agents:
             raise ConfigError(f"--group {group} exceeds --agents {agents}")
 
-    if command in _RULE_COMMANDS and rules is None and not pure_noise:
-        raise ConfigError(f"{command} requires --rules or --schema")
-    if command in ("probs", "rulesets") and group is None:
-        raise ConfigError(f"{command} requires --group")
+    label = "none" if pure_noise else rules.label if rules is not None else None
+    values.update(group=group, rules=rules, rules_label=label)
+    for need in requires:
+        if values["rules_label" if need == "rules" else need] is None:
+            either = " or --schema" if need == "rules" else ""
+            raise ConfigError(f"{command} requires --{need}{either}")
 
-    out_arg = pick("out")
-    if command in _FILE_COMMANDS and out_arg is None:
-        raise ConfigError(f"{command} requires --out")
-
-    grid = pick("grid", 2001 if command == "fixed-points" else 201)
-    if grid < 3:
-        raise ConfigError(f"--grid must be >= 3, got {grid}")
-    if grid > MAX_GRID:
-        raise ConfigError(f"--grid must be <= {MAX_GRID}, got {grid}")
-    samples = pick("samples", 1_000_000 if command == "probs" else 100_000)
-    if samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
-    empirical = bool(pick("empirical", False))
-    if agents > MAX_STATE_AGENTS and (command == "probs" or (command == "drift" and empirical)):
+    if agents > MAX_STATE_AGENTS and (command == "probs" or (command == "drift" and values["empirical"])):
         raise ConfigError(
             f"--agents must be <= {MAX_STATE_AGENTS} for probs and --empirical, got {agents}"
         )
 
-    events = pick("events")
-    t_max = pick("t_max")
-    stop_at_consensus = bool(pick("stop_at_consensus", False))
-    # The provenance line of a --stop-at-consensus run records the event
-    # bound as given ("-" for none); cmd_simulate still applies the default.
-    if command == "simulate" and events is None and t_max is None and not stop_at_consensus:
-        events = DEFAULT_EVENTS
-    if events is not None and events < 1:
-        raise ConfigError(f"--events must be >= 1, got {events}")
-    if t_max is not None and not 0 < t_max < math.inf:
-        raise ConfigError(f"--t-max must be finite and > 0, got {t_max}")
-
     initial: SwarmState | None = None
     if command == "simulate":
-        init_z = pick("init_z")
-        init_k = pick("init_k")
-        if init_z is not None and init_k is not None:
+        # The provenance line of a --stop-at-consensus run records the event
+        # bound as given ("-" for none); cmd_simulate still applies the default.
+        if values["events"] is None and values["t_max"] is None and not values["stop_at_consensus"]:
+            values["events"] = DEFAULT_EVENTS
+        if {"init_z", "init_k"} <= given:
             raise ConfigError("--init-z and --init-k are mutually exclusive")
         try:
-            if init_k is not None:
-                initial = SwarmState(agents, init_k)
+            if values["init_k"] is not None:
+                initial = SwarmState(agents, values["init_k"])
             else:
-                initial = state_of_z(agents, init_z if init_z is not None else 0.0)
+                initial = state_of_z(agents, values["init_z"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(
+    values.update(
         command=command,
-        agents=agents,
-        group=group,
-        rules=rules,
-        pure_noise=pure_noise,
-        epsilon=epsilon,
-        rule_rate=0.0 if pure_noise else rule_rate,
-        seed=seed,
-        out=Path(out_arg) if out_arg is not None else None,
-        grid=grid,
-        samples=samples,
-        events=events,
-        t_max=t_max,
-        empirical=empirical,
+        noise=NoiseSpec(values["epsilon"]),
+        rule_rate=0.0 if pure_noise else values["rule_rate"],
+        out=Path(values["out"]) if values["out"] is not None else None,
+        plot_script=Path(values["plot_script"]) if values["plot_script"] else None,
         initial=initial,
-        stop_at_consensus=stop_at_consensus,
-        elide_nulls=bool(pick("elide_nulls", False)),
-        plot_script=Path(pick("plot_script")) if pick("plot_script") else None,
     )
+    return ExperimentConfig(**{name: values[name] for name in ExperimentConfig._fields})
 
 
 def _fmt(value) -> str:
@@ -415,7 +379,7 @@ def _provenance(
 
 def _run_header(cfg: ExperimentConfig, **extra) -> str:
     """Provenance line naming the run's swarm, rules, noise and seed, then ``extra``."""
-    return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.epsilon, cfg.seed, **extra)
+    return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.noise.epsilon, cfg.seed, **extra)
 
 
 #: Lines joined per write call in :func:`_write_lines`, and the number of
@@ -679,7 +643,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
     unbounded = cfg.events is None and cfg.t_max is None
     sim_config = SimConfig.from_noise_level(
-        cfg.epsilon,
+        cfg.noise.epsilon,
         rule_rate=cfg.rule_rate,
         max_events=DEFAULT_EVENTS if unbounded else cfg.events,
         t_max=cfg.t_max,
@@ -853,14 +817,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-_HANDLERS = {
-    "drift": cmd_drift,
-    "probs": cmd_probs,
-    "simulate": cmd_simulate,
-    "fixed-points": cmd_fixed_points,
-    "rulesets": cmd_rulesets,
-    "validate": cmd_validate,
-}
+_HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name, *_ in _COMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:

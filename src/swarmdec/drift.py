@@ -134,8 +134,10 @@ def _drift_values(
     one ``z`` to the next, so a non-decreasing ``zs`` costs one term per
     state it visits; ``terms``, when given, holds ``R_K`` for ``K = 0..N``
     and is read instead.  With ``rules=None`` only the noise term
-    ``-(epsilon*z)`` remains.
+    ``-(epsilon*z)`` remains.  Raises ValueError, when iterated, if
+    ``n_agents`` fails :func:`check_swarm_size`.
     """
+    check_swarm_size(n_agents)
     if rules is None:
         for z in zs:
             yield -(epsilon * z)

@@ -38,10 +38,18 @@ __all__ = [
 ]
 
 
+#: Largest swarm size: up to it, ``2N`` is a finite double, so the lattice
+#: arithmetic (``2K/N - 1``, ``N(z+1)/2``) never overflows.
+MAX_SWARM_SIZE = 2**1022 - 1
+
+
 def check_swarm_size(n_agents: int) -> None:
-    """Raise ValueError unless ``n_agents`` is a positive odd integer."""
+    """Raise ValueError unless ``n_agents`` is a positive odd integer of at
+    most :data:`MAX_SWARM_SIZE`."""
     if n_agents <= 0 or n_agents % 2 == 0:
         raise ValueError(f"swarm size must be a positive odd integer, got {n_agents}")
+    if n_agents > MAX_SWARM_SIZE:
+        raise ValueError(f"swarm size must be at most 2**1022 - 1, got {n_agents}")
 
 
 def check_group_size(group_size: int) -> None:
@@ -215,8 +223,8 @@ def count_of_z(n_agents: int, z: float) -> int:
     """Count ``K`` of the lattice state nearest the order parameter ``z``.
 
     ``N*(z+1)/2`` rounded half away from zero and clamped to ``[0, N]``,
-    which keeps the mapping symmetric about ``z = 0``.  ``z`` is not
-    range-checked here.
+    which keeps the mapping symmetric about ``z = 0``.  Neither ``z`` nor
+    ``n_agents`` (see :func:`check_swarm_size`) is checked here.
     """
     # The pre-rounding value is >= 0 for z >= -1, so half-away-from-zero
     # reduces to floor(x + 1/2).
@@ -227,6 +235,7 @@ def count_of_z(n_agents: int, z: float) -> int:
 def state_of_z(n_agents: int, z: float) -> SwarmState:
     """Nearest lattice state (:func:`count_of_z`) for a continuous order
     parameter ``z`` in [-1, 1]."""
+    check_swarm_size(n_agents)
     if not -1.0 <= z <= 1.0:
         raise ValueError(f"order parameter must lie in [-1, 1], got {z}")
     return SwarmState(n_agents, count_of_z(n_agents, z))

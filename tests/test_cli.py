@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -27,10 +28,12 @@ from swarmdec.cli import (
     MAX_GRID,
     MAX_SAMPLES,
     MAX_STATE_AGENTS,
+    ConfigError,
     build_parser,
     main,
     resolve_config,
 )
+from swarmdec.model import MAX_SWARM_SIZE
 
 MMm_SCHEMA = """\
 X1+6X2 -> 7X2
@@ -862,6 +865,29 @@ class TestConfigFileAndEnvironment:
             ["drift", "--rules", "M", "--out", str(tmp_path / "c.csv")]
         ) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["epsilon", "rule_rate", "t_max", "init_z"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_key_too_large_for_a_float(self, tmp_path, capsys, key, sign):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rules": "M", key: sign * 10**400}))
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--events", "10", "--config", str(config), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_float_key_given_as_integer_is_a_float(self, tmp_path, capsys):
+        # Recorded as the same value given by its flag would be.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rules": "M", "t_max": 10**20, "epsilon": 1, "events": 10}))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        comments, _, _ = read_csv(out)
+        flagged = tmp_path / "f.csv"
+        argv = ["simulate", "--rules", "M", "--t-max", "1e20", "--epsilon", "1", "--events", "10"]
+        assert main([*argv, "--out", str(flagged)]) == EXIT_OK
+        assert "epsilon=1 " in comments[0] and "t-max=1e+20 " in comments[0]
+        assert read_csv(flagged)[0] == comments
+
     @pytest.mark.parametrize(
         "text",
         ["[" * 200_000 + "]" * 200_000, '{"seed": ' + "7" * 5000 + "}"],
@@ -1014,7 +1040,8 @@ class TestGridBound:
 
 class TestAgentsBound:
     """``probs`` and ``--empirical`` do one table or sample per lattice
-    state, so their N is capped; the analytic routes accept any odd N."""
+    state, so their N is capped; the analytic routes accept any odd N up to
+    ``MAX_SWARM_SIZE``."""
 
     @pytest.mark.parametrize(
         "command",
@@ -1072,6 +1099,54 @@ class TestAgentsBound:
                      "--out", str(out)]) == EXIT_OK
         _, _, rows = read_csv(out)
         assert [float(z) for z, _ in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("command", ["drift", "fixed-points"])
+    def test_largest_swarm_runs(self, tmp_path, command):
+        out = tmp_path / "d.out"
+        assert main([command, "--rules", "M", "--agents", str(MAX_SWARM_SIZE), "--grid", "5",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["drift", "fixed-points", "simulate"])
+    @pytest.mark.parametrize("agents", [MAX_SWARM_SIZE + 2, 2**1023 + 1, 10**400 + 1])
+    def test_swarm_above_the_cap_rejected(self, tmp_path, capsys, command, agents):
+        # Such an N overflowed the lattice arithmetic's doubles: a traceback, exit 1.
+        out = tmp_path / "a.csv"
+        code = main([command, "--rules", "M", "--agents", str(agents), "--events", "10",
+                     "--out", str(out)])
+        assert_config_error(code, capsys, out)
+        assert list(tmp_path.iterdir()) == []
+
+
+#: (option, values at its bounds, values one step past them, a command that
+#: reads the option, one that does not) for every option with a range.
+OPTION_RANGES = [
+    ("agents", [1, MAX_SWARM_SIZE], [-1, MAX_SWARM_SIZE + 2], ["drift", "--rules", "none"], ["validate"]),
+    ("epsilon", [0.0, sys.float_info.max], [-5e-324, math.inf], ["drift", "--rules", "M"],
+     ["rulesets", "--group", "3"]),
+    ("rule-rate", [0.0, sys.float_info.max], [-5e-324, math.inf], ["simulate", "--rules", "M"],
+     ["fixed-points", "--rules", "M"]),
+    ("seed", [0, 10**400], [-1], ["simulate", "--rules", "M"], ["validate"]),
+    ("grid", [3, MAX_GRID], [2, MAX_GRID + 1], ["fixed-points", "--rules", "M"], ["simulate", "--rules", "M"]),
+    ("samples", [1, MAX_SAMPLES], [0, MAX_SAMPLES + 1], ["probs", "--group", "3"], ["fixed-points", "--rules", "M"]),
+    ("events", [1, 10**400], [0], ["simulate", "--rules", "M"], ["drift", "--rules", "M"]),
+    ("t-max", [5e-324, sys.float_info.max], [0.0, math.inf], ["simulate", "--rules", "M"], ["drift", "--rules", "M"]),
+]
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("role", ["reader", "other"])
+    @pytest.mark.parametrize(
+        "option, accepted, refused, reader, other", OPTION_RANGES, ids=[row[0] for row in OPTION_RANGES]
+    )
+    def test_bounds_accepted_and_one_step_past_refused(self, role, option, accepted, refused, reader, other):
+        command = reader if role == "reader" else other
+        for value in accepted:
+            resolve_config(build_parser().parse_args([*command, f"--{option}={value!r}", "--out", "o"]))
+        for value in refused:
+            args = build_parser().parse_args([*command, f"--{option}={value!r}", "--out", "o"])
+            with pytest.raises(ConfigError, match=rf"^(--)?{option}\b"):
+                resolve_config(args)
 
 
 class TestSamplesBound:
@@ -1155,7 +1230,7 @@ if st is not None:
     #: objects nesting them.
     JSON_VALUES = st.recursive(
         st.none() | st.booleans() | st.floats() | st.text(max_size=12)
-        | st.integers(-3, 203) | st.sampled_from([2**31, 2**63 + 1, 10**20 + 1])
+        | st.integers(-3, 203) | st.sampled_from([2**31, 2**63 + 1, 10**20 + 1, 10**400])
         | st.sampled_from(["none", "M", "Mm", "MMm", "mMmM", "Mx"]),
         lambda children: st.lists(children, max_size=3)
         | st.dictionaries(st.text(max_size=6), children, max_size=3),
@@ -1211,6 +1286,7 @@ if st is not None:
     @example(command="drift", text=json.dumps({"schema": "a\x00b", "out": "ok.csv"}))
     @example(command="fixed-points", text=json.dumps({"rules": "M", "out": "a\x00b"}))
     @example(command="rulesets", text=json.dumps({"group": 3, "out": "a\x00b"}))
+    @example(command="drift", text=json.dumps({"rules": "MMm", "out": "ok.csv", "epsilon": 10**400}))
     def test_config_files_exit_0_2_3_or_4(command, text):
         # Any config file runs, or is refused by one "swarmdec:" line and no
         # traceback; only whole outputs named by the file are left behind,
@@ -1241,6 +1317,92 @@ if st is not None:
         assert written <= outputs
         if code == EXIT_CONFIG:
             assert written == set()
+
+    #: Per command, the flags it needs and values for them that a run accepts.
+    #: ``simulate`` always gets at most 10**4 events, so that every run ends.
+    NEEDED_FLAGS = {
+        "drift": {"rules": st.sampled_from(["none", "M", "m", "Mm", "mMm", "MMMM"])},
+        "simulate": {"rules": st.sampled_from(["none", "M", "Mm", "mMm"]), "events": st.integers(1, 10**4)},
+        "fixed-points": {"rules": st.sampled_from(["none", "M", "mM", "MmM", "MMMM"])},
+        "rulesets": {"group": st.sampled_from([3, 5, 7, 9])},
+        "validate": {},
+    }
+    #: Further flags and values that a run accepts; the last four are
+    #: ``simulate``'s own.
+    USUAL_FLAGS = {
+        "agents": st.integers(4, 100).map(lambda i: 2 * i + 1),
+        "epsilon": st.floats(0.0, 1.0),
+        "rule-rate": st.floats(0.0, 2.0),
+        "seed": st.integers(0, 2**64),
+        "grid": st.integers(3, 2001),
+        "samples": st.integers(1, 1000),
+        "t-max": st.floats(1e-3, 1e3),
+        "empirical": st.booleans(),
+        "init-z": st.floats(-1.0, 1.0),
+        "init-k": st.integers(0, 9),
+        "stop-at-consensus": st.booleans(),
+        "elide-nulls": st.booleans(),
+    }
+    #: Values that are refused or extreme, among them swarm sizes whose
+    #: lattice arithmetic overflows a double.  ``group`` stays at most 9 or
+    #: above any swarm size.
+    HOSTILE_FLAGS = {
+        "agents": st.sampled_from([-1, 0, 1, 100, 2**1022 + 1, 2**1023 + 1, 10**400 + 1]),
+        "group": st.integers(-1, 9) | st.just(10**400 + 1),
+        "rules": st.sampled_from(["MMMM", "Mx", ""]),
+        "epsilon": st.floats(),
+        "rule-rate": st.floats() | st.just(1e308),
+        "seed": st.sampled_from([-1, 10**400]),
+        "grid": st.sampled_from([-1, 2, MAX_GRID + 1, 10**400]),
+        "samples": st.sampled_from([0, MAX_SAMPLES + 1]),
+        "events": st.sampled_from([-1, 0]),
+        "t-max": st.floats(),
+        "init-z": st.floats(),
+        "init-k": st.integers(-1, 300),
+    }
+    SIMULATE_ONLY = ("init-z", "init-k", "stop-at-consensus", "elide-nulls")
+
+    def command_flags(command):
+        own = command == "simulate"
+        usual = {k: v for k, v in USUAL_FLAGS.items() if own or k not in SIMULATE_ONLY}
+        hostile = sorted(k for k in HOSTILE_FLAGS if own or k not in SIMULATE_ONLY)
+        return st.tuples(
+            st.just(command),
+            st.fixed_dictionaries(NEEDED_FLAGS[command], optional=usual),
+            st.lists(st.sampled_from(hostile).flatmap(
+                lambda name: st.tuples(st.just(name), HOSTILE_FLAGS[name])), max_size=2),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(sorted(NEEDED_FLAGS)).flatmap(command_flags))
+    @example(case=("drift", {"rules": "M"}, [("agents", 2**1023 + 1)]))
+    @example(case=("fixed-points", {"rules": "M"}, [("agents", 2**1023 + 1)]))
+    @example(case=("drift", {"rules": "M"}, [("agents", 10**400 + 1)]))
+    @example(case=("simulate", {"rules": "M", "events": 10}, [("agents", 10**400 + 1)]))
+    def test_command_flags_exit_0_2_3_or_4(case):
+        # Any combination of a command's flags runs, or is refused by one
+        # "swarmdec:" line, without a traceback, a warning, or a temp or
+        # partial file left behind.
+        command, flags, hostile = case
+        argv = [command]
+        for name, value in {**flags, **dict(hostile)}.items():
+            if isinstance(value, bool):
+                argv.append(f"--{'' if value else 'no-'}{name}")
+            else:
+                argv.append(f"--{name}={value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = main([*argv, "--out", os.path.join(tmp, "out")])
+            written = sorted(os.listdir(tmp))
+        err_lines = stderr.getvalue().splitlines()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+        assert len(err_lines) == (code in (EXIT_CONFIG, EXIT_IO))
+        assert all(line.startswith("swarmdec: ") for line in err_lines)
+        outputs = ["out", "out.empirical.csv"] if command == "drift" and flags.get("empirical") else ["out"]
+        assert written == (outputs if code in (EXIT_OK, EXIT_VALIDATION) else [])
 
 
 #: (case, sha256 of the CSV, JSON summary line, arguments) of seeded
@@ -1405,6 +1567,13 @@ class TestStartup:
         assert code == "0" and "json" in loaded
 
 
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    flags = {f"--{name.replace('_', '-')}" for name, *_ in cli._OPTIONS}
+    assert {flag for flag in flags if not re.search(rf"`{flag}\b", section)} == set()
+
+
 class TestArgparseBehaviour:
     def test_resolved_config_is_read_only(self):
         cfg = resolve_config(build_parser().parse_args(["drift", "--rules", "MMm", "--out", "d.csv"]))
@@ -1432,3 +1601,25 @@ class TestArgparseBehaviour:
             if command != "simulate":
                 expected -= simulate_only
             assert set(vars(build_parser().parse_args([command]))) == expected
+
+
+#: sha256 of each ``--help`` screen at 80 columns, which pins every flag,
+#: help line and the command list.  argparse lays screens out differently
+#: from one Python version to the next; these are Python 3.11's.
+HELP_SCREENS = {
+    "": "5e4278d73e7eb6612db91dfb9dfdf012ed0de5a172792b2a8c889e72aab356f0",
+    "drift": "893f92d029073553170c77cbe848b1f37169cce85bcb64acec2f1d97bc3997b0",
+    "probs": "736377ce4a220219e0da01f77dbca87a28ee88675a4793886b9c3785cf58d484",
+    "simulate": "7df6f72344c003269c52cd51b6287f7b3e1d413a229f9ad9cdf77c2add45041b",
+    "fixed-points": "e486576d924bdb9d4fe293e2f024c2c803366f3930f6bee4f7d58bf558ec5cf1",
+    "rulesets": "fa906b280ae6959073a1a74f063166988841f22968a0079e8ed48b9eb80800b8",
+    "validate": "3766f58a69fdb4f33b2dade3b02c6edc72b1f2672d65262e8cc7120db9a555d9",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="screens recorded with Python 3.11")
+@pytest.mark.parametrize("command", list(HELP_SCREENS), ids=[c or "top" for c in HELP_SCREENS])
+def test_help_screen_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SCREENS[command]

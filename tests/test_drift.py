@@ -58,6 +58,17 @@ def rational_sign_runs(n: int, rules: RuleSet) -> list[int]:
 
 
 class TestAnalyticDrift:
+    @pytest.mark.parametrize("rules", [None, parse_polarity_string("M", 3)], ids=["noise-only", "M"])
+    @pytest.mark.parametrize("n", [2**1023 + 1, 10**400 + 1])
+    def test_swarm_above_the_cap_is_refused(self, n, rules):
+        # The lattice map of such an N overflowed a double (OverflowError).
+        with pytest.raises(ValueError, match="swarm size"):
+            analytic_drift(n, rules, NO_NOISE, 1.0)
+        with pytest.raises(ValueError, match="swarm size"):
+            list(analytic_drift_curve(n, rules, NO_NOISE, 5))
+        with pytest.raises(ValueError, match="swarm size"):
+            find_fixed_points(n, rules, NO_NOISE, 5)
+
     def test_pure_noise_extrema(self):
         for epsilon in (0.05, 0.1):
             noise = NoiseSpec(epsilon)

@@ -7,6 +7,7 @@ import pytest
 from swarmdec.drift import FixedPoint, Stability
 from swarmdec.hypergeom import PmfTable
 from swarmdec.model import (
+    MAX_SWARM_SIZE,
     NoiseSpec,
     RulePolarity,
     RuleSet,
@@ -34,6 +35,21 @@ class TestSwarmState:
     def test_invalid(self, n, k):
         with pytest.raises(ValueError):
             SwarmState(n, k)
+
+    def test_largest_swarm(self):
+        # 2N stays a finite double, so both ends of the lattice map exactly.
+        assert MAX_SWARM_SIZE == 2**1022 - 1
+        assert SwarmState(MAX_SWARM_SIZE, MAX_SWARM_SIZE).z == 1.0
+        assert state_of_z(MAX_SWARM_SIZE, 1.0).count_x1 == MAX_SWARM_SIZE
+        assert state_of_z(MAX_SWARM_SIZE, -1.0).count_x1 == 0
+
+    @pytest.mark.parametrize("n", [MAX_SWARM_SIZE + 2, 2**1023 + 1, 10**400 + 1])
+    def test_swarm_above_the_cap(self, n):
+        # Above the cap the lattice arithmetic overflowed (OverflowError).
+        with pytest.raises(ValueError, match="at most 2\\*\\*1022 - 1"):
+            SwarmState(n, 0)
+        with pytest.raises(ValueError, match="at most 2\\*\\*1022 - 1"):
+            state_of_z(n, 1.0)
 
 
 class TestZMapping:
