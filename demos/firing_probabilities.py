@@ -15,9 +15,9 @@ from pathlib import Path
 
 from swarmdec import (
     empirical_firing_probabilities,
-    lattice_z_values,
     rule_firing_probabilities,
 )
+from swarmdec.model import lattice_z
 
 N_AGENTS = 101
 GROUP = 7
@@ -34,7 +34,6 @@ def main() -> None:
     lines = [f"z,{theory_cols},{sampled_cols}"]
 
     worst = 0.0
-    zs = lattice_z_values(N_AGENTS)
     for count in range(0, N_AGENTS + 1, 5):
         theory = rule_firing_probabilities(N_AGENTS, GROUP, count)
         sampled = empirical_firing_probabilities(
@@ -42,7 +41,7 @@ def main() -> None:
         )
         worst = max(worst, max(abs(a - b) for a, b in zip(theory, sampled)))
         row = ",".join(f"{p:.6g}" for p in (*theory, *sampled))
-        lines.append(f"{zs[count]:.6g},{row}")
+        lines.append(f"{lattice_z(count, N_AGENTS):.6g},{row}")
 
     out.write_text("\n".join(lines) + "\n")
     print(f"{DRAWS} draws per state, every 5th lattice state")

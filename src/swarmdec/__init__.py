@@ -15,7 +15,6 @@ from .drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    lattice_z_values,
     negate_check,
     rule_firing_probabilities,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "iter_rulesets",
     "find_fixed_points",
     "format_schema",
-    "lattice_z_values",
     "negate_check",
     "parse_polarity_string",
     "parse_schema",

@@ -45,7 +45,6 @@ from .drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    lattice_z_values,
     rule_firing_probabilities,
 )
 from .hypergeom import _subset_hits, pmf
@@ -84,15 +83,18 @@ MAX_STATE_AGENTS = 10_000_000
 #: Event bound of ``simulate`` when neither ``--events`` nor ``--t-max`` is given.
 DEFAULT_EVENTS = 100_000
 
-#: Every command as ``(name, help, required options, own defaults)``, in
-#: ``--help`` order; ``cmd_<name>`` runs it.
+#: Every command as ``(name, help, options it takes, required options, own
+#: defaults)``, in ``--help`` order; ``cmd_<name>`` runs it.  A command takes
+#: an option when its value can change what the command writes (the
+#: provenance line included), prints or refuses.
 _COMMANDS = (
-    ("drift", "write the dz/dt vs z curve as CSV", ("rules", "out"), {}),
-    ("probs", "write rule firing probabilities per state as CSV", ("group", "out"), {"samples": 1_000_000}),
-    ("simulate", "run one Gillespie simulation, write the trajectory CSV", ("rules", "out"), {}),
-    ("fixed-points", "locate drift zeros and their stability, write JSON", ("rules", "out"), {"grid": 2001}),
-    ("rulesets", "list every rule set for a group size", ("group",), {}),
-    ("validate", "run internal cross-checks, write a JSON report", (), {}),
+    ("drift", "write the dz/dt vs z curve as CSV", "agents group rules schema epsilon rule_rate seed out grid samples empirical config plot_script", ("rules", "out"), {}),
+    ("probs", "write rule firing probabilities per state as CSV", "agents group rules schema seed out samples empirical config plot_script", ("group", "out"), {"samples": 1_000_000}),
+    ("simulate", "run one Gillespie simulation, write the trajectory CSV", "agents group rules schema epsilon rule_rate seed out events t_max config plot_script "
+     "init_z init_k stop_at_consensus elide_nulls", ("rules", "out"), {}),
+    ("fixed-points", "locate drift zeros and their stability, write JSON", "agents group rules schema epsilon seed out grid config", ("rules", "out"), {"grid": 2001}),
+    ("rulesets", "list every rule set for a group size", "agents group rules schema out config", ("group",), {}),
+    ("validate", "run internal cross-checks, write a JSON report", "out config", (), {}),
 )
 
 
@@ -105,31 +107,31 @@ def _check_file_name(path: str) -> None:
     raise ValueError(f"not a usable file name: {path!r}")
 
 
-#: Every experiment option as ``(name, type, help, simulate-only, default,
-#: check)``: the flag ``--name`` and, unless the type is None (``--config``
-#: itself), the config file key ``name``.  ``check`` is None, a function
-#: that raises ValueError, or bounds ``((op, bound), ...)``; a float must
-#: also be finite.  Listed in ``--help`` order.
+#: Every experiment option as ``(name, type, help, default, check)``: the
+#: flag ``--name`` and, unless the type is None (``--config`` itself), the
+#: config file key ``name``.  ``check`` is None, a function that raises
+#: ValueError, or bounds ``((op, bound), ...)``; a float must also be
+#: finite.  Listed in ``--help`` order.
 _OPTIONS = (
-    ("agents", int, f"swarm size N, odd and at most 2**1022 - 1 (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", False, 101, check_swarm_size),
-    ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", False, None, None),
-    ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", False, None, None),
-    ("schema", str, "path to a reaction schema file (alternative to --rules)", False, None, _check_file_name),
-    ("epsilon", float, "noise level (default 0)", False, 0.0, ((">=", 0),)),
-    ("rule_rate", float, "group interaction rate per agent (default 0.5)", False, 0.5, ((">=", 0),)),
-    ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", False, 0, ((">=", 0),)),
-    ("out", str, "output file path", False, None, _check_file_name),
-    ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", False, 201, ((">=", 3), ("<=", MAX_GRID))),
-    ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", False, 100_000, ((">=", 1), ("<=", MAX_SAMPLES))),
-    ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", False, None, ((">=", 1),)),
-    ("t_max", float, "maximum simulated time", False, None, ((">", 0),)),
-    ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False, False, None),
-    ("config", None, "JSON file with the same keys; flags take precedence", False, None, _check_file_name),
-    ("plot_script", str, "also write a gnuplot script for the output file", False, None, _check_file_name),
-    ("init_z", float, "initial order parameter (default 0)", True, 0.0, None),
-    ("init_k", int, "initial X1 count (alternative to --init-z)", True, None, None),
-    ("stop_at_consensus", bool, "stop as soon as |z| = 1", True, False, None),
-    ("elide_nulls", bool, "do not record null draws (time still advances)", True, False, None),
+    ("agents", int, f"swarm size N, odd and at most 2**1022 - 1 (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", 101, check_swarm_size),
+    ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", None, None),
+    ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", None, None),
+    ("schema", str, "path to a reaction schema file (alternative to --rules)", None, _check_file_name),
+    ("epsilon", float, "noise level (default 0)", 0.0, ((">=", 0),)),
+    ("rule_rate", float, "group interaction rate per agent (default 0.5)", 0.5, ((">=", 0),)),
+    ("seed", int, f"RNG seed (default ${SEED_ENV_VAR} or 0)", 0, ((">=", 0),)),
+    ("out", str, "output file path", None, _check_file_name),
+    ("grid", int, f"number of z grid points, 3 to {MAX_GRID}", 201, ((">=", 3), ("<=", MAX_GRID))),
+    ("samples", int, f"Monte Carlo samples per state, 1 to {MAX_SAMPLES}", 100_000, ((">=", 1), ("<=", MAX_SAMPLES))),
+    ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", None, ((">=", 1),)),
+    ("t_max", float, "maximum simulated time", None, ((">", 0),)),
+    ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False, None),
+    ("config", None, "JSON file with the same keys; flags take precedence", None, _check_file_name),
+    ("plot_script", str, "also write a gnuplot script for the output file", None, _check_file_name),
+    ("init_z", float, "initial order parameter (default 0)", 0.0, None),
+    ("init_k", int, "initial X1 count (alternative to --init-z)", None, None),
+    ("stop_at_consensus", bool, "stop as soon as |z| = 1", False, None),
+    ("elide_nulls", bool, "do not record null draws (time still advances)", False, None),
 )
 
 _CONFIG_KEYS = {name: kind for name, kind, *_ in _OPTIONS if kind is not None}
@@ -163,27 +165,18 @@ class ExperimentConfig(_Record):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Shared parent parsers: adding every option to every subparser instead
-    # takes about twice as long.
-    common = argparse.ArgumentParser(add_help=False)
-    simulate_only = argparse.ArgumentParser(add_help=False)
-    for name, kind, help_text, sim_only, _, _ in _OPTIONS:
-        target = simulate_only if sim_only else common
-        flag = f"--{name.replace('_', '-')}"
-        if kind is bool:
-            target.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_text)
-        else:
-            target.add_argument(flag, type=kind, help=help_text)
-
     parser = argparse.ArgumentParser(
         prog="swarmdec",
         description="Collective decision-making swarm experiments.",
     )
     parser.add_argument("--version", action="version", version=f"swarmdec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, _, _ in _COMMANDS:
-        parents = [common, simulate_only] if name == "simulate" else [common]
-        sub.add_parser(name, parents=parents, help=help_text)
+    for command, command_help, takes, _, _ in _COMMANDS:
+        target, takes = sub.add_parser(command, help=command_help), takes.split()
+        for name, kind, help_text, _, _ in _OPTIONS:
+            if name in takes:
+                how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+                target.add_argument(f"--{name.replace('_', '-')}", help=help_text, **how)
     return parser
 
 
@@ -250,20 +243,22 @@ def _check_option(name: str, value) -> None:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge flags, config file, environment and defaults; validate.
 
-    Each option is taken from its flag, else the config file, else (the
-    seed only) ``$SWARMDEC_SEED``, else the command's default, else its
-    own, and checked; then the rules that tie options together apply.
+    Each option that the command takes is taken from its flag, else the
+    config file, else (the seed only) ``$SWARMDEC_SEED``, else the command's
+    default, else its own, and checked; then the rules that tie options
+    together apply.  Every other option keeps its own default.
     """
     command = args.command
-    _, _, requires, own_defaults = next(row for row in _COMMANDS if row[0] == command)
-    config_path = getattr(args, "config", None)
-    file_cfg = _load_config_file(config_path) if config_path else {}
+    _, _, takes, requires, own_defaults = next(row for row in _COMMANDS if row[0] == command)
+    takes = takes.split()
+    file_cfg = _load_config_file(args.config) if args.config else {}
 
     values, given = {}, set()
-    for name, kind, _, _, default, _ in _OPTIONS:
-        if kind is None:
+    for name, kind, _, default, _ in _OPTIONS:
+        if name not in takes or kind is None:
+            values[name] = default
             continue
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is None:
             value = file_cfg.get(name)
         if value is not None:
@@ -321,8 +316,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if values["rules_label" if need == "rules" else need] is None:
             either = " or --schema" if need == "rules" else ""
             raise ConfigError(f"{command} requires --{need}{either}")
+    plot_script = values["plot_script"]
+    if plot_script is not None:  # only commands that require --out take it
+        out = Path(values["out"])
+        for data in (out, _empirical_path(out)) if values["empirical"] else (out,):
+            if os.path.realpath(data) == os.path.realpath(plot_script):
+                raise ConfigError(f"--plot-script would overwrite the data file {_printed_name(str(data))}")
 
-    if agents > MAX_STATE_AGENTS and (command == "probs" or (command == "drift" and values["empirical"])):
+    if agents > MAX_STATE_AGENTS and (command == "probs" or values["empirical"]):
         raise ConfigError(
             f"--agents must be <= {MAX_STATE_AGENTS} for probs and --empirical, got {agents}"
         )
@@ -348,7 +349,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         noise=NoiseSpec(values["epsilon"]),
         rule_rate=0.0 if pure_noise else values["rule_rate"],
         out=Path(values["out"]) if values["out"] is not None else None,
-        plot_script=Path(values["plot_script"]) if values["plot_script"] else None,
+        plot_script=Path(plot_script) if plot_script else None,
         initial=initial,
     )
     return ExperimentConfig(**{name: values[name] for name in ExperimentConfig._fields})
@@ -577,6 +578,11 @@ _GNUPLOT_PRELUDE = [
 ]
 
 
+def _quoted(path: Path) -> str:
+    """``path`` as a gnuplot double-quoted string."""
+    return '"%s"' % str(path).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
     header = f"# swarmdec {__version__} gnuplot companion"
     _write_text(cfg.plot_script, [header, *_GNUPLOT_PRELUDE, body])
@@ -598,10 +604,10 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
         title = cfg.rules_label or "drift"
         body = (
             'set xlabel "z"\nset ylabel "dz/dt"\n'
-            f'plot "{cfg.out}" using 1:2 with lines title "{title}"'
+            f'plot {_quoted(cfg.out)} using 1:2 with lines title "{title}"'
         )
         if cfg.empirical:
-            body += f', \\\n     "{_empirical_path(cfg.out)}" using 1:2 with points title "{title} (sampled)"'
+            body += f', \\\n     {_quoted(_empirical_path(cfg.out))} using 1:2 with points title "{title} (sampled)"'
         _write_plot_script(cfg, body)
     return EXIT_OK
 
@@ -632,7 +638,7 @@ def cmd_probs(cfg: ExperimentConfig) -> int:
     if cfg.plot_script:
         body = (
             'set xlabel "z"\nset ylabel "firing probability"\n'
-            f'plot for [i=2:{cfg.group + 2}] "{cfg.out}" using 1:i with lines'
+            f'plot for [i=2:{cfg.group + 2}] {_quoted(cfg.out)} using 1:i with lines'
         )
         _write_plot_script(cfg, body)
     return EXIT_OK
@@ -684,7 +690,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.plot_script:
         body = (
             'set xlabel "time"\nset ylabel "z"\n'
-            f'plot "{cfg.out}" using 1:5 with steps title "z(t)"'
+            f'plot {_quoted(cfg.out)} using 1:5 with steps title "z(t)"'
         )
         _write_plot_script(cfg, body)
     return EXIT_OK
@@ -780,7 +786,7 @@ def _check_complement_negation(drifts: dict) -> dict:
 
 def _check_noise_superposition(drifts: dict) -> dict:
     exact = True
-    zs = lattice_z_values(_CHECK_AGENTS)
+    zs = [lattice_z(count, _CHECK_AGENTS) for count in range(_CHECK_AGENTS + 1)]
     for by_epsilon in drifts.values():
         for epsilon in (0.05, 0.1):
             for z, with_noise, without in zip(zs, by_epsilon[epsilon], by_epsilon[0.0]):

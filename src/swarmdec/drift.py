@@ -61,7 +61,6 @@ __all__ = [
     "empirical_drift",
     "empirical_firing_probabilities",
     "find_fixed_points",
-    "lattice_z_values",
     "negate_check",
     "rule_firing_probabilities",
 ]
@@ -103,11 +102,6 @@ class _Grid:
         for i in range(self.n - 1):
             yield i * step + -1.0
         yield 1.0
-
-
-def lattice_z_values(n_agents: int) -> tuple[float, ...]:
-    """The reachable order-parameter values ``2K/N - 1`` for ``K = 0..N``."""
-    return tuple(lattice_z(k, n_agents) for k in range(n_agents + 1))
 
 
 def _rule_term(n_agents: int, rules: RuleSet, count: int) -> float:
@@ -189,7 +183,7 @@ def _lattice_drift(
 ) -> dict[float, list[float]]:
     """``dz/dt`` at every lattice state ``z_K``, ``K = 0..N``, for each noise
     level in ``epsilons``, all read from one walk of the rule terms."""
-    zs = lattice_z_values(n_agents)
+    zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
     terms = [_rule_term(n_agents, rules, count) for count in range(n_agents + 1)]
     return {eps: list(_drift_values(n_agents, rules, eps, zs, terms)) for eps in epsilons}
 

@@ -19,12 +19,11 @@ from swarmdec.drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    lattice_z_values,
     negate_check,
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf, pmf_bruteforce, pmf_table
-from swarmdec.model import NoiseSpec, SwarmState, iter_rulesets
+from swarmdec.model import NoiseSpec, SwarmState, iter_rulesets, lattice_z
 from swarmdec.schema import (
     format_schema,
     parse_polarity_string,
@@ -124,7 +123,7 @@ def test_03_noise_superposition():
     # Stated as drift(z; eps) + eps*z == drift(z; 0) to within 1 ulp;
     # checked in the floating-point-exact rearrangement
     # drift(z; eps) == drift(z; 0) - eps*z, which is 0 ulp.
-    zs = lattice_z_values(N_AGENTS)
+    zs = [lattice_z(count, N_AGENTS) for count in range(N_AGENTS + 1)]
     for rules in iter_rulesets(7):
         for epsilon in (0.05, 0.1):
             noisy = NoiseSpec(epsilon)

@@ -232,6 +232,39 @@ class TestDrift:
         assert "plot" in script.read_text()
 
 
+class TestPlotScript:
+    @pytest.mark.parametrize(
+        "argv, script, data",
+        [(["drift", "--rules", "M", "--out", "x.csv"], "x.csv", "x.csv"),
+         (["drift", "--rules", "M", "--empirical", "--samples", "10", "--out", "y.csv"], "y.empirical.csv",
+          "y.empirical.csv"),
+         (["simulate", "--rules", "M", "--events", "10", "--out", "s.csv"], "./s.csv", "s.csv")],
+        ids=["drift-out", "drift-empirical", "simulate-out"],
+    )
+    def test_script_over_a_data_file_is_refused(self, tmp_path, monkeypatch, capsys, argv, script, data):
+        # The script used to replace the data file it plots.
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--plot-script", script])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert err_lines == [f"swarmdec: --plot-script would overwrite the data file {data}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "name, quoted",
+        [("d.csv", '"d.csv"'), ('a"b.csv', '"a\\"b.csv"'), ("q\\x.csv", '"q\\\\x.csv"'),
+         ("n\nl.csv", '"n\\nl.csv"')],
+        ids=["plain", "quote", "backslash", "newline"],
+    )
+    def test_file_names_are_escaped(self, tmp_path, monkeypatch, name, quoted):
+        # gnuplot's double-quoted strings take \\, \" and \n; names were
+        # inserted as they are, so that a quote ended the string early.
+        monkeypatch.chdir(tmp_path)
+        assert main(["drift", "--rules", "M", "--grid", "5", "--out", name, "--plot-script", "p.gp"]) == EXIT_OK
+        lines = (tmp_path / "p.gp").read_text().splitlines()
+        assert lines[-1] == f'plot {quoted} using 1:2 with lines title "M"'
+
+
 class TestProbs:
     def test_rows_normalized(self, tmp_path):
         out = tmp_path / "p7.csv"
@@ -244,15 +277,13 @@ class TestProbs:
             total = math.fsum(float(cell) for cell in row[1:])
             assert abs(total - 1.0) <= 1e-12
 
-    def test_epsilon_does_not_change_output(self, tmp_path):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        assert main(["probs", "--agents", "101", "--group", "7", "--out", str(out_a)]) == EXIT_OK
-        assert main(
-            ["probs", "--agents", "101", "--group", "7", "--epsilon", "0.1",
-             "--out", str(out_b)]
-        ) == EXIT_OK
-        assert out_a.read_bytes() == out_b.read_bytes()
+    def test_epsilon_is_refused(self, tmp_path, capsys):
+        # The firing probabilities do not depend on the noise level.
+        out = tmp_path / "p.csv"
+        code = main(["probs", "--agents", "101", "--group", "7", "--epsilon", "0.1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empirical_sibling_close_to_analytic(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -865,6 +896,33 @@ class TestConfigFileAndEnvironment:
             ["drift", "--rules", "M", "--out", str(tmp_path / "c.csv")]
         ) == EXIT_CONFIG
 
+    def test_env_seed_read_only_by_commands_that_take_seed(self, monkeypatch):
+        # validate takes no --seed, so it does not read $SWARMDEC_SEED either.
+        monkeypatch.setenv("SWARMDEC_SEED", "abc")
+        assert main(["validate"]) == EXIT_OK
+
+    def test_keys_a_command_does_not_take_are_ignored(self, tmp_path, monkeypatch):
+        # One experiment's file serves several commands.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema": "nonexistent.txt", "rules": "MMX"}))
+        assert main(["validate", "--config", str(config)]) == EXIT_OK
+        config.write_text(json.dumps({
+            "rules": "MMM", "out": "a.json", "samples": 10, "empirical": True, "plot_script": "a.gp",
+            "t_max": 5, "init_k": 3, "rule_rate": 2,
+        }))
+        assert main(["fixed-points", "--config", str(config)]) == EXIT_OK
+        assert main(["fixed-points", "--rules", "MMM", "--out", "b.json"]) == EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "run.json"]
+
+    def test_keys_a_command_does_not_take_are_type_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rules": "M", "samples": "many"}))
+        out = tmp_path / "fp.json"
+        code = main(["fixed-points", "--config", str(config), "--out", str(out)])
+        assert_config_error(code, capsys, out)
+
     @pytest.mark.parametrize("key", ["epsilon", "rule_rate", "t_max", "init_z"])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_float_key_too_large_for_a_float(self, tmp_path, capsys, key, sign):
@@ -1066,9 +1124,8 @@ class TestAgentsBound:
 
     @pytest.mark.parametrize(
         "command",
-        [["drift", "--rules", "M"], ["fixed-points", "--rules", "M"],
-         ["simulate", "--rules", "M"], ["fixed-points", "--rules", "M", "--empirical"]],
-        ids=["drift", "fixed-points", "simulate", "fixed-points-empirical"],
+        [["drift", "--rules", "M"], ["fixed-points", "--rules", "M"], ["simulate", "--rules", "M"]],
+        ids=["drift", "fixed-points", "simulate"],
     )
     def test_analytic_routes_accept_any_odd_swarm(self, command):
         args = build_parser().parse_args([*command, "--agents", str(10**12 + 1), "--out", "a.csv"])
@@ -1112,14 +1169,14 @@ class TestAgentsBound:
     def test_swarm_above_the_cap_rejected(self, tmp_path, capsys, command, agents):
         # Such an N overflowed the lattice arithmetic's doubles: a traceback, exit 1.
         out = tmp_path / "a.csv"
-        code = main([command, "--rules", "M", "--agents", str(agents), "--events", "10",
-                     "--out", str(out)])
+        events = ["--events", "10"] if command == "simulate" else []
+        code = main([command, "--rules", "M", "--agents", str(agents), *events, "--out", str(out)])
         assert_config_error(code, capsys, out)
         assert list(tmp_path.iterdir()) == []
 
 
 #: (option, values at its bounds, values one step past them, a command that
-#: reads the option, one that does not) for every option with a range.
+#: takes the option, one that does not) for every option with a range.
 OPTION_RANGES = [
     ("agents", [1, MAX_SWARM_SIZE], [-1, MAX_SWARM_SIZE + 2], ["drift", "--rules", "none"], ["validate"]),
     ("epsilon", [0.0, sys.float_info.max], [-5e-324, math.inf], ["drift", "--rules", "M"],
@@ -1139,12 +1196,22 @@ class TestOptionRanges:
     @pytest.mark.parametrize(
         "option, accepted, refused, reader, other", OPTION_RANGES, ids=[row[0] for row in OPTION_RANGES]
     )
-    def test_bounds_accepted_and_one_step_past_refused(self, role, option, accepted, refused, reader, other):
-        command = reader if role == "reader" else other
+    def test_bounds_accepted_and_one_step_past_refused(
+        self, tmp_path, capsys, role, option, accepted, refused, reader, other
+    ):
+        if role == "other":
+            # A command that does not take the option refuses its flag,
+            # whatever the value, before any file is written.
+            out = tmp_path / "o"
+            for value in accepted + refused:
+                assert main([*other, f"--{option}={value!r}", "--out", str(out)]) == EXIT_CONFIG
+                assert f"unrecognized arguments: --{option}=" in capsys.readouterr().err
+                assert not out.exists()
+            return
         for value in accepted:
-            resolve_config(build_parser().parse_args([*command, f"--{option}={value!r}", "--out", "o"]))
+            resolve_config(build_parser().parse_args([*reader, f"--{option}={value!r}", "--out", "o"]))
         for value in refused:
-            args = build_parser().parse_args([*command, f"--{option}={value!r}", "--out", "o"])
+            args = build_parser().parse_args([*reader, f"--{option}={value!r}", "--out", "o"])
             with pytest.raises(ConfigError, match=rf"^(--)?{option}\b"):
                 resolve_config(args)
 
@@ -1174,15 +1241,21 @@ except ImportError:  # hypothesis comes with the test extra
 
 if st is not None:
 
+    def takes(command):
+        """The flags, without ``--``, that ``command`` takes: its ``cli._COMMANDS`` row."""
+        options = next(row for row in cli._COMMANDS if row[0] == command)[2]
+        return {name.replace("_", "-") for name in options.split()}
+
     #: Values of the --empirical commands' flags that a run accepts (None
-    #: leaves the flag out), and values that are refused or extreme.
-    FUZZ_USUAL = st.fixed_dictionaries({
+    #: leaves the flag out), and values that are refused or extreme; each
+    #: command gets those of the flags it takes.
+    FUZZ_USUAL = {
         "agents": st.none() | st.integers(1, 100).map(lambda i: 2 * i + 1),
         "rules": st.sampled_from(["none", "M", "m", "MM", "Mm", "mMm", "MMM"]),
         "epsilon": st.none() | st.floats(0.0, 1.0),
         "rule-rate": st.none() | st.floats(0.0, 2.0),
         "samples": st.integers(1, 10**4) | st.just(MAX_SAMPLES),
-    })
+    }
     FUZZ_HOSTILE = {
         "agents": st.integers(-1, 201),
         "group": st.integers(-1, 9),
@@ -1192,22 +1265,22 @@ if st is not None:
         "samples": st.sampled_from([0, MAX_SAMPLES + 1]),
     }
 
+    def empirical_flags(command):
+        hostile = sorted(takes(command) & set(FUZZ_HOSTILE))
+        return st.tuples(
+            st.just(command),
+            st.fixed_dictionaries({k: v for k, v in FUZZ_USUAL.items() if k in takes(command)}),
+            st.lists(st.sampled_from(hostile).flatmap(
+                lambda name: st.tuples(st.just(name), FUZZ_HOSTILE[name])), max_size=2),
+        )
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        command=st.sampled_from(["probs", "drift"]),
-        flags=FUZZ_USUAL,
-        hostile=st.lists(
-            st.sampled_from(sorted(FUZZ_HOSTILE)).flatmap(
-                lambda name: st.tuples(st.just(name), FUZZ_HOSTILE[name])
-            ),
-            max_size=2,
-        ),
-        seed=st.integers(0, 2**32),
-    )
-    def test_empirical_flags_exit_0_or_2(command, flags, hostile, seed):
+    @given(case=st.sampled_from(["probs", "drift"]).flatmap(empirical_flags), seed=st.integers(0, 2**32))
+    def test_empirical_flags_exit_0_or_2(case, seed):
         # Any combination of the --empirical commands' flags runs or is
         # refused by one "swarmdec:" line, without a traceback, a warning or
         # a file left behind; a refused run writes nothing.
+        command, flags, hostile = case
         flags = {**flags, **dict(hostile), "seed": seed}
         argv = [command, "--empirical"]
         argv += [f"--{name}={value}" for name, value in flags.items() if value is not None]
@@ -1322,13 +1395,14 @@ if st is not None:
     #: ``simulate`` always gets at most 10**4 events, so that every run ends.
     NEEDED_FLAGS = {
         "drift": {"rules": st.sampled_from(["none", "M", "m", "Mm", "mMm", "MMMM"])},
+        "probs": {"group": st.sampled_from([3, 5, 7, 9])},
         "simulate": {"rules": st.sampled_from(["none", "M", "Mm", "mMm"]), "events": st.integers(1, 10**4)},
         "fixed-points": {"rules": st.sampled_from(["none", "M", "mM", "MmM", "MMMM"])},
         "rulesets": {"group": st.sampled_from([3, 5, 7, 9])},
         "validate": {},
     }
-    #: Further flags and values that a run accepts; the last four are
-    #: ``simulate``'s own.
+    #: Further flags and values that a run accepts; each command gets those
+    #: of the flags it takes.
     USUAL_FLAGS = {
         "agents": st.integers(4, 100).map(lambda i: 2 * i + 1),
         "epsilon": st.floats(0.0, 1.0),
@@ -1360,36 +1434,43 @@ if st is not None:
         "init-z": st.floats(),
         "init-k": st.integers(-1, 300),
     }
-    SIMULATE_ONLY = ("init-z", "init-k", "stop-at-consensus", "elide-nulls")
+    ALL_FLAGS = sorted(name.replace("_", "-") for name, *_ in cli._OPTIONS)
+    BOOL_FLAGS = {name.replace("_", "-") for name, kind, *_ in cli._OPTIONS if kind is bool}
 
     def command_flags(command):
-        own = command == "simulate"
-        usual = {k: v for k, v in USUAL_FLAGS.items() if own or k not in SIMULATE_ONLY}
-        hostile = sorted(k for k in HOSTILE_FLAGS if own or k not in SIMULATE_ONLY)
+        usual = {k: v for k, v in USUAL_FLAGS.items() if k in takes(command)}
+        hostile = sorted(takes(command) & set(HOSTILE_FLAGS))
         return st.tuples(
             st.just(command),
             st.fixed_dictionaries(NEEDED_FLAGS[command], optional=usual),
             st.lists(st.sampled_from(hostile).flatmap(
-                lambda name: st.tuples(st.just(name), HOSTILE_FLAGS[name])), max_size=2),
+                lambda name: st.tuples(st.just(name), HOSTILE_FLAGS[name])), max_size=2)
+            if hostile else st.just([]),
+            # At most one flag that the command does not take.
+            st.lists(st.sampled_from([flag for flag in ALL_FLAGS if flag not in takes(command)]), max_size=1),
         )
 
     @settings(max_examples=150, deadline=None)
     @given(case=st.sampled_from(sorted(NEEDED_FLAGS)).flatmap(command_flags))
-    @example(case=("drift", {"rules": "M"}, [("agents", 2**1023 + 1)]))
-    @example(case=("fixed-points", {"rules": "M"}, [("agents", 2**1023 + 1)]))
-    @example(case=("drift", {"rules": "M"}, [("agents", 10**400 + 1)]))
-    @example(case=("simulate", {"rules": "M", "events": 10}, [("agents", 10**400 + 1)]))
+    @example(case=("drift", {"rules": "M"}, [("agents", 2**1023 + 1)], []))
+    @example(case=("fixed-points", {"rules": "M"}, [("agents", 2**1023 + 1)], []))
+    @example(case=("drift", {"rules": "M"}, [("agents", 10**400 + 1)], []))
+    @example(case=("simulate", {"rules": "M", "events": 10}, [("agents", 10**400 + 1)], []))
+    @example(case=("fixed-points", {"rules": "MMM"}, [], ["plot-script"]))
+    @example(case=("simulate", {"rules": "M", "events": 10}, [], ["empirical"]))
     def test_command_flags_exit_0_2_3_or_4(case):
         # Any combination of a command's flags runs, or is refused by one
         # "swarmdec:" line, without a traceback, a warning, or a temp or
-        # partial file left behind.
-        command, flags, hostile = case
+        # partial file left behind.  A flag that the command does not take
+        # is refused with usage, and nothing is written.
+        command, flags, hostile, foreign = case
         argv = [command]
         for name, value in {**flags, **dict(hostile)}.items():
             if isinstance(value, bool):
                 argv.append(f"--{'' if value else 'no-'}{name}")
             else:
                 argv.append(f"--{name}={value}")
+        argv += [f"--{name}" if name in BOOL_FLAGS else f"--{name}=1" for name in foreign]
         with tempfile.TemporaryDirectory() as tmp:
             stderr = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
@@ -1398,10 +1479,15 @@ if st is not None:
                 code = main([*argv, "--out", os.path.join(tmp, "out")])
             written = sorted(os.listdir(tmp))
         err_lines = stderr.getvalue().splitlines()
+        if foreign:
+            assert code == EXIT_CONFIG and written == []
+            assert err_lines[-1].startswith(f"swarmdec: error: unrecognized arguments: --{foreign[0]}")
+            return
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
         assert len(err_lines) == (code in (EXIT_CONFIG, EXIT_IO))
         assert all(line.startswith("swarmdec: ") for line in err_lines)
-        outputs = ["out", "out.empirical.csv"] if command == "drift" and flags.get("empirical") else ["out"]
+        empirical = command in ("drift", "probs") and flags.get("empirical")
+        outputs = ["out", "out.empirical.csv"] if empirical else ["out"]
         assert written == (outputs if code in (EXIT_OK, EXIT_VALIDATION) else [])
 
 
@@ -1595,12 +1681,21 @@ class TestArgparseBehaviour:
             "init_k": int, "stop_at_consensus": bool, "elide_nulls": bool,
             "plot_script": str,
         }
-        simulate_only = {"init_z", "init_k", "stop_at_consensus", "elide_nulls"}
-        for command in ("drift", "probs", "simulate", "fixed-points", "rulesets", "validate"):
-            expected = set(_CONFIG_KEYS) | {"command", "config"}
-            if command != "simulate":
-                expected -= simulate_only
-            assert set(vars(build_parser().parse_args([command]))) == expected
+        # Each command takes an option when its value can change what the
+        # command writes, prints or refuses.
+        takes = {
+            "drift": "agents group rules schema epsilon rule_rate seed out grid samples empirical config "
+                     "plot_script",
+            "probs": "agents group rules schema seed out samples empirical config plot_script",
+            "simulate": "agents group rules schema epsilon rule_rate seed out events t_max config "
+                        "plot_script init_z init_k stop_at_consensus elide_nulls",
+            "fixed-points": "agents group rules schema epsilon seed out grid config",
+            "rulesets": "agents group rules schema out config",
+            "validate": "out config",
+        }
+        assert [row[0] for row in cli._COMMANDS] == list(takes)
+        for command, options in takes.items():
+            assert set(vars(build_parser().parse_args([command]))) == {"command", *options.split()}
 
 
 #: sha256 of each ``--help`` screen at 80 columns, which pins every flag,
@@ -1608,12 +1703,12 @@ class TestArgparseBehaviour:
 #: from one Python version to the next; these are Python 3.11's.
 HELP_SCREENS = {
     "": "5e4278d73e7eb6612db91dfb9dfdf012ed0de5a172792b2a8c889e72aab356f0",
-    "drift": "893f92d029073553170c77cbe848b1f37169cce85bcb64acec2f1d97bc3997b0",
-    "probs": "736377ce4a220219e0da01f77dbca87a28ee88675a4793886b9c3785cf58d484",
-    "simulate": "7df6f72344c003269c52cd51b6287f7b3e1d413a229f9ad9cdf77c2add45041b",
-    "fixed-points": "e486576d924bdb9d4fe293e2f024c2c803366f3930f6bee4f7d58bf558ec5cf1",
-    "rulesets": "fa906b280ae6959073a1a74f063166988841f22968a0079e8ed48b9eb80800b8",
-    "validate": "3766f58a69fdb4f33b2dade3b02c6edc72b1f2672d65262e8cc7120db9a555d9",
+    "drift": "2aa3c3be8105277623efdcb0362527b86b6663e16b0ce58ee6e23f87090ec3ed",
+    "probs": "1d349a0e291aebc4a44b2ccd2bbe128cf987943132aa7e900a7bd4843372464a",
+    "simulate": "618c4e5b36c36a038ace014a77b3e10ae7eb1d156643404ac9470e21a77aa32f",
+    "fixed-points": "c41482d46c132bfb55784be4bb2a59112baa8ad602e1dff4770c8520dfb63103",
+    "rulesets": "5f4c50ad9eed931b0deaf4a9da2fbfbcb3ea4509d2b1ae772a6557323379aea2",
+    "validate": "f00197bd336a68103943f736c79eea68c9829d40c2865f2b068c0b97a60b6f28",
 }
 
 

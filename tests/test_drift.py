@@ -21,15 +21,19 @@ from swarmdec.drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    lattice_z_values,
     negate_check,
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf_table
-from swarmdec.model import NoiseSpec, RuleSet, iter_rulesets
+from swarmdec.model import NoiseSpec, RuleSet, iter_rulesets, lattice_z
 from swarmdec.schema import parse_polarity_string
 
 NO_NOISE = NoiseSpec(0.0)
+
+
+def lattice_zs(n: int) -> tuple[float, ...]:
+    """The lattice ``z_K = 2K/N - 1`` for ``K = 0..N``."""
+    return tuple(lattice_z(count, n) for count in range(n + 1))
 
 
 def rational_rule_drift(n: int, count: int, rules: RuleSet) -> Fraction:
@@ -114,7 +118,7 @@ class TestAnalyticDrift:
         rules = parse_polarity_string("MmM", 7)
         for epsilon in (0.05, 0.1):
             noisy = NoiseSpec(epsilon)
-            for z in lattice_z_values(101):
+            for z in lattice_zs(101):
                 assert analytic_drift(101, rules, noisy, z) == analytic_drift(
                     101, rules, NO_NOISE, z
                 ) - epsilon * z
@@ -123,7 +127,7 @@ class TestAnalyticDrift:
     def test_lattice_antisymmetry(self, epsilon):
         n = 101
         noise = NoiseSpec(epsilon)
-        zs = lattice_z_values(n)
+        zs = lattice_zs(n)
         for rules in iter_rulesets(7):
             for count in range(n + 1):
                 a = analytic_drift(n, rules, noise, zs[count])
@@ -217,7 +221,7 @@ class TestLatticeEngine:
         assert bits(values) == bits(per_point_drift(101, rules, epsilon, z) for z in zs)
 
     def test_lattice_drift_is_the_per_point_curve(self):
-        zs = lattice_z_values(101)
+        zs = lattice_zs(101)
         for rules in iter_rulesets(7):
             by_epsilon = drift._lattice_drift(101, rules, (0.0, 0.05, 0.1))
             for epsilon, values in by_epsilon.items():
@@ -362,7 +366,7 @@ class TestEmpiricalDrift:
     def test_metadata_and_lattice(self):
         rules = parse_polarity_string("MM", 5)
         curve = empirical_drift(11, rules, NO_NOISE, 50, seed=0)
-        assert tuple(z for z, _ in curve) == lattice_z_values(11)
+        assert tuple(z for z, _ in curve) == lattice_zs(11)
 
     def test_deterministic_and_order_independent_seeding(self):
         rules = parse_polarity_string("MM", 5)

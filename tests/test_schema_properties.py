@@ -1,4 +1,11 @@
-"""Property tests of the reaction-schema parser and its validator."""
+"""Property tests of the reaction-schema parser and its validator, and of
+schema files given to the command line."""
+
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+from swarmdec.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main  # noqa: E402
 from swarmdec.model import RulePolarity, RuleSet  # noqa: E402
 from swarmdec.schema import (  # noqa: E402
     Reaction,
@@ -107,3 +115,38 @@ def test_direct_construction_and_parser_agree(rows):
         assert (parsed.value.line is None) == whole_schema
     else:
         assert parse_schema(text) == direct
+
+
+#: Schema file contents: valid and edited schemas, runs of schema tokens,
+#: any text, and bytes that need not be UTF-8.
+SCHEMA_FILES = st.one_of(
+    rulesets().map(lambda rules: format_schema(schema_of_ruleset(rules)).encode()),
+    REACTION_LISTS.map(lambda rows: "\n".join(reaction_text(r) for r in rows).encode()),
+    st.lists(
+        st.sampled_from(["X1", "X2", "+", "->", "→", " ", "\n", "# c", "0", "2", "7", "9" * 5000]),
+        max_size=30,
+    ).map(lambda tokens: "".join(tokens).encode()),
+    st.text(SCHEMA_ALPHABET, max_size=80).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=80),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["drift", "probs", "simulate", "fixed-points", "rulesets"]), data=SCHEMA_FILES)
+def test_schema_files_through_the_cli(command, data):
+    # Any --schema file runs, or is refused by one "swarmdec:" line, with no
+    # traceback and no temp or partial file left behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "rules.schema").write_bytes(data)
+        argv = [command, "--schema", os.path.join(tmp, "rules.schema"), "--out", os.path.join(tmp, "out")]
+        if command == "simulate":
+            argv += ["--events", "10"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        written = sorted(os.listdir(tmp))
+    err_lines = stderr.getvalue().splitlines()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+    assert len(err_lines) == (code != EXIT_OK)
+    assert all(line.startswith("swarmdec: ") for line in err_lines)
+    assert written == (["out", "rules.schema"] if code == EXIT_OK else ["rules.schema"])
