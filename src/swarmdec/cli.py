@@ -16,9 +16,11 @@ deterministic given identical flags (including the seed).  Exit codes:
 process of ``simulate`` fails or dies), 4 validation failure, 130
 interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
 
-``simulate`` formats and writes its CSV in a forked process while it
-simulates (:func:`_writer_process`), so its memory does not grow with
-``--events``; this needs ``os.fork`` (POSIX).
+``simulate`` formats its CSV in a forked process while it simulates
+(:func:`_writer_process`), so its memory does not grow with ``--events``;
+this needs ``os.fork`` (POSIX).  The simulating process owns the output
+file: it creates the temp file before the fork, and renames or removes it
+after the writer ends.  The column blocks reach the writer pickled.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ import os
 import stat
 import sys
 import tempfile
-from array import array
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .drift import (
@@ -67,7 +68,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _columns, _csv_rows
+from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _csv_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,13 +108,22 @@ def _check_file_name(path: str) -> None:
     raise ValueError(f"not a usable file name: {path!r}")
 
 
+#: The largest ``--agents`` of each command whose cap is not the swarm's own.
+_AGENTS_CAPS = {
+    "drift": f"2**1022 - 1, or {MAX_STATE_AGENTS} with --empirical",
+    "probs": str(MAX_STATE_AGENTS),
+    "simulate": str(MAX_AGENTS),
+}
+
+
 #: Every experiment option as ``(name, type, help, default, check)``: the
 #: flag ``--name`` and, unless the type is None (``--config`` itself), the
 #: config file key ``name``.  ``check`` is None, a function that raises
 #: ValueError, or bounds ``((op, bound), ...)``; a float must also be
-#: finite.  Listed in ``--help`` order.
+#: finite.  Listed in ``--help`` order; ``{agents_cap}`` in a help text is
+#: the command's ``--agents`` cap.
 _OPTIONS = (
-    ("agents", int, f"swarm size N, odd and at most 2**1022 - 1 (default 101; at most {MAX_STATE_AGENTS} for probs and --empirical, {MAX_AGENTS} for simulate)", 101, check_swarm_size),
+    ("agents", int, "swarm size N, odd and at most {agents_cap} (default 101)", 101, check_swarm_size),
     ("group", int, "group size G, odd (inferred from --rules when omitted); rulesets lists 2**((G-1)/2) rule sets", None, None),
     ("rules", str, "polarity string such as MMm, or 'none' for the noise-only system", None, None),
     ("schema", str, "path to a reaction schema file (alternative to --rules)", None, _check_file_name),
@@ -126,7 +136,7 @@ _OPTIONS = (
     ("events", int, f"maximum number of simulated events (default {DEFAULT_EVENTS} without --t-max)", None, ((">=", 1),)),
     ("t_max", float, "maximum simulated time", None, ((">", 0),)),
     ("empirical", bool, "also write a Monte Carlo estimate to a sibling .empirical.csv file", False, None),
-    ("config", None, "JSON file with the same keys; flags take precedence", None, _check_file_name),
+    ("config", None, "JSON file keyed by option names; flags take precedence, and keys this command does not take are ignored", None, _check_file_name),
     ("plot_script", str, "also write a gnuplot script for the output file", None, _check_file_name),
     ("init_z", float, "initial order parameter (default 0)", 0.0, None),
     ("init_k", int, "initial X1 count (alternative to --init-z)", None, None),
@@ -164,19 +174,33 @@ class ExperimentConfig(_Record):
     plot_script: Path | None
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command, which refuses a flag it does not take
+    under its own usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmdec",
         description="Collective decision-making swarm experiments.",
     )
     parser.add_argument("--version", action="version", version=f"swarmdec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, command_help, takes, _, _ in _COMMANDS:
         target, takes = sub.add_parser(command, help=command_help), takes.split()
+        agents_cap = _AGENTS_CAPS.get(command, "2**1022 - 1")
         for name, kind, help_text, _, _ in _OPTIONS:
             if name in takes:
                 how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
-                target.add_argument(f"--{name.replace('_', '-')}", help=help_text, **how)
+                target.add_argument(
+                    f"--{name.replace('_', '-')}", help=help_text.format(agents_cap=agents_cap), **how
+                )
     return parser
 
 
@@ -316,12 +340,23 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if values["rules_label" if need == "rules" else need] is None:
             either = " or --schema" if need == "rules" else ""
             raise ConfigError(f"{command} requires --{need}{either}")
-    plot_script = values["plot_script"]
-    if plot_script is not None:  # only commands that require --out take it
-        out = Path(values["out"])
-        for data in (out, _empirical_path(out)) if values["empirical"] else (out,):
-            if os.path.realpath(data) == os.path.realpath(plot_script):
-                raise ConfigError(f"--plot-script would overwrite the data file {_printed_name(str(data))}")
+    # The outputs are renamed over what their names resolve to, so none may
+    # name an input, an earlier output or anything but a regular file.
+    out, plot_script = values["out"], values["plot_script"]
+    named = {
+        os.path.realpath(name): f"{what} file {_printed_name(name)}"
+        for what, name in (("schema", values["schema"]), ("config", args.config)) if name is not None
+    }
+    sibling = str(_empirical_path(Path(out))) if values["empirical"] else None
+    for flag, name in (("--out", out), ("--empirical", sibling), ("--plot-script", plot_script)):
+        if name is None:
+            continue
+        real = os.path.realpath(name)
+        if real in named:
+            raise ConfigError(f"{flag} would overwrite the {named[real]}")
+        if os.path.exists(real) and not os.path.isfile(real):
+            raise ConfigError(f"{flag} {_printed_name(name)}: not a regular file")
+        named[real] = f"data file {_printed_name(name)}"
 
     if agents > MAX_STATE_AGENTS and (command == "probs" or values["empirical"]):
         raise ConfigError(
@@ -416,146 +451,104 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
         fh.write("\n".join(chunk))
 
 
-def _write_text(
-    path: Path, lines: Iterable[str], on_temp: Callable[[str], object] | None = None
-) -> None:
-    """Write ``lines``, each ended by a newline, atomically: in bounded
-    chunks to a temp file in the target directory, then renamed.
-    ``on_temp`` is told the temp file's name as soon as it exists."""
-    directory = path.parent if str(path.parent) else Path(".")
-    mode = _new_file_mode(path)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.", suffix=".tmp")
+@contextlib.contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A text handle on a temp file in the directory of the file ``path``
+    names (through any symlinks), which replaces that file when the
+    ``with`` body ends normally and is removed when it raises."""
+    target = Path(os.path.realpath(path))
+    mode = _new_file_mode(target)
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
-        if on_temp is not None:
-            on_temp(tmp_name)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            _write_lines(fh, lines)
+            yield fh
             os.fchmod(fd, mode)
-        os.replace(tmp_name, path)
+        os.replace(tmp_name, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
 
 
-#: The row count that ends the stream of column blocks to a writer process.
-_END_OF_BLOCKS = array("Q", [0])
-
-
-def _send_block(sink, block: tuple[array, ...]) -> None:
-    """Send one block of columns down the writer pipe: its row count, then
-    each column's bytes."""
-    array("Q", [len(block[0])]).tofile(sink)
-    for column in block:
-        column.tofile(sink)
-
-
-def _received_blocks(source, n_agents: int) -> Iterator[tuple[array, ...]]:
-    """The blocks :func:`_send_block` sent, until the end marker; EOFError
-    if the pipe closes before it."""
-    while True:
-        rows = array("Q")
-        rows.fromfile(source, 1)
-        if not rows[0]:
-            return
-        block = _columns(n_agents)
-        for column in block:
-            column.fromfile(source, rows[0])
-        yield block
-
-
-def _writer_child(
-    path: Path, lines: Callable[[Iterator], Iterable[str]], n_agents: int,
-    source_fd: int, report_fd: int,
-) -> int:
-    """Body of the writer process: write ``lines(blocks)`` with
-    :func:`_write_text`, the blocks read from ``source_fd``; the temp file's
-    name, then any error, goes to ``report_fd``.  Returns the exit status
-    and raises nothing."""
-    try:
-        with os.fdopen(source_fd, "rb") as source:
-            blocks = _received_blocks(source, n_agents)
-            _write_text(path, lines(blocks), lambda name: os.write(report_fd, os.fsencode(name) + b"\0"))
-        return 0
-    except BaseException as exc:  # reported to the parent, which decides
-        text = str(exc) if isinstance(exc, OSError) else f"CSV writer process failed: {exc!r}"
-        with contextlib.suppress(OSError):
-            os.write(report_fd, text.encode("utf-8", "replace")[:4096])
-        return 1
-
-
-def _reap_writer(pid: int, report_fd: int) -> str | None:
-    """Wait for the writer process; None if it wrote its file, else why not.
-    A temp file that it could not remove (it was killed) is removed here."""
-    with os.fdopen(report_fd, "rb") as report:
-        tmp_name, _, error = report.read().partition(b"\0")
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        return None
-    if tmp_name:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-    if status < 0:
-        return f"CSV writer process killed by signal {-status}"
-    return error.decode("utf-8", "replace") or f"CSV writer process exited with status {status}"
+def _write_text(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, atomically: in bounded
+    chunks to a temp file in the target directory, then renamed."""
+    with _atomic_file(path) as fh:
+        _write_lines(fh, lines)
 
 
 @contextlib.contextmanager
 def _writer_process(
-    path: Path, lines: Callable[[Iterator], Iterable[str]], n_agents: int
-) -> Iterator[Callable[[tuple[array, ...]], None]]:
-    """Write ``lines(blocks)`` to ``path`` by :func:`_write_text` in a forked
-    process, while the caller goes on; ``blocks`` are the column blocks
-    passed to the yielded ``send``.
+    path: Path, lines: Callable[[Iterator], Iterable[str]]
+) -> Iterator[Callable[[tuple], None]]:
+    """Write ``lines(blocks)`` to ``path`` in a forked process, while the
+    caller goes on; ``blocks`` are the column blocks passed to the yielded
+    ``send``, pickled down a pipe.  This process owns the file, through
+    :func:`_atomic_file`; the writer only formats into the handle it
+    inherits, and reports any error on a second pipe.
 
-    When the ``with`` body ends normally, the end marker is sent, and the
+    When the ``with`` body ends normally, None ends the stream, and the
     file is in place once the context exits; OSError if the writer failed
     or died.  When the body raises, the writer's pipe ends without the
-    marker, so it removes its temp file, and it is waited for before the
+    None, and it is waited for and the temp file removed before the
     exception goes on.  Fork before importing numpy, so that the child
     stays small and runs no threads.
     """
+    import pickle
     import signal
 
     sys.stdout.flush()
     sys.stderr.flush()
-    source_fd, sink_fd = os.pipe()
-    report_r, report_w = os.pipe()
-    sigint = {signal.SIGINT}
-    # Blocked across the fork and for the child's whole life: Ctrl-C is the
-    # parent's to handle, and no KeyboardInterrupt can surface in the child.
-    signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
-    try:
-        pid = os.fork()
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-        for fd in (source_fd, sink_fd, report_r, report_w):
-            os.close(fd)
-        raise
-    if pid == 0:  # the writer; it leaves this branch only by os._exit
-        status = 1
+    with _atomic_file(path) as fh:
+        source_fd, sink_fd = os.pipe()
+        report_r, report_w = os.pipe()
+        sigint = {signal.SIGINT}
+        # Blocked across the fork and for the child's whole life: Ctrl-C is the
+        # parent's to handle, and no KeyboardInterrupt can surface in the child.
+        signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
         try:
-            os.close(sink_fd)
-            os.close(report_r)
-            status = _writer_child(path, lines, n_agents, source_fd, report_w)
+            pid = os.fork()
+        except BaseException:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+            for fd in (source_fd, sink_fd, report_r, report_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the writer; it leaves this branch only by os._exit
+            status = 1
+            try:
+                os.close(sink_fd)
+                os.close(report_r)
+                with os.fdopen(source_fd, "rb") as source:
+                    # A pipe closed before the None raises EOFError.
+                    _write_lines(fh, lines(iter(lambda: pickle.load(source), None)))
+                    fh.flush()
+                status = 0
+            except BaseException as exc:  # reported to the parent, which decides
+                text = str(exc) if isinstance(exc, OSError) else f"CSV writer process failed: {exc!r}"
+                with contextlib.suppress(OSError):
+                    os.write(report_w, text.encode("utf-8", "replace")[:4096])
+            finally:
+                os._exit(status)
+        os.close(source_fd)
+        os.close(report_w)
+        sink = os.fdopen(sink_fd, "wb")
+        try:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+            yield lambda block: pickle.dump(block, sink)
+            pickle.dump(None, sink)
+            sink.flush()
+        except BrokenPipeError:
+            pass  # the writer stopped reading; its report says why
         finally:
-            os._exit(status)
-    os.close(source_fd)
-    os.close(report_w)
-    sink = os.fdopen(sink_fd, "wb")
-    try:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-        yield lambda block: _send_block(sink, block)
-        _END_OF_BLOCKS.tofile(sink)
-        sink.flush()
-    except BrokenPipeError:
-        pass  # the writer stopped reading; its report says why
-    finally:
-        with contextlib.suppress(OSError):
-            sink.close()
-        error = _reap_writer(pid, report_r)
-    if error is not None:
-        raise OSError(error)
+            with contextlib.suppress(OSError):
+                sink.close()
+            with os.fdopen(report_r, "rb") as report:
+                error = report.read().decode("utf-8", "replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status < 0:
+            raise OSError(f"CSV writer process killed by signal {-status}")
+        if status > 0:
+            raise OSError(error or f"CSV writer process exited with status {status}")
 
 
 def _empirical_path(out: Path) -> Path:
@@ -675,7 +668,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
     # The record is formatted and written by a second process while this
     # one simulates, so neither waits for the whole run.
-    with _writer_process(cfg.out, lines, cfg.agents) as send:
+    with _writer_process(cfg.out, lines) as send:
         for block in events:
             send(block)
     summary = {

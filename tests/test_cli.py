@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -553,6 +554,33 @@ class TestWriterProcess:
         assert len(lines) == 1 and lines[0].startswith("swarmdec: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_writer_fails_mid_stream(self, tmp_path, monkeypatch, capsys):
+        # The parent creates the file, so an unwritable directory fails
+        # before the fork; a full disk still fails in the writer, whose
+        # _write_lines (patched before the fork) raises after one chunk.
+        write_lines, fork, children = cli._write_lines, os.fork, []
+
+        def disk_full_after_one_chunk(fh, lines):
+            write_lines(fh, itertools.islice(lines, cli._WRITE_CHUNK_LINES))
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def recorded_fork():
+            pid = fork()
+            children.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli, "_write_lines", disk_full_after_one_chunk)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--rules", "MMm", "--events", "100000", "--out", "run.csv"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "swarmdec: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+        (child,) = children
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(child, os.WNOHANG)
+
     def test_sigint_exits_130_promptly(self, tmp_path):
         proc = _start_probe(self.LONG_RUN, tmp_path)
         _wait_for_temp_file(tmp_path, proc)
@@ -592,6 +620,67 @@ class TestOutputFiles:
         assert main(["drift", "--rules", "M", "--grid", "11", "--out", str(out)]) == EXIT_OK
         assert stat.S_IMODE(out.stat().st_mode) == 0o604
         assert out.read_text().startswith("# swarmdec ")
+
+    @pytest.mark.parametrize(
+        "argv, flag, name, kind",
+        [(["drift", "--rules", "M", "--out", "p"], "--out", "p", "fifo"),
+         (["validate", "--out", "p"], "--out", "p", "dir"),
+         (["drift", "--rules", "M", "--empirical", "--out", "d.csv"], "--empirical", "d.empirical.csv", "dir"),
+         (["simulate", "--rules", "M", "--out", "d.csv", "--plot-script", "p"], "--plot-script", "p", "fifo")],
+        ids=["out-fifo", "out-dir", "sibling-dir", "plot-script-fifo"],
+    )
+    def test_output_that_is_no_regular_file_is_refused(self, tmp_path, monkeypatch, capsys, argv, flag, name, kind):
+        # The rename replaced a FIFO (or, as root, a device node); a
+        # directory failed with EISDIR only once all the work was done.
+        # Never test this with a real device: a run that slipped past the
+        # check as root would destroy it.
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo(name) if kind == "fifo" else os.mkdir(name)
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"swarmdec: {flag} {name}: not a regular file\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        mode = os.lstat(name).st_mode
+        assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
+
+    @pytest.mark.parametrize("stale", [True, False], ids=["stale-target", "dangling"])
+    def test_symlinked_output_is_written_through(self, tmp_path, monkeypatch, stale):
+        # The rename used to replace the link itself and leave its target stale.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        os.symlink("data/real.csv", "link.csv")
+        if stale:
+            Path("data/real.csv").write_text("stale\n")
+        assert main(["drift", "--rules", "M", "--grid", "5", "--out", "link.csv"]) == EXIT_OK
+        assert os.readlink("link.csv") == "data/real.csv"
+        assert Path("data/real.csv").read_text().startswith("# swarmdec ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.csv"]
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["real.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["drift", "--rules", "M", "--config", "c.json", "--out", "c.json"],
+          "--out would overwrite the config file c.json"),
+         (["drift", "--schema", "s.txt", "--plot-script", "s.txt", "--out", "d.csv"],
+          "--plot-script would overwrite the schema file s.txt"),
+         (["rulesets", "--schema", "s.txt", "--out", "./s.txt"],
+          "--out would overwrite the schema file s.txt"),
+         (["probs", "--group", "3", "--empirical", "--samples", "5", "--config", "c.empirical.csv",
+           "--out", "c.csv"], "--empirical would overwrite the config file c.empirical.csv"),
+         (["validate", "--config", "c.json", "--out", "alias.json"],
+          "--out would overwrite the config file c.json")],
+        ids=["out-config", "plot-script-schema", "out-schema", "sibling-config", "out-config-symlink"],
+    )
+    def test_output_naming_an_input_is_refused(self, tmp_path, monkeypatch, capsys, argv, message):
+        # The first two runs used to exit 0 and replace their input.
+        monkeypatch.chdir(tmp_path)
+        inputs = {"c.json": "{}\n", "c.empirical.csv": "{}\n", "s.txt": "X1+2X2 -> 3X2\n2X1+X2 -> 3X1\n"}
+        for name, text in inputs.items():
+            Path(name).write_text(text)
+        os.symlink("c.json", "alias.json")
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"swarmdec: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*inputs, "alias.json"])
+        assert all(Path(name).read_text() == text for name, text in inputs.items())
 
 
     def test_long_rows_are_not_held_twice(self, tmp_path):
@@ -1481,7 +1570,8 @@ if st is not None:
         err_lines = stderr.getvalue().splitlines()
         if foreign:
             assert code == EXIT_CONFIG and written == []
-            assert err_lines[-1].startswith(f"swarmdec: error: unrecognized arguments: --{foreign[0]}")
+            assert err_lines[0].startswith(f"usage: swarmdec {command} ")
+            assert err_lines[-1].startswith(f"swarmdec {command}: error: unrecognized arguments: --{foreign[0]}")
             return
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
         assert len(err_lines) == (code in (EXIT_CONFIG, EXIT_IO))
@@ -1670,8 +1760,12 @@ class TestArgparseBehaviour:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
 
-    def test_unknown_flag(self):
+    def test_unknown_flag(self, capsys):
         assert main(["drift", "--definitely-not-a-flag"]) == EXIT_CONFIG
+        # Refused under the command's usage, which lists what it does take.
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[0].startswith("usage: swarmdec drift [-h] [--agents AGENTS]")
+        assert err_lines[-1] == "swarmdec drift: error: unrecognized arguments: --definitely-not-a-flag"
 
     def test_flags_and_config_keys(self):
         assert _CONFIG_KEYS == {
@@ -1703,13 +1797,25 @@ class TestArgparseBehaviour:
 #: from one Python version to the next; these are Python 3.11's.
 HELP_SCREENS = {
     "": "5e4278d73e7eb6612db91dfb9dfdf012ed0de5a172792b2a8c889e72aab356f0",
-    "drift": "2aa3c3be8105277623efdcb0362527b86b6663e16b0ce58ee6e23f87090ec3ed",
-    "probs": "1d349a0e291aebc4a44b2ccd2bbe128cf987943132aa7e900a7bd4843372464a",
-    "simulate": "618c4e5b36c36a038ace014a77b3e10ae7eb1d156643404ac9470e21a77aa32f",
-    "fixed-points": "c41482d46c132bfb55784be4bb2a59112baa8ad602e1dff4770c8520dfb63103",
-    "rulesets": "5f4c50ad9eed931b0deaf4a9da2fbfbcb3ea4509d2b1ae772a6557323379aea2",
-    "validate": "f00197bd336a68103943f736c79eea68c9829d40c2865f2b068c0b97a60b6f28",
+    "drift": "604067fd3246d993dbba4f828c9a0a0a699141c216531963f81ee1258f8fd3f4",
+    "probs": "e98d3196dc45434ce78e4bcaf1a81d39ff7a743e7a04066a87eea7050db12cde",
+    "simulate": "be23507fd1c38d3ab26f5323f8337ef4affcec3c30281001f0a189f9e2399b37",
+    "fixed-points": "6e31e4e63fe690822ad908ba2a9372de3524df101308e4bd1f779cccf8e65aca",
+    "rulesets": "b174ad4c307321403e14373f9e4ad9313c3dbd678396413ad7427bc578cd9c54",
+    "validate": "f0949119c612037d184c87296700cb9027b4e6c2281c36ee28de59c6b741cb16",
 }
+
+
+@pytest.mark.parametrize(
+    "command, cap",
+    [("drift", "2**1022 - 1, or 10000000 with --empirical"), ("probs", "10000000"),
+     ("simulate", "9223372036854775807"), ("fixed-points", "2**1022 - 1"), ("rulesets", "2**1022 - 1")],
+)
+def test_agents_help_states_the_command_cap(command, cap, capsys):
+    # Every command's help used to list the caps of probs and simulate.
+    assert main([command, "--help"]) == EXIT_OK
+    assert f"--agents AGENTS swarm size N, odd and at most {cap} (default 101)" in " ".join(
+        capsys.readouterr().out.split())
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="screens recorded with Python 3.11")
