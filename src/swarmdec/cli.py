@@ -68,7 +68,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _csv_rows
+from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _csv_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -664,7 +664,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     )
 
     def lines(blocks: Iterator) -> Iterator[str]:
-        return chain([header, CSV_HEADER], _csv_rows(blocks, cfg.agents))
+        return chain([header, CSV_HEADER], _csv_blocks(blocks, cfg.agents))
 
     # The record is formatted and written by a second process while this
     # one simulates, so neither waits for the whole run.

@@ -19,8 +19,13 @@ exponentials, channel uniforms and the urn picks, whose bounds
 ``N, N-1, ..., N-G+1`` do not depend on ``K`` either.  A same-seed run
 that stops earlier is therefore an exact prefix of a longer one.
 
-There is one event loop, :class:`EventBlocks`: it yields the record as
-blocks of about :data:`BLOCK_ROWS` rows of columns while the run goes on,
+There is one event loop, :class:`EventBlocks`.  It does with numpy, four
+blocks at a time, all that does not depend on ``K``: the clock, and, up to
+:data:`_SORTED_GROUPS` agents a group, each group event's ``G`` sorted urn
+thresholds, whose number ``<= K`` is its ``k`` at count ``K``
+(:func:`_urn_thresholds`).  Only that lookup (or, for larger groups, the
+urn itself) and the count are left to a per-event loop.  It yields the record as
+blocks of :data:`BLOCK_ROWS` rows of columns while the run goes on,
 and knows the run's end once it is exhausted.  :func:`simulate` joins the
 blocks into a :class:`Trajectory`, and the ``simulate`` command passes
 each block on to a writer process as it comes (see :mod:`swarmdec.cli`),
@@ -41,9 +46,11 @@ command does, does not load it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .model import RuleSet, SwarmState, _Record, check_event_rate, lattice_z
@@ -73,8 +80,15 @@ RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
 
 #: Events per block of random draws in :class:`EventBlocks`.
 BLOCK_EVENTS = 256
-#: Records per block of columns that :class:`EventBlocks` yields, at least
-#: (a block ends with a block of draws).
+#: Events per batch of blocks of draws that :class:`EventBlocks` handles
+#: with numpy at once; larger batches hold more memory while they run.
+_BATCH_EVENTS = 4 * BLOCK_EVENTS
+#: Largest group size whose urn thresholds :class:`EventBlocks` computes:
+#: that costs ``G**2 / 2`` numpy steps an event, where running the urn in
+#: the event loop costs ``G`` Python steps; the two cost about the same at G = 25 to 31.
+_SORTED_GROUPS = 25
+#: Records per block of columns that :class:`EventBlocks` yields, but for
+#: the last one.
 BLOCK_ROWS = 8192
 #: Largest swarm size of a run: the urn's picks are drawn as int64 integers.
 MAX_AGENTS = 2**63 - 1
@@ -157,6 +171,34 @@ def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
     return np.arange(n_agents, n_agents - group_size, -1)
 
 
+def _urn_thresholds(picks: np.ndarray) -> np.ndarray:
+    """Sorted urn thresholds of each group event whose G picks are a row of
+    ``picks`` (pick ``j`` in ``[0, N - j)``), one row per event.
+
+    Pick ``j`` takes the agent at index ``picks[j]`` among the ``N - j`` left,
+    kept in order with the X1 holders first.  Pulled back through the
+    earlier picks (row ``i`` is still ``p_i + 1`` when it is used), it is
+    agent ``y - 1`` of all ``N``, so at count ``K`` the event draws as many
+    X1 agents as it has thresholds ``y <= K``, exactly as the sequential urn.
+    """
+    y = picks.T.copy()
+    y += 1
+    for i in range(len(y) - 2, -1, -1):
+        y[i + 1 :] += y[i + 1 :] >= y[i]
+    thresholds = y.T.copy()
+    thresholds.sort()
+    return thresholds
+
+
+def _urn_draws(picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """X1 agents drawn by the urn of each event whose picks are a row of
+    ``picks``, at the count in ``counts``: the urn run for all at once."""
+    favorable = counts.copy()
+    for row in picks.T:
+        favorable -= row < favorable
+    return counts - favorable
+
+
 def _int_column(largest: int) -> array:
     """Empty unsigned column just wide enough for values up to ``largest``."""
     return next((array(c) for c in "BHI" if largest < 256 ** array(c).itemsize), array("Q"))
@@ -181,7 +223,7 @@ class EventBlocks:
     Iterating (once) runs the simulation from ``initial`` until a stopping
     bound of ``config`` hits, and yields ``(times, kinds, ks, counts)``
     blocks of :class:`array.array` columns, laid out as in
-    :class:`Trajectory`; each block but the last holds at least
+    :class:`Trajectory`; each block but the last holds
     :data:`BLOCK_ROWS` records.  Afterwards ``final_state``,
     ``final_time``, ``n_events`` and :meth:`event_counts` describe the
     run's end.
@@ -227,18 +269,12 @@ class EventBlocks:
         """Events per kind label so far, elided null draws included."""
         return _label_counts(self._recorded, self.n_events)
 
-    def _tally(self, columns: tuple[array, array, array, array]) -> None:
-        """Add the kinds of a block about to be yielded to :meth:`event_counts`."""
-        for code in range(len(EVENT_LABELS)):
-            self._recorded[code] += columns[1].count(code)
-
     def __iter__(self) -> Iterator[tuple[array, array, array, array]]:
         n = self.initial.n_agents
         count = self.initial.count_x1
         config, stops = self.config, self._stops
         max_events = config.max_events if config.max_events is not None else math.inf
         t_max = config.t_max if config.t_max is not None else sys.float_info.max
-        record_nulls = config.record_null_draws
         t = 0.0
         n_events = 0
         running = count not in stops
@@ -251,53 +287,71 @@ class EventBlocks:
             bounds = _pick_bounds(n, group_size)
             weights = rules.signed_weights if rules is not None else ()
             noise = config.noise_rate
+            sort = group_size <= _SORTED_GROUPS
         columns = _columns(n)
         while running:
-            times, kinds, ks, counts = columns
-            add_time, add_kind, add_k, add_count = times.append, kinds.append, ks.append, counts.append
-            with np.errstate(over="ignore"):  # an infinite wait passes t_max
-                dts = (rng.standard_exponential(BLOCK_EVENTS) / total).tolist()
-            us = (rng.random(BLOCK_EVENTS) * total).tolist()
-            picks = rng.integers(bounds, size=(BLOCK_EVENTS, group_size)).tolist()
-            for dt, u, group in zip(dts, us, picks):
-                if t + dt > t_max:
-                    running = False
-                    break
-                t += dt
-                n_events += 1
-                # Group event: pick j is uniform over the N - j agents left,
-                # and those below `favorable` hold X1 (integer comparison, so
-                # k follows the hypergeometric law exactly).
+            # Draws of one batch: clock[0] is the time before it, then the waits.
+            clock, us = np.empty(_BATCH_EVENTS + 1), np.empty(_BATCH_EVENTS)
+            picks = np.empty((_BATCH_EVENTS, group_size), dtype=np.int64)
+            for lo in range(0, _BATCH_EVENTS, BLOCK_EVENTS):
+                block = slice(lo, lo + BLOCK_EVENTS)
+                rng.standard_exponential(out=clock[1:][block])
+                rng.random(out=us[block])
+                picks[block] = rng.integers(bounds, size=(BLOCK_EVENTS, group_size))
+            clock[0] = t
+            # Accumulating is sequential, so the clock is t += wait, event by
+            # event; an infinite wait (or sum) passes t_max.
+            with np.errstate(over="ignore"):
+                clock[1:] /= total
+                np.add.accumulate(clock, out=clock)
+            us *= total
+            # Each event's G thresholds, or G picks, from flat[lo].
+            flat = _urn_thresholds(picks).ravel().tolist() if sort else memoryview(picks.ravel())
+            # Events before the clock passes t_max or max_events is reached.
+            stop = min(int(clock.searchsorted(t_max, "right")) - 1, max_events - n_events)
+            counts = array("q", [count])
+            add_count = counts.append
+            for u, lo in zip(us[:stop].tolist(), itertools.count(0, group_size)):
                 if u < a_group:
-                    k = 0
-                    favorable = count
-                    for pick in group:
-                        if pick < favorable:
-                            k += 1
-                            favorable -= 1
-                    delta = weights[k]
-                    count += delta
-                    kind = RULE if delta else NULL
+                    if sort:
+                        k = bisect_right(flat, count, lo, lo + group_size) - lo
+                    else:
+                        favorable = count
+                        for pick in flat[lo : lo + group_size]:
+                            if pick < favorable:
+                                favorable -= 1
+                        k = count - favorable
+                    count += weights[k]
                 elif u < a_group + noise * count:
-                    k, kind = 0, NOISE12
                     count -= 1
                 else:
-                    k, kind = 0, NOISE21
                     count += 1
-                if record_nulls or kind != NULL:
-                    add_time(t)
-                    add_kind(kind)
-                    add_k(k)
-                    add_count(count)
-                if n_events >= max_events or count in stops:
-                    running = False
+                add_count(count)
+                if count in stops:
                     break
-            if running and len(times) >= BLOCK_ROWS:
-                self._tally(columns)
-                yield columns
-                columns = _columns(n)
+            done = len(counts) - 1
+            n_events += done
+            t = float(clock[done])
+            running = done == _BATCH_EVENTS and n_events < max_events and count not in stops
+            # The kind of each event follows from its channel and the count
+            # before and after it, and its k from its picks and the count before.
+            path = np.frombuffer(counts, np.int64)
+            before, after = path[:-1], path[1:]
+            group = us[:done] < a_group
+            kinds = np.where(after == before, NULL, RULE)
+            kinds = np.where(group, kinds, np.where(after < before, NOISE12, NOISE21))
+            ks = np.where(group, _urn_draws(picks[:done], before), 0)
+            rows = [clock[1 : done + 1], kinds, ks, after]
+            if not config.record_null_draws:
+                rows = [row[kinds != NULL] for row in rows]
+            tally = np.bincount(rows[1], minlength=len(EVENT_LABELS)).tolist()
+            self._recorded = [a + b for a, b in zip(self._recorded, tally)]
+            for column, row in zip(columns, rows):
+                column.frombytes(row.astype(column.typecode).tobytes())
+            if len(columns[0]) >= BLOCK_ROWS:
+                yield tuple(column[:BLOCK_ROWS] for column in columns)
+                columns = tuple(column[BLOCK_ROWS:] for column in columns)
         self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
-        self._tally(columns)
         if columns[0]:
             yield columns
 
@@ -330,22 +384,28 @@ def simulate(
 CSV_HEADER = "time,event,k,count_x1,z"
 
 
-def _csv_rows(
+def _csv_blocks(
     blocks: Iterable[tuple[array, array, array, array]], n_agents: int
 ) -> Iterator[str]:
-    """CSV rows (no trailing newlines) of the recorded events in ``blocks``
-    of ``(times, kinds, ks, counts)`` columns of a run of ``N`` agents."""
+    """The CSV rows of each block of ``(times, kinds, ks, counts)`` columns
+    of a run of ``N`` agents, as one string: the rows joined by newlines,
+    with none after the last."""
     # Everything after the time depends only on (kind, k, count).
     suffixes: dict[tuple[int, int, int], str] = {}
+
+    def suffix(key: tuple[int, int, int]) -> str:
+        kind, k, count = key
+        k_field = "" if kind in (NOISE12, NOISE21) else k
+        z = lattice_z(count, n_agents)
+        suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
+        return suffixes[key]
+
+    known = suffixes.get
     for times, kinds, ks, counts in blocks:
-        for time, key in zip(times, zip(kinds, ks, counts)):
-            suffix = suffixes.get(key)
-            if suffix is None:
-                kind, k, count = key
-                k_field = "" if kind in (NOISE12, NOISE21) else k
-                z = lattice_z(count, n_agents)
-                suffix = suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
-            yield f"{time:.17g}{suffix}"
+        fields = [None] * (2 * len(times))
+        fields[::2] = times
+        fields[1::2] = [known(key) or suffix(key) for key in zip(kinds, ks, counts)]
+        yield ("%.17g%s\n" * len(times))[:-1] % tuple(fields)
 
 
 def trajectory_csv_lines(
@@ -361,4 +421,9 @@ def trajectory_csv_lines(
         yield provenance
     yield CSV_HEADER
     columns = (trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
-    yield from _csv_rows([columns], trajectory.initial_state.n_agents)
+    blocks = (
+        [column[lo : lo + BLOCK_ROWS] for column in columns]
+        for lo in range(0, len(trajectory.times), BLOCK_ROWS)
+    )
+    for text in _csv_blocks(blocks, trajectory.initial_state.n_agents):
+        yield from text.splitlines()

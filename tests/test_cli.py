@@ -457,6 +457,25 @@ class TestSimulate:
         _, header, rows = read_csv(out)
         assert header == "time,event,k,count_x1,z" and rows == []
 
+    def test_clock_summing_past_the_largest_double_ends_the_run(self, tmp_path):
+        # At 1e-306 per agent the waits are finite but their sum overflows a
+        # double after 18350 events: the run ends there, and no numpy
+        # overflow warning reaches standard error.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("SWARMDEC_SEED", None)
+        result = subprocess.run(
+            [sys.executable, "-m", "swarmdec.cli", "simulate", "--rules", "M",
+             "--rule-rate", "1e-306", "--events", "100000", "--out", "r.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["n_events"] == 18350
+        data = (tmp_path / "r.csv").read_bytes()
+        assert data.count(b"\n") == 18352
+        assert hashlib.sha256(data).hexdigest() == (
+            "637b345cb3cb4d438de590255c6d229571bdc678b6cb4930f951a034c7d068c6"
+        )
+
 
 class TestSimulateMemory:
     def test_peak_does_not_grow_with_events(self, tmp_path, capsys):

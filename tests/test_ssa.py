@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from swarmdec.ssa import (
     BLOCK_EVENTS,
     BLOCK_ROWS,
     EVENT_LABELS,
+    MAX_AGENTS,
     EventBlocks,
     NOISE12,
     NOISE21,
@@ -20,7 +22,11 @@ from swarmdec.ssa import (
     FrozenSystemError,
     SimConfig,
     Trajectory,
+    _BATCH_EVENTS,
+    _SORTED_GROUPS,
     _pick_bounds,
+    _urn_draws,
+    _urn_thresholds,
     simulate,
     trajectory_csv_lines,
 )
@@ -42,6 +48,35 @@ def _urn(picks: Sequence[int], favorable: int) -> int:
             hits += 1
             favorable -= 1
     return hits
+
+
+def _replay(n, count, rules, config, seed, events):
+    """``(time, kind, k, count)`` of the first ``events`` events of a run
+    from ``count``, the stopping bounds of ``config`` aside: the blocks of
+    draws redrawn from a same-seeded generator, one event at a time, each
+    group event's k by :func:`_urn`.  The reference for EventBlocks."""
+    rng = np.random.default_rng(seed)
+    total = config.rule_rate * n + config.noise_rate * n  # as EventBlocks sums it
+    group_size = rules.group_size
+    t, rows = 0.0, []
+    while len(rows) < events:
+        dts = (rng.standard_exponential(BLOCK_EVENTS) / total).tolist()
+        us = (rng.random(BLOCK_EVENTS) * total).tolist()
+        picks = rng.integers(_pick_bounds(n, group_size), size=(BLOCK_EVENTS, group_size)).tolist()
+        for dt, u, group in zip(dts, us, picks):
+            t += dt
+            if u < config.rule_rate * n:
+                k = _urn(group, count)
+                count += rules.signed_weight(k)
+                kind = RULE if rules.signed_weight(k) else NULL
+            elif u < config.rule_rate * n + config.noise_rate * count:
+                k, kind = 0, NOISE12
+                count -= 1
+            else:
+                k, kind = 0, NOISE21
+                count += 1
+            rows.append((t, kind, k, count))
+    return rows[:events]
 
 
 def replace(record, **changes):
@@ -334,11 +369,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "shorter",
-        [{"max_events": 3_000}, {"max_events": 1}, {"t_max": 25.0}, {"t_max": 1e-3}],
+        [
+            {"max_events": 3_000}, {"max_events": 1}, {"t_max": 25.0}, {"t_max": 1e-3},
+            {"max_events": _BATCH_EVENTS}, {"max_events": 3 * _BATCH_EVENTS},
+            {"max_events": 3 * _BATCH_EVENTS + 1}, {"t_max": 55.0}, {"stop_at_consensus": True},
+        ],
     )
     def test_shorter_run_is_exact_prefix(self, shorter):
         # Randomness is drawn in whole blocks, so where a run stops never
-        # changes the events before it.
+        # changes the events before it: at a batch edge, one past it, or
+        # mid-batch (t_max 55 stops after event 3094 and consensus after
+        # event 179 here).
         base = SimConfig(noise_rate=0.05, max_events=10_000)
         full = simulate(SwarmState(101, 51), MMm, base, seed=17)
         part = simulate(SwarmState(101, 51), MMm, replace(base, **shorter), seed=17)
@@ -413,30 +454,44 @@ class TestEventBlocks:
         )
         assert events.event_counts() == trajectory.event_counts()
 
-    def test_group_compositions_follow_the_urn(self):
-        # Redraw the run's blocks from a same-seeded generator: every group
-        # event's k is _urn of its own row of picks at the count before it,
-        # and every time is the running sum of exponential / total.
-        n, seed, c = 101, 31, 0.05
-        config = SimConfig(noise_rate=c, max_events=4 * BLOCK_EVENTS + 17)
-        run = simulate(SwarmState(n, 51), MMm, config, seed=seed)
+    @staticmethod
+    def check_follows_the_urn(rules):
+        # Replay the run's draws event by event: every group event's k is
+        # _urn of its own row of picks at the count before it, and every
+        # time is the running sum of exponential / total.  The run spans
+        # more than two batches.
+        n, seed = 101, 31
+        config = SimConfig(noise_rate=0.05, max_events=2 * _BATCH_EVENTS + 17)
+        run = simulate(SwarmState(n, 51), rules, config, seed=seed)
         assert len(run.kinds) == config.max_events
-        rng = np.random.default_rng(seed)
-        total = config.rule_rate * n + c * n  # as EventBlocks sums it
-        dts, picks = [], []
-        for _ in range(5):
-            dts.extend((rng.standard_exponential(BLOCK_EVENTS) / total).tolist())
-            rng.random(BLOCK_EVENTS)
-            picks.extend(rng.integers(_pick_bounds(n, 7), size=(BLOCK_EVENTS, 7)).tolist())
-        t, count, groups = 0.0, 51, 0
-        for i, (time, kind, k) in enumerate(zip(run.times, run.kinds, run.ks)):
-            t += dts[i]
-            assert time == t
-            if kind in (RULE, NULL):
-                assert k == _urn(picks[i], count)
-                groups += 1
-            count = run.counts[i]
+        expected = _replay(n, 51, rules, config, seed, config.max_events)
+        assert list(zip(run.times, run.kinds, run.ks, run.counts)) == expected
+        groups = sum(kind in (RULE, NULL) for kind in run.kinds)
         assert groups > config.max_events // 2
+
+    def test_group_compositions_follow_the_urn(self):
+        self.check_follows_the_urn(MMm)
+
+    def test_large_group_compositions_follow_the_urn(self):
+        # Past _SORTED_GROUPS the event loop runs the urn itself.
+        self.check_follows_the_urn(
+            parse_polarity_string("M" * _SORTED_GROUPS, 2 * _SORTED_GROUPS + 1)
+        )
+
+    def test_elided_nulls_follow_the_urn(self):
+        # As above with null draws elided, from near X2 consensus, where
+        # most draws are null: the record is the replay without them.
+        n, seed = 101, 37
+        config = SimConfig(
+            noise_rate=0.01, max_events=3 * _BATCH_EVENTS + 5, record_null_draws=False
+        )
+        run = simulate(SwarmState(n, 3), MMM, config, seed=seed)
+        replay = _replay(n, 3, MMM, config, seed, config.max_events)
+        expected = [row for row in replay if row[1] != NULL]
+        assert 0 < len(expected) < len(replay) // 2
+        assert list(zip(run.times, run.kinds, run.ks, run.counts)) == expected
+        assert (run.n_events, run.final_time) == (config.max_events, replay[-1][0])
+        assert run.event_counts()["null"] == len(replay) - len(expected)
 
     def test_configuration_checked_before_any_event(self):
         frozen = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=10)
@@ -481,6 +536,21 @@ class TestTrajectoryCsv:
             k_field = "" if label.startswith("noise") else str(k)
             z = 2.0 * count / n - 1.0
             assert row == f"{t:.17g},{label},{k_field},{count},{z:.17g}"
+
+    def test_lines_are_formatted_a_block_at_a_time(self):
+        # Reading the lines holds one block of rows as text (about 210
+        # bytes per row of a block here), not the whole record: these ten
+        # blocks formatted as one took about 190 bytes per row of the ten.
+        config = SimConfig(noise_rate=0.1, max_events=10 * BLOCK_ROWS)
+        trajectory = simulate(SwarmState(101, 51), MMm, config, seed=29)
+        tracemalloc.start()
+        try:
+            lines = sum(1 for _ in trajectory_csv_lines(trajectory))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == config.max_events + 1
+        assert peak < 300 * BLOCK_ROWS
 
     def test_seventeen_significant_digits(self):
         config = SimConfig(max_events=5)
@@ -560,3 +630,34 @@ if st is not None:
         assert trajectory.n_events <= (max_events or math.inf)
         assert trajectory.final_time <= (t_max or math.inf)
         assert math.isfinite(trajectory.final_time)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_agents=st.integers(1, 40) | st.integers(1, MAX_AGENTS) | st.just(MAX_AGENTS),
+        group_size=st.integers(1, 15),
+        events=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_thresholds_follow_the_urn(n_agents, group_size, events, data):
+        # The k of a group event at count K, as EventBlocks finds it among
+        # its thresholds or with _urn_draws, is _urn of its picks at K, for
+        # every K.  Each is a step function of K that steps only at a
+        # threshold, so past 40 agents the Ks on either side of each
+        # threshold cover every step.
+        assume(group_size <= n_agents)
+        picks = [
+            [data.draw(st.integers(0, n_agents - 1 - j)) for j in range(group_size)]
+            for _ in range(events)
+        ]
+        thresholds = _urn_thresholds(np.array(picks, dtype=np.int64)).tolist()
+        for event_picks, event_thresholds in zip(picks, thresholds):
+            assert all(1 <= y <= n_agents for y in event_thresholds)
+            if n_agents <= 40:
+                counts = range(n_agents + 1)
+            else:
+                counts = {0, n_agents, data.draw(st.integers(0, n_agents))}
+                counts.update(y - d for y in event_thresholds for d in (0, 1))
+            for count in counts:
+                assert bisect_right(event_thresholds, count) == _urn(event_picks, count)
+                drawn = _urn_draws(np.array([event_picks]), np.array([count]))
+                assert drawn.tolist() == [_urn(event_picks, count)]
