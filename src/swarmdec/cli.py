@@ -20,7 +20,9 @@ interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
 (:func:`_writer_process`), so its memory does not grow with ``--events``;
 this needs ``os.fork`` (POSIX).  The simulating process owns the output
 file: it creates the temp file before the fork, and renames or removes it
-after the writer ends.  The column blocks reach the writer pickled.
+after the writer ends.  The column block of each batch of events reaches
+the writer pickled.  Every command writes its output a line at a time
+(:func:`_write_lines`), so the file handle's buffer bounds what a write holds.
 """
 
 from __future__ import annotations
@@ -418,12 +420,6 @@ def _run_header(cfg: ExperimentConfig, **extra) -> str:
     return _provenance(cfg.agents, cfg.group, cfg.rules_label, cfg.noise.epsilon, cfg.seed, **extra)
 
 
-#: Lines joined per write call in :func:`_write_lines`, and the number of
-#: characters past which a chunk is written before it has that many.
-_WRITE_CHUNK_LINES = 8192
-_WRITE_CHUNK_CHARS = 1 << 20
-
-
 def _new_file_mode(path: Path) -> int:
     """Mode a plain ``open(path, "w")`` would leave: kept or ``0o666 & ~umask``."""
     with contextlib.suppress(FileNotFoundError):
@@ -434,21 +430,12 @@ def _new_file_mode(path: Path) -> int:
 
 
 def _write_lines(fh, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``fh``, each ended by a newline, in chunks bounded
-    in lines and, so that long rows are not held twice in full, in size."""
-    chunk: list[str] = []
-    size = 0
+    """Write ``lines`` to ``fh`` as they come, each ended by a newline; the
+    handle's buffer bounds what is held."""
+    write = fh.write
     for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= _WRITE_CHUNK_CHARS or len(chunk) >= _WRITE_CHUNK_LINES:
-            chunk.append("")
-            fh.write("\n".join(chunk))
-            chunk = []
-            size = 0
-    if chunk:
-        chunk.append("")
-        fh.write("\n".join(chunk))
+        write(line)
+        write("\n")
 
 
 @contextlib.contextmanager
@@ -471,8 +458,8 @@ def _atomic_file(path: Path) -> Iterator[TextIO]:
 
 
 def _write_text(path: Path, lines: Iterable[str]) -> None:
-    """Write ``lines``, each ended by a newline, atomically: in bounded
-    chunks to a temp file in the target directory, then renamed."""
+    """Write ``lines``, each ended by a newline, atomically: one at a time
+    to a temp file in the target directory, then renamed."""
     with _atomic_file(path) as fh:
         _write_lines(fh, lines)
 

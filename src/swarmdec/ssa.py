@@ -24,9 +24,9 @@ blocks at a time, all that does not depend on ``K``: the clock, and, up to
 :data:`_SORTED_GROUPS` agents a group, each group event's ``G`` sorted urn
 thresholds, whose number ``<= K`` is its ``k`` at count ``K``
 (:func:`_urn_thresholds`).  Only that lookup (or, for larger groups, the
-urn itself) and the count are left to a per-event loop.  It yields the record as
-blocks of :data:`BLOCK_ROWS` rows of columns while the run goes on,
-and knows the run's end once it is exhausted.  :func:`simulate` joins the
+urn itself) and the count are left to a per-event loop.  It yields the record of
+each batch as a block of columns while the run goes on, and knows the
+run's end once it is exhausted.  :func:`simulate` joins the
 blocks into a :class:`Trajectory`, and the ``simulate`` command passes
 each block on to a writer process as it comes (see :mod:`swarmdec.cli`),
 so the command's memory does not grow with the number of events.
@@ -60,7 +60,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BLOCK_EVENTS",
-    "BLOCK_ROWS",
     "EVENT_LABELS",
     "EventBlocks",
     "FrozenSystemError",
@@ -81,15 +80,13 @@ RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
 #: Events per block of random draws in :class:`EventBlocks`.
 BLOCK_EVENTS = 256
 #: Events per batch of blocks of draws that :class:`EventBlocks` handles
-#: with numpy at once; larger batches hold more memory while they run.
+#: with numpy at once, and most rows of a block it yields; larger batches
+#: hold more memory while they run.
 _BATCH_EVENTS = 4 * BLOCK_EVENTS
 #: Largest group size whose urn thresholds :class:`EventBlocks` computes:
 #: that costs ``G**2 / 2`` numpy steps an event, where running the urn in
 #: the event loop costs ``G`` Python steps; the two cost about the same at G = 25 to 31.
 _SORTED_GROUPS = 25
-#: Records per block of columns that :class:`EventBlocks` yields, but for
-#: the last one.
-BLOCK_ROWS = 8192
 #: Largest swarm size of a run: the urn's picks are drawn as int64 integers.
 MAX_AGENTS = 2**63 - 1
 
@@ -220,13 +217,14 @@ def _label_counts(recorded: Sequence[int], n_events: int) -> dict[str, int]:
 class EventBlocks:
     """The recorded events of one run, as blocks of columns.
 
-    Iterating (once) runs the simulation from ``initial`` until a stopping
+    Iterating runs the simulation from ``initial`` until a stopping
     bound of ``config`` hits, and yields ``(times, kinds, ks, counts)``
     blocks of :class:`array.array` columns, laid out as in
-    :class:`Trajectory`; each block but the last holds
-    :data:`BLOCK_ROWS` records.  Afterwards ``final_state``,
-    ``final_time``, ``n_events`` and :meth:`event_counts` describe the
-    run's end.
+    :class:`Trajectory`: one block per batch of up to
+    :data:`_BATCH_EVENTS` events that recorded any.  ``final_state``,
+    ``final_time``, ``n_events`` and :meth:`event_counts` describe the run
+    up to the last block yielded, and its end once the iteration is
+    exhausted.  Iterating again replays the same run.
 
     ``seed`` seeds the numpy generator made when the iteration starts, so
     that a caller can check the configuration and fork before numpy is
@@ -277,6 +275,7 @@ class EventBlocks:
         t_max = config.t_max if config.t_max is not None else sys.float_info.max
         t = 0.0
         n_events = 0
+        self._recorded = [0] * len(EVENT_LABELS)
         running = count not in stops
         if running:
             import numpy as np
@@ -288,7 +287,6 @@ class EventBlocks:
             weights = rules.signed_weights if rules is not None else ()
             noise = config.noise_rate
             sort = group_size <= _SORTED_GROUPS
-        columns = _columns(n)
         while running:
             # Draws of one batch: clock[0] is the time before it, then the waits.
             clock, us = np.empty(_BATCH_EVENTS + 1), np.empty(_BATCH_EVENTS)
@@ -333,6 +331,7 @@ class EventBlocks:
             n_events += done
             t = float(clock[done])
             running = done == _BATCH_EVENTS and n_events < max_events and count not in stops
+            self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
             # The kind of each event follows from its channel and the count
             # before and after it, and its k from its picks and the count before.
             path = np.frombuffer(counts, np.int64)
@@ -346,14 +345,11 @@ class EventBlocks:
                 rows = [row[kinds != NULL] for row in rows]
             tally = np.bincount(rows[1], minlength=len(EVENT_LABELS)).tolist()
             self._recorded = [a + b for a, b in zip(self._recorded, tally)]
-            for column, row in zip(columns, rows):
-                column.frombytes(row.astype(column.typecode).tobytes())
-            if len(columns[0]) >= BLOCK_ROWS:
-                yield tuple(column[:BLOCK_ROWS] for column in columns)
-                columns = tuple(column[BLOCK_ROWS:] for column in columns)
-        self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
-        if columns[0]:
-            yield columns
+            if len(rows[0]):
+                columns = _columns(n)
+                for column, row in zip(columns, rows):
+                    column.frombytes(row.astype(column.typecode).tobytes())
+                yield columns
 
 
 def simulate(
@@ -422,8 +418,8 @@ def trajectory_csv_lines(
     yield CSV_HEADER
     columns = (trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
     blocks = (
-        [column[lo : lo + BLOCK_ROWS] for column in columns]
-        for lo in range(0, len(trajectory.times), BLOCK_ROWS)
+        [column[lo : lo + _BATCH_EVENTS] for column in columns]
+        for lo in range(0, len(trajectory.times), _BATCH_EVENTS)
     )
     for text in _csv_blocks(blocks, trajectory.initial_state.n_agents):
         yield from text.splitlines()

@@ -199,11 +199,10 @@ class TestDrift:
         assert capsys.readouterr().err == ""
         assert out.with_suffix(".empirical.csv").read_text().count("\n") == 12 + 2
 
-    def test_empirical_csv_is_streamed(self, tmp_path, monkeypatch):
+    def test_empirical_csv_is_streamed(self, tmp_path):
         # The sampled curve was held as two tuples of N + 1 estimates before
         # it was written, so its peak grew by ≈65 bytes per state.  Streamed,
-        # the peak is one write chunk.
-        monkeypatch.setattr(cli, "_WRITE_CHUNK_LINES", 1024)
+        # the peak is one row.
 
         def peak(agents: int) -> int:
             out = tmp_path / f"d{agents}.csv"
@@ -314,11 +313,10 @@ class TestProbs:
         assert out.read_text().count("\n") == 20002 + 2
         assert peak < 4 * 2**20
 
-    def test_empirical_csv_is_streamed(self, tmp_path, monkeypatch):
+    def test_empirical_csv_is_streamed(self, tmp_path):
         # The sampled sibling was built from all N + 1 tables before it was
         # written, so its peak grew by ≈350 bytes per state.  Streamed, the
-        # peak is one write chunk, here smaller than either CSV.
-        monkeypatch.setattr(cli, "_WRITE_CHUNK_LINES", 1024)
+        # peak is one row.
 
         def peak(agents: int) -> int:
             out = tmp_path / f"p{agents}.csv"
@@ -576,11 +574,12 @@ class TestWriterProcess:
     def test_writer_fails_mid_stream(self, tmp_path, monkeypatch, capsys):
         # The parent creates the file, so an unwritable directory fails
         # before the fork; a full disk still fails in the writer, whose
-        # _write_lines (patched before the fork) raises after one chunk.
+        # _write_lines (patched before the fork) raises after the provenance
+        # line, the CSV header and the first block of rows.
         write_lines, fork, children = cli._write_lines, os.fork, []
 
-        def disk_full_after_one_chunk(fh, lines):
-            write_lines(fh, itertools.islice(lines, cli._WRITE_CHUNK_LINES))
+        def disk_full_after_one_block(fh, lines):
+            write_lines(fh, itertools.islice(lines, 3))
             fh.flush()
             raise OSError(28, "No space left on device")
 
@@ -589,7 +588,7 @@ class TestWriterProcess:
             children.append(pid)
             return pid
 
-        monkeypatch.setattr(cli, "_write_lines", disk_full_after_one_chunk)
+        monkeypatch.setattr(cli, "_write_lines", disk_full_after_one_block)
         monkeypatch.setattr(os, "fork", recorded_fork)
         monkeypatch.chdir(tmp_path)
         code = main(["simulate", "--rules", "MMm", "--events", "100000", "--out", "run.csv"])
@@ -705,7 +704,7 @@ class TestOutputFiles:
     def test_long_rows_are_not_held_twice(self, tmp_path):
         # 3000 rows of 12 KB (36 MB) fit in one 8192-line chunk, which was
         # held as the list of rows and again as their join (a 72 MB peak).
-        # A chunk is also written once it passes _WRITE_CHUNK_CHARS.
+        # Written one at a time, the rows are held one at a time.
         out = tmp_path / "long.csv"
         rows = (f"{index:05d}," + "x" * 12_000 for index in range(3000))
         tracemalloc.start()
@@ -716,6 +715,20 @@ class TestOutputFiles:
             tracemalloc.stop()
         assert out.stat().st_size == 3000 * 12_007
         assert peak < 8 * 2**20
+
+    def test_lines_are_written_one_at_a_time(self, tmp_path):
+        # Joined 8192 lines to a write, these 2 MB of lines peaked at ≈1.7 MB;
+        # written one at a time, the peak is about one line and the buffer.
+        out = tmp_path / "short.csv"
+        rows = ("x" * 100 for _ in range(20_000))
+        tracemalloc.start()
+        try:
+            cli._write_text(out, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 20_000 * 101
+        assert peak < 256 * 2**10
 
 
 class TestInterrupt:
@@ -735,7 +748,7 @@ class TestInterrupt:
 
     def test_interrupted_write_leaves_no_file(self, tmp_path):
         def lines():
-            yield from ("row" for _ in range(3 * cli._WRITE_CHUNK_LINES))
+            yield from ("row" for _ in range(3 * 8192))
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):

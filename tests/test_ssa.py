@@ -11,7 +11,6 @@ from swarmdec.model import RuleSet, SwarmState
 from swarmdec.schema import parse_polarity_string
 from swarmdec.ssa import (
     BLOCK_EVENTS,
-    BLOCK_ROWS,
     EVENT_LABELS,
     MAX_AGENTS,
     EventBlocks,
@@ -436,14 +435,14 @@ class TestSimulate:
 
 
 class TestEventBlocks:
-    def test_blocks_join_to_the_trajectory(self):
-        config = SimConfig(noise_rate=0.05, max_events=3 * BLOCK_ROWS + 1000)
-        events = EventBlocks(SwarmState(101, 51), MMm, config, 17)
+    @staticmethod
+    def check_blocks(initial, rules, config, seed):
+        """The blocks of a run: each holds the 1 to _BATCH_EVENTS records of
+        one batch, and they join to simulate's Trajectory of the same run."""
+        events = EventBlocks(initial, rules, config, seed)
         blocks = list(events)
-        trajectory = simulate(SwarmState(101, 51), MMm, config, seed=17)
-        assert len(blocks) == 4
-        for times, *_ in blocks[:-1]:
-            assert BLOCK_ROWS <= len(times) < BLOCK_ROWS + BLOCK_EVENTS
+        trajectory = simulate(initial, rules, config, seed=seed)
+        assert all(1 <= len(times) <= _BATCH_EVENTS for times, *_ in blocks)
         for i, name in enumerate(("times", "kinds", "ks", "counts")):
             joined = blocks[0][i][:0]
             for block in blocks:
@@ -453,6 +452,37 @@ class TestEventBlocks:
             trajectory.final_state, trajectory.final_time, trajectory.n_events
         )
         assert events.event_counts() == trajectory.event_counts()
+        return blocks
+
+    def test_blocks_join_to_the_trajectory(self):
+        config = SimConfig(noise_rate=0.05, max_events=3 * _BATCH_EVENTS + 100)
+        blocks = self.check_blocks(SwarmState(101, 51), MMm, config, 17)
+        assert [len(times) for times, *_ in blocks] == [_BATCH_EVENTS] * 3 + [100]
+
+    def test_batches_of_elided_nulls_yield_no_block(self):
+        # Next to X2 consensus with rare noise, most batches are null draws
+        # only; with nulls elided, those yield nothing, not an empty block.
+        batches = 20
+        config = SimConfig(
+            noise_rate=1e-4, max_events=batches * _BATCH_EVENTS, record_null_draws=False
+        )
+        blocks = self.check_blocks(SwarmState(101, 1), MMM, config, 5)
+        assert 0 < len(blocks) < batches
+
+    def test_second_iteration_replays_the_run(self):
+        config = SimConfig(noise_rate=0.05, max_events=5000)
+        events = EventBlocks(SwarmState(101, 51), MMm, config, 3)
+        expected = simulate(SwarmState(101, 51), MMm, config, seed=3).event_counts()
+        first = []
+        for block in events:  # the counts so far match the events so far
+            first.append(block)
+            counts = events.event_counts()
+            assert min(counts.values()) >= 0
+            n_events = min(len(first) * _BATCH_EVENTS, config.max_events)
+            assert sum(counts.values()) == events.n_events == n_events
+        assert events.event_counts() == expected
+        assert list(events) == first
+        assert events.event_counts() == expected
 
     @staticmethod
     def check_follows_the_urn(rules):
@@ -538,10 +568,11 @@ class TestTrajectoryCsv:
             assert row == f"{t:.17g},{label},{k_field},{count},{z:.17g}"
 
     def test_lines_are_formatted_a_block_at_a_time(self):
-        # Reading the lines holds one block of rows as text (about 210
-        # bytes per row of a block here), not the whole record: these ten
-        # blocks formatted as one took about 190 bytes per row of the ten.
-        config = SimConfig(noise_rate=0.1, max_events=10 * BLOCK_ROWS)
+        # Reading the lines holds one block of _BATCH_EVENTS rows as text
+        # (about 240 bytes per row of a block here), not the whole record:
+        # these 80 blocks formatted as one took about 190 bytes per row of
+        # the 80.
+        config = SimConfig(noise_rate=0.1, max_events=10 * 8192)
         trajectory = simulate(SwarmState(101, 51), MMm, config, seed=29)
         tracemalloc.start()
         try:
@@ -550,7 +581,7 @@ class TestTrajectoryCsv:
         finally:
             tracemalloc.stop()
         assert lines == config.max_events + 1
-        assert peak < 300 * BLOCK_ROWS
+        assert peak < 300 * _BATCH_EVENTS
 
     def test_seventeen_significant_digits(self):
         config = SimConfig(max_events=5)
