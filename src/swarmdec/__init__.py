@@ -15,7 +15,6 @@ from .drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    negate_check,
     rule_firing_probabilities,
 )
 from .hypergeom import PmfTable, pmf, pmf_bruteforce, pmf_table
@@ -78,7 +77,6 @@ __all__ = [
     "iter_rulesets",
     "find_fixed_points",
     "format_schema",
-    "negate_check",
     "parse_polarity_string",
     "parse_schema",
     "pmf",

@@ -43,14 +43,13 @@ from . import __version__
 from .drift import (
     MAX_SAMPLES,
     _lattice_drift,
-    _negates,
     analytic_drift_curve,
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
     rule_firing_probabilities,
 )
-from .hypergeom import _subset_hits, pmf
+from .hypergeom import pmf, pmf_bruteforce
 from .model import (
     NoiseSpec,
     RuleSet,
@@ -300,6 +299,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None and name in _CHECKS:
             _check_option(name, value)
         values[name] = value
+    # Without --empirical, drift and probs write no sampled file, so a flag
+    # that only the sampler reads is refused; a config-file key is ignored.
+    if "empirical" in takes and not values["empirical"]:
+        for name in ("samples", "rule_rate"):
+            if getattr(args, name, None) is not None:
+                raise ConfigError(f"--{name.replace('_', '-')} applies only with --empirical")
 
     agents, group = values["agents"], values["group"]
     rules_arg, schema_arg = values["rules"], values["schema"]
@@ -719,12 +724,9 @@ def _check_pmf_oracle() -> dict:
         for g in (3, 5, 7):
             if g > n:
                 continue
-            subsets = math.comb(n, g)
             for count in range(n + 1):
-                hits = _subset_hits(n, count, g)
-                for k in range(g + 1):
-                    diff = abs(pmf(n, count, g, k) - hits[k] / subsets)
-                    worst = max(worst, diff)
+                for k, enumerated in enumerate(pmf_bruteforce(n, count, g)):
+                    worst = max(worst, abs(pmf(n, count, g, k) - enumerated))
     return {
         "name": "pmf-bruteforce-agreement",
         "passed": worst <= 1e-12,
@@ -752,11 +754,12 @@ def _check_antisymmetry(drifts: dict) -> dict:
 
 
 def _check_complement_negation(drifts: dict) -> dict:
-    ok = True
-    for rules, by_epsilon in drifts.items():
-        if rules.label[0] == "m":
-            continue  # each pair once
-        ok = ok and _negates(by_epsilon[0.0], drifts[rules.complement()][0.0])
+    ok = all(
+        a == -b
+        for rules, by_epsilon in drifts.items()
+        if rules.label[0] == "M"  # each pair once
+        for a, b in zip(by_epsilon[0.0], drifts[rules.complement()][0.0])
+    )
     return {
         "name": "complement-negation",
         "passed": ok,

@@ -19,7 +19,11 @@ analytic routes walk their ``z`` values in increasing order, so they
 compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
 at every point (``_drift_values``).  ``analytic_drift`` is one such point,
 ``analytic_drift_curve`` streams a uniform grid, and
-``find_fixed_points`` scans one and bisects its sign changes.
+``find_fixed_points`` scans one and bisects its sign changes.  Since
+``R_K`` is an exact sum of exactly rounded probabilities, the rule term of
+the polarity complement of a rule set is ``-R_K`` bit for bit, so their
+noise-free curves satisfy ``a == -b`` at every point; ``swarmdec
+validate`` requires exactly that on the lattice.
 
 ``empirical_drift`` estimates the same quantity by Monte Carlo, and
 ``empirical_firing_probabilities`` the composition law itself, by
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .hypergeom import PmfTable, _validate, pmf_table
 from .model import NoiseSpec, RuleSet, _Record, check_event_rate, check_swarm_size, count_of_z, lattice_z
@@ -61,7 +65,6 @@ __all__ = [
     "empirical_drift",
     "empirical_firing_probabilities",
     "find_fixed_points",
-    "negate_check",
     "rule_firing_probabilities",
 ]
 
@@ -115,19 +118,14 @@ def _rule_term(n_agents: int, rules: RuleSet, count: int) -> float:
 
 
 def _drift_values(
-    n_agents: int,
-    rules: RuleSet | None,
-    epsilon: float,
-    zs: Iterable[float],
-    terms: Sequence[float] | None = None,
+    n_agents: int, rules: RuleSet | None, epsilon: float, zs: Iterable[float]
 ) -> Iterator[float]:
     """``dz/dt = R_K - epsilon*z`` at each ``z`` of ``zs`` (in [-1, 1]).
 
     ``K`` is the lattice state nearest ``z`` (:func:`count_of_z`), and
     ``R_K`` is computed by :func:`_rule_term` only when ``K`` changes from
     one ``z`` to the next, so a non-decreasing ``zs`` costs one term per
-    state it visits; ``terms``, when given, holds ``R_K`` for ``K = 0..N``
-    and is read instead.  With ``rules=None`` only the noise term
+    state it visits.  With ``rules=None`` only the noise term
     ``-(epsilon*z)`` remains.  Raises ValueError, when iterated, if
     ``n_agents`` fails :func:`check_swarm_size`.
     """
@@ -141,7 +139,7 @@ def _drift_values(
         k = count_of_z(n_agents, z)
         if k != count:
             count = k
-            term = _rule_term(n_agents, rules, k) if terms is None else terms[k]
+            term = _rule_term(n_agents, rules, k)
         yield term - epsilon * z
 
 
@@ -182,10 +180,11 @@ def _lattice_drift(
     n_agents: int, rules: RuleSet, epsilons: Iterable[float]
 ) -> dict[float, list[float]]:
     """``dz/dt`` at every lattice state ``z_K``, ``K = 0..N``, for each noise
-    level in ``epsilons``, all read from one walk of the rule terms."""
+    level in ``epsilons``, all read from one walk of the rule terms; each
+    value is the expression :func:`_drift_values` evaluates."""
     zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
     terms = [_rule_term(n_agents, rules, count) for count in range(n_agents + 1)]
-    return {eps: list(_drift_values(n_agents, rules, eps, zs, terms)) for eps in epsilons}
+    return {eps: [term - eps * z for term, z in zip(terms, zs)] for eps in epsilons}
 
 
 def _binomial(uniform: Callable[[], float], n: int, p: float) -> int:
@@ -468,36 +467,3 @@ def find_fixed_points(
         stability = Stability.STABLE if f_prev > 0 else Stability.UNSTABLE
         found.append(FixedPoint(1.0, stability, (zero_lo, zero_hi)))
     return found
-
-
-def _one_ulp(magnitude: float) -> float:
-    return math.ulp(magnitude) if magnitude > 0 else math.ulp(0.0)
-
-
-def negate_check(rules_a: RuleSet, rules_b: RuleSet, n_agents: int) -> bool:
-    """True iff the drift of ``rules_b`` is the pointwise negation of ``rules_a``.
-
-    ``rules_b`` must be the polarity complement of ``rules_a`` (raises
-    ValueError otherwise).  The noise-free curves are compared (the noise
-    term ``-epsilon*z`` does not negate) on the exact lattice ``z_K``;
-    agreement is required to within one ulp, which the exact-summation
-    evaluation in fact achieves bit-for-bit.
-    """
-    if rules_a.group_size != rules_b.group_size or rules_a.complement() != rules_b:
-        raise ValueError(
-            f"rule sets {rules_a.label!r} and {rules_b.label!r} are not "
-            "polarity complements"
-        )
-
-    def drift(rules: RuleSet) -> Iterator[float]:
-        lattice = (lattice_z(count, n_agents) for count in range(n_agents + 1))
-        return _drift_values(n_agents, rules, 0.0, lattice)
-
-    return _negates(drift(rules_a), drift(rules_b))
-
-
-def _negates(values_a: Iterable[float], values_b: Iterable[float]) -> bool:
-    """True iff each ``b`` is ``-a`` to within one ulp of the larger magnitude."""
-    return not any(
-        abs(a + b) > _one_ulp(max(abs(a), abs(b))) for a, b in zip(values_a, values_b)
-    )

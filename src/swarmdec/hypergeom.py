@@ -9,7 +9,8 @@ opinions in the group follows the hypergeometric distribution
 ``pmf`` evaluates this exactly: Python integers never overflow, so the
 binomials are computed in full precision and only the final division
 rounds (to nearest, once).  ``pmf_bruteforce`` is an independent
-validation oracle that literally enumerates every subset.
+validation oracle: it enumerates every subset and returns the whole law
+at one state, one entry per ``k``, from that one walk.
 """
 
 from __future__ import annotations
@@ -93,29 +94,24 @@ def pmf_table(n_agents: int, count_x1: int, group_size: int) -> PmfTable:
     )
 
 
-def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int, k: int) -> float:
-    """Validation oracle: enumerate all C(N, G) subsets and count hits.
+def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int) -> tuple[float, ...]:
+    """Validation oracle: the law of ``k = 0..G`` at one state, by enumeration.
 
     Builds a population of ``count_x1`` ones and ``N - count_x1`` zeros,
-    walks every size-G subset, and returns the exact fraction whose
-    element sum equals ``k``.  All arithmetic is integer until the final
-    division.  Limited to ``N <= 24`` to keep the enumeration tractable.
+    walks every size-G subset once, counts ``hits[k]``, the subsets whose
+    element sum is ``k``, and returns ``hits[k] / C(N, G)`` for each ``k``.
+    All arithmetic is integer until the final division.  Limited to
+    ``N <= 24`` to keep the enumeration tractable.
     """
     if n_agents > _BRUTEFORCE_MAX_N:
         raise ValueError(
             f"subset enumeration is limited to N <= {_BRUTEFORCE_MAX_N}, "
             f"got {n_agents}"
         )
-    _validate(n_agents, count_x1, group_size, k)
-    return _subset_hits(n_agents, count_x1, group_size)[k] / math.comb(n_agents, group_size)
-
-
-def _subset_hits(n_agents: int, count_x1: int, group_size: int) -> list[int]:
-    """Number of size-G subsets of ``count_x1`` ones and ``N - count_x1``
-    zeros whose element sum is ``k``, for ``k = 0..G``, from one walk of
-    all C(N, G) subsets."""
+    _validate(n_agents, count_x1, group_size, 0)
     population = [1] * count_x1 + [0] * (n_agents - count_x1)
     hits = [0] * (group_size + 1)
     for draw in itertools.combinations(population, group_size):
         hits[sum(draw)] += 1
-    return hits
+    subsets = math.comb(n_agents, group_size)
+    return tuple(h / subsets for h in hits)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmdec import cli
+from swarmdec import cli, drift
 from swarmdec.cli import (
     _CONFIG_KEYS,
     EXIT_CONFIG,
@@ -866,6 +866,40 @@ class TestValidate:
         _, file_report = read_json_with_header(out)
         assert file_report["passed"] is True
 
+    def run_failing(self, tmp_path, capsys):
+        """Run ``validate`` to exit 4; the names of the failed checks."""
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == EXIT_VALIDATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        _, file_report = read_json_with_header(out)
+        assert file_report == report
+        return [check["name"] for check in report["checks"] if not check["passed"]]
+
+    def test_one_ulp_break_of_negation_fails(self, tmp_path, capsys, monkeypatch):
+        real = drift._rule_term
+
+        def one_ulp_high(n_agents, rules, count):
+            term = real(n_agents, rules, count)
+            if rules.label == "MMm" and count == 30:
+                return math.nextafter(term, math.inf)
+            return term
+
+        monkeypatch.setattr(drift, "_rule_term", one_ulp_high)
+        assert self.run_failing(tmp_path, capsys) == ["complement-negation"]
+
+    def test_pmf_disagreeing_with_enumeration_fails(self, tmp_path, capsys, monkeypatch):
+        real = cli.pmf_bruteforce
+
+        def one_entry_off(n_agents, count_x1, group_size):
+            law = real(n_agents, count_x1, group_size)
+            if (n_agents, count_x1, group_size) == (10, 4, 5):
+                return (*law[:2], law[2] + 1e-9, *law[3:])
+            return law
+
+        monkeypatch.setattr(cli, "pmf_bruteforce", one_entry_off)
+        assert self.run_failing(tmp_path, capsys) == ["pmf-bruteforce-agreement"]
+
 
 #: (file name, sha256, arguments) of the ``--empirical`` sibling files of two
 #: seeded runs; ``--out`` is the name without ``.empirical``.  Their bytes
@@ -1036,6 +1070,34 @@ class TestConfigFileAndEnvironment:
         assert main(["fixed-points", "--rules", "MMM", "--out", "b.json"]) == EXIT_OK
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "run.json"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["probs", "--group", "5", "--samples", "7"], "--samples"),
+         (["probs", "--group", "5", "--no-empirical", "--samples", "7"], "--samples"),
+         (["drift", "--rules", "MM", "--samples", "7"], "--samples"),
+         (["drift", "--rules", "MM", "--rule-rate", "9"], "--rule-rate")],
+        ids=["probs", "probs-no-empirical", "drift-samples", "drift-rule-rate"],
+    )
+    def test_sampler_flags_need_empirical(self, tmp_path, capsys, argv, flag):
+        # Without --empirical no sampled file is written, so a flag that
+        # only the sampler reads would change nothing.
+        out = tmp_path / "o.csv"
+        code = main([*argv, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"swarmdec: {flag} applies only with --empirical\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["probs", "--group", "5"], ["drift", "--rules", "MM"]], ids=["probs", "drift"]
+    )
+    def test_sampler_keys_without_empirical_are_ignored(self, tmp_path, argv):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"samples": 7, "rule_rate": 9}))
+        with_keys, without = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--config", str(config), "--out", str(with_keys)]) == EXIT_OK
+        assert main([*argv, "--out", str(without)]) == EXIT_OK
+        assert with_keys.read_bytes() == without.read_bytes()
 
     def test_keys_a_command_does_not_take_are_type_checked(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1306,7 +1368,8 @@ OPTION_RANGES = [
      ["fixed-points", "--rules", "M"]),
     ("seed", [0, 10**400], [-1], ["simulate", "--rules", "M"], ["validate"]),
     ("grid", [3, MAX_GRID], [2, MAX_GRID + 1], ["fixed-points", "--rules", "M"], ["simulate", "--rules", "M"]),
-    ("samples", [1, MAX_SAMPLES], [0, MAX_SAMPLES + 1], ["probs", "--group", "3"], ["fixed-points", "--rules", "M"]),
+    ("samples", [1, MAX_SAMPLES], [0, MAX_SAMPLES + 1], ["probs", "--group", "3", "--empirical"],
+     ["fixed-points", "--rules", "M"]),
     ("events", [1, 10**400], [0], ["simulate", "--rules", "M"], ["drift", "--rules", "M"]),
     ("t-max", [5e-324, sys.float_info.max], [0.0, math.inf], ["simulate", "--rules", "M"], ["drift", "--rules", "M"]),
 ]

@@ -21,7 +21,6 @@ from swarmdec.drift import (
     empirical_drift,
     empirical_firing_probabilities,
     find_fixed_points,
-    negate_check,
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf_table
@@ -267,11 +266,11 @@ class TestTablesBuilt:
         assert len(calls) == 102
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
-    def test_negate_check_walks_each_lattice_once(self, monkeypatch):
+    def test_lattice_drift_builds_one_table_per_state(self, monkeypatch):
+        # validate's drift checks share these, at every noise level.
         calls = count_pmf_tables(monkeypatch)
-        rules = parse_polarity_string("MmM", 7)
-        assert negate_check(rules, rules.complement(), 101)
-        assert len(calls) == 2 * 102
+        drift._lattice_drift(101, parse_polarity_string("MmM", 7), (0.0, 0.05, 0.1))
+        assert sorted(count for _, count, _ in calls) == list(range(102))
 
     @pytest.mark.parametrize(
         "label, epsilon, grid, bisect_evaluations",
@@ -297,20 +296,25 @@ class TestTablesBuilt:
 
 
 class TestNegateCheck:
-    PAIRS = [("MMM", "mmm"), ("MMm", "mmM"), ("MmM", "mMm"), ("Mmm", "mMM")]
+    """The lattice drift of a rule set's polarity complement is its exact
+    negation, ``a == -b`` at every state: the contract ``validate`` checks."""
+
+    PAIRS = [
+        (rules.label, rules.complement().label)
+        for g in (3, 5, 7, 9, 11)
+        for rules in iter_rulesets(g)
+        if rules.label[0] == "M"
+    ]
 
     @pytest.mark.parametrize("a, b", PAIRS)
     def test_complementary_pairs_negate(self, a, b):
-        rules_a = parse_polarity_string(a, 7)
-        rules_b = parse_polarity_string(b, 7)
-        assert negate_check(rules_a, rules_b, 101)
-        assert negate_check(rules_b, rules_a, 101)
-
-    def test_non_complement_rejected(self):
-        with pytest.raises(ValueError):
-            negate_check(
-                parse_polarity_string("MMM", 7), parse_polarity_string("MMm", 7), 101
-            )
+        g = 2 * len(a) + 1
+        rules_a, rules_b = parse_polarity_string(a, g), parse_polarity_string(b, g)
+        for n in sorted({g, g + 2, 11, 101, 1001}):
+            (values_a,) = drift._lattice_drift(n, rules_a, (0.0,)).values()
+            (values_b,) = drift._lattice_drift(n, rules_b, (0.0,)).values()
+            assert len(values_a) == n + 1
+            assert all(x == -y for x, y in zip(values_a, values_b)), (n, a)
 
 
 class TestEmpiricalDrift:

@@ -18,20 +18,22 @@ def rational_pmf(n, count, g, k):
 class TestBruteForceOracle:
     def test_hand_counted_case(self):
         # Population 1,1,0,0; the 6 pairs contain exactly one success 4 times.
-        assert pmf_bruteforce(4, 2, 2, 1) == 4 / 6
+        assert pmf_bruteforce(4, 2, 2)[1] == 4 / 6
+        assert pmf_bruteforce(4, 2, 2) == (1 / 6, 4 / 6, 1 / 6)
 
     def test_certain_draw(self):
-        assert pmf_bruteforce(5, 5, 3, 3) == 1.0
-        assert pmf_bruteforce(5, 5, 3, 2) == 0.0
+        assert pmf_bruteforce(5, 5, 3)[3] == 1.0
+        assert pmf_bruteforce(5, 5, 3)[2] == 0.0
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            pmf_bruteforce(25, 10, 3, 1)
+            pmf_bruteforce(25, 10, 3)
 
     def test_matches_rational_reference(self):
         for count in range(11):
+            law = pmf_bruteforce(10, count, 4)
             for k in range(5):
-                assert pmf_bruteforce(10, count, 4, k) == pytest.approx(
+                assert law[k] == pytest.approx(
                     float(rational_pmf(10, count, 4, k)), abs=1e-15
                 )
 
@@ -42,7 +44,7 @@ class TestPmf:
 
     def test_half_population(self):
         # Enumeration: C(5,2)*C(5,2) = 100 of the C(10,4) = 210 subsets.
-        assert pmf_bruteforce(10, 5, 4, 2) == 100 / 210
+        assert pmf_bruteforce(10, 5, 4)[2] == 100 / 210
         assert pmf(10, 5, 4, 2) == 100 / 210
 
     def test_all_success_population(self):
@@ -64,10 +66,9 @@ class TestPmf:
         for n in (7, 12):
             for g in (3, 5):
                 for count in range(n + 1):
+                    law = pmf_bruteforce(n, count, g)
                     for k in range(g + 1):
-                        assert abs(
-                            pmf(n, count, g, k) - pmf_bruteforce(n, count, g, k)
-                        ) <= 1e-12
+                        assert abs(pmf(n, count, g, k) - law[k]) <= 1e-12
 
 
 class TestPmfTable:
