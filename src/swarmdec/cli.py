@@ -69,7 +69,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig, _csv_blocks
+from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,6 +84,8 @@ MAX_GRID = 10_000_000
 MAX_STATE_AGENTS = 10_000_000
 #: Event bound of ``simulate`` when neither ``--events`` nor ``--t-max`` is given.
 DEFAULT_EVENTS = 100_000
+#: Bytes the pipe to the ``simulate`` writer holds, where Linux allows it.
+_PIPE_BYTES = 2**20
 
 #: Every command as ``(name, help, options it takes, required options, own
 #: defaults)``, in ``--help`` order; ``cmd_<name>`` runs it.  A command takes
@@ -311,6 +313,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if rules_arg is not None and schema_arg is not None:
         raise ConfigError("--rules and --schema are mutually exclusive")
     pure_noise = rules_arg == "none"
+    if pure_noise and getattr(args, "rule_rate", None) is not None:
+        raise ConfigError("--rule-rate does not apply with --rules none")
     rules: RuleSet | None = None
     if rules_arg is not None and not pure_noise:
         # An explicit --group drives the parse so that a length mismatch is
@@ -483,9 +487,11 @@ def _writer_process(
     file is in place once the context exits; OSError if the writer failed
     or died.  When the body raises, the writer's pipe ends without the
     None, and it is waited for and the temp file removed before the
-    exception goes on.  Fork before importing numpy, so that the child
-    stays small and runs no threads.
+    exception goes on.  Fork before numpy is imported, so that the child
+    runs no threads; the writer imports numpy after the fork, while this
+    process imports its own.
     """
+    import fcntl
     import pickle
     import signal
 
@@ -493,6 +499,10 @@ def _writer_process(
     sys.stderr.flush()
     with _atomic_file(path) as fh:
         source_fd, sink_fd = os.pipe()
+        # Room for a few chunks of blocks, so that this process runs on while
+        # the writer formats one; the default 64 KiB pipe stalls it.  Linux only.
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(sink_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         report_r, report_w = os.pipe()
         sigint = {signal.SIGINT}
         # Blocked across the fork and for the child's whole life: Ctrl-C is the
@@ -655,8 +665,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         elide_nulls=cfg.elide_nulls,
     )
 
-    def lines(blocks: Iterator) -> Iterator[str]:
-        return chain([header, CSV_HEADER], _csv_blocks(blocks, cfg.agents))
+    def lines(blocks: Iterator) -> Iterator[str]:  # run by the writer process
+        from .csvrows import CHUNK_ROWS, csv_blocks, joined_blocks
+
+        rows = csv_blocks(joined_blocks(blocks, CHUNK_ROWS), cfg.agents)
+        return chain([header, CSV_HEADER], rows)
 
     # The record is formatted and written by a second process while this
     # one simulates, so neither waits for the whole run.

@@ -17,7 +17,9 @@ or ``k = G``) convert nobody and are recorded as null events.
 Randomness comes in whole blocks of :data:`BLOCK_EVENTS` events:
 exponentials, channel uniforms and the urn picks, whose bounds
 ``N, N-1, ..., N-G+1`` do not depend on ``K`` either.  A same-seed run
-that stops earlier is therefore an exact prefix of a longer one.
+that stops earlier is therefore an exact prefix of a longer one.  The
+picks are those ``Generator.integers`` draws, computed from whole random
+words at once (:func:`_pick_drawer`).
 
 There is one event loop, :class:`EventBlocks`.  It does with numpy, four
 blocks at a time, all that does not depend on ``K``: the clock, and, up to
@@ -39,9 +41,12 @@ simulated time is directly comparable to the drift model.
 A single run is strictly sequential; independent replicates may run
 concurrently, each with its own generator (seed ``base + index``).
 
-numpy is imported only where random numbers are drawn (iterating
-:class:`EventBlocks`), so importing this module, as every analytic
-command does, does not load it.
+numpy is imported only where it is used: where random numbers are drawn
+(iterating :class:`EventBlocks`) and where CSV rows are formatted
+(:mod:`swarmdec.csvrows`, imported only then).  Importing this module, as
+every analytic command does, loads neither, and the ``simulate``
+command's writer process, forked first, imports them while the
+simulating process imports numpy.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .model import RuleSet, SwarmState, _Record, check_event_rate, lattice_z
+from .model import RuleSet, SwarmState, _Record, check_event_rate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,6 +173,43 @@ def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
     return np.arange(n_agents, n_agents - group_size, -1)
 
 
+def _pick_drawer(rng: np.random.Generator, bounds: np.ndarray) -> Callable[[np.ndarray], None]:
+    """A function that fills a ``(BLOCK_EVENTS, G)`` block with the picks
+    ``rng.integers(bounds, size=(BLOCK_EVENTS, G))`` draws, from the same
+    random words, so that the generator goes on from where it would.
+
+    For a bound ``b`` in ``[2, 2**32)`` numpy draws a pick by Lemire's
+    method on a 32-bit half word: ``(u * b) >> 32``, unless the low 32
+    bits of ``u * b`` fall below ``(2**32 - b) % b``, when it rejects ``u``
+    and draws again.  Half words come low half first from 64-bit words,
+    so an even number of picks takes whole words, done here in one go.  A
+    block with a rejection is drawn again by ``rng.integers`` after the
+    generator is wound back, as are all blocks of other bounds and those
+    drawn while a half word is left over.
+    """
+    import numpy as np
+
+    bit_generator = rng.bit_generator
+    wide = np.tile(bounds.astype(np.uint64), BLOCK_EVENTS)
+    cutoffs = ((2**32 - wide) % wide).astype(np.uint32)
+    words = wide.size // 2
+    lemire = bounds.size > 0 and 2 <= bounds.min() and bounds.max() < 2**32
+    fast = lemire
+
+    def draw(out: np.ndarray) -> None:
+        nonlocal fast
+        if fast:
+            scaled = bit_generator.random_raw(words).view(np.uint32) * wide
+            if not (scaled.astype(np.uint32) < cutoffs).any():
+                np.right_shift(scaled, 32, out=out.reshape(-1).view(np.uint64))
+                return
+            bit_generator.advance(-words)
+        out[...] = rng.integers(bounds, size=out.shape)
+        fast = lemire and not bit_generator.state["has_uint32"]
+
+    return draw
+
+
 def _urn_thresholds(picks: np.ndarray) -> np.ndarray:
     """Sorted urn thresholds of each group event whose G picks are a row of
     ``picks`` (pick ``j`` in ``[0, N - j)``), one row per event.
@@ -185,6 +227,17 @@ def _urn_thresholds(picks: np.ndarray) -> np.ndarray:
     thresholds = y.T.copy()
     thresholds.sort()
     return thresholds
+
+
+def _urn_count(picks: Sequence[int], count: int) -> int:
+    """X1 agents the sequential urn draws with ``picks`` (pick ``j`` in
+    ``[0, N - j)``) at count ``count``: the agents left are kept in order
+    with the X1 holders first."""
+    favorable = count
+    for pick in picks:
+        if pick < favorable:
+            favorable -= 1
+    return count - favorable
 
 
 def _urn_draws(picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -283,10 +336,11 @@ class EventBlocks:
             rng = np.random.default_rng(self.seed)
             rules, a_group, total = self.rules, self._a_group, self._total
             group_size = rules.group_size if rules is not None else 0
-            bounds = _pick_bounds(n, group_size)
+            draw_picks = _pick_drawer(rng, _pick_bounds(n, group_size))
             weights = rules.signed_weights if rules is not None else ()
             noise = config.noise_rate
             sort = group_size <= _SORTED_GROUPS
+            drawn = bisect_right if sort else _urn_count
         while running:
             # Draws of one batch: clock[0] is the time before it, then the waits.
             clock, us = np.empty(_BATCH_EVENTS + 1), np.empty(_BATCH_EVENTS)
@@ -295,7 +349,7 @@ class EventBlocks:
                 block = slice(lo, lo + BLOCK_EVENTS)
                 rng.standard_exponential(out=clock[1:][block])
                 rng.random(out=us[block])
-                picks[block] = rng.integers(bounds, size=(BLOCK_EVENTS, group_size))
+                draw_picks(picks[block])
             clock[0] = t
             # Accumulating is sequential, so the clock is t += wait, event by
             # event; an infinite wait (or sum) passes t_max.
@@ -303,38 +357,33 @@ class EventBlocks:
                 clock[1:] /= total
                 np.add.accumulate(clock, out=clock)
             us *= total
-            # Each event's G thresholds, or G picks, from flat[lo].
-            flat = _urn_thresholds(picks).ravel().tolist() if sort else memoryview(picks.ravel())
+            # Each event's G sorted thresholds, or its G picks, as one tuple.
+            flat = (_urn_thresholds(picks) if sort else picks).ravel().tolist()
+            groups = zip(*[iter(flat)] * group_size) if group_size else itertools.repeat(())
             # Events before the clock passes t_max or max_events is reached.
             stop = min(int(clock.searchsorted(t_max, "right")) - 1, max_events - n_events)
-            counts = array("q", [count])
+            counts = [count]
             add_count = counts.append
-            for u, lo in zip(us[:stop].tolist(), itertools.count(0, group_size)):
+            for u, group in zip(us[:stop].tolist(), groups):
                 if u < a_group:
-                    if sort:
-                        k = bisect_right(flat, count, lo, lo + group_size) - lo
-                    else:
-                        favorable = count
-                        for pick in flat[lo : lo + group_size]:
-                            if pick < favorable:
-                                favorable -= 1
-                        k = count - favorable
-                    count += weights[k]
+                    count += weights[drawn(group, count)]
                 elif u < a_group + noise * count:
                     count -= 1
                 else:
                     count += 1
                 add_count(count)
-                if count in stops:
-                    break
-            done = len(counts) - 1
+            path = np.array(counts, np.int64)
+            if stops:  # the run ends at its first consensus, not at the batch's end
+                ended = np.flatnonzero((path == 0) | (path == n))
+                path = path[: ended[0] + 1] if len(ended) else path
+            done = len(path) - 1
+            count = int(path[-1])
             n_events += done
             t = float(clock[done])
             running = done == _BATCH_EVENTS and n_events < max_events and count not in stops
             self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
             # The kind of each event follows from its channel and the count
             # before and after it, and its k from its picks and the count before.
-            path = np.frombuffer(counts, np.int64)
             before, after = path[:-1], path[1:]
             group = us[:done] < a_group
             kinds = np.where(after == before, NULL, RULE)
@@ -380,30 +429,6 @@ def simulate(
 CSV_HEADER = "time,event,k,count_x1,z"
 
 
-def _csv_blocks(
-    blocks: Iterable[tuple[array, array, array, array]], n_agents: int
-) -> Iterator[str]:
-    """The CSV rows of each block of ``(times, kinds, ks, counts)`` columns
-    of a run of ``N`` agents, as one string: the rows joined by newlines,
-    with none after the last."""
-    # Everything after the time depends only on (kind, k, count).
-    suffixes: dict[tuple[int, int, int], str] = {}
-
-    def suffix(key: tuple[int, int, int]) -> str:
-        kind, k, count = key
-        k_field = "" if kind in (NOISE12, NOISE21) else k
-        z = lattice_z(count, n_agents)
-        suffixes[key] = f",{EVENT_LABELS[kind]},{k_field},{count},{z:.17g}"
-        return suffixes[key]
-
-    known = suffixes.get
-    for times, kinds, ks, counts in blocks:
-        fields = [None] * (2 * len(times))
-        fields[::2] = times
-        fields[1::2] = [known(key) or suffix(key) for key in zip(kinds, ks, counts)]
-        yield ("%.17g%s\n" * len(times))[:-1] % tuple(fields)
-
-
 def trajectory_csv_lines(
     trajectory: Trajectory, provenance: str | None = None
 ) -> Iterator[str]:
@@ -413,6 +438,8 @@ def trajectory_csv_lines(
     ``rule``/``noise12``/``noise21``/``null``; ``k`` is empty for noise
     events; floats carry 17 significant digits.
     """
+    from .csvrows import csv_blocks
+
     if provenance is not None:
         yield provenance
     yield CSV_HEADER
@@ -421,5 +448,5 @@ def trajectory_csv_lines(
         [column[lo : lo + _BATCH_EVENTS] for column in columns]
         for lo in range(0, len(trajectory.times), _BATCH_EVENTS)
     )
-    for text in _csv_blocks(blocks, trajectory.initial_state.n_agents):
+    for text in csv_blocks(blocks, trajectory.initial_state.n_agents):
         yield from text.splitlines()

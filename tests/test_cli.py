@@ -497,6 +497,37 @@ class TestSimulateMemory:
         assert abs(peaks[1] - peaks[0]) < 2**18
 
 
+    def test_writer_peak_does_not_grow_with_events_at_large_n(self, tmp_path):
+        # With N = 10**9 + 1 nearly every count is new: the writer that kept
+        # the text of every (kind, k, count) it had seen peaked at 127 MiB at
+        # 10**6 events and 395 MiB at 3 * 10**6.  Its tables now hold at
+        # most csvrows.CHUNK_ROWS keys.
+        peaks = []
+        for events in (100_000, 400_000):
+            argv = ["simulate", "--agents", "1000000001", "--rules", "Mmm", "--epsilon", "0.1",
+                    "--init-z", "0.5", "--events", str(events), "--out", str(tmp_path / "run.csv")]
+            code, peak = json.loads(_fresh_run(_WRITER_PEAK_PROBE, json.dumps(argv), cwd=tmp_path))
+            assert code == EXIT_OK
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**11  # KiB
+
+
+#: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit code
+#: and the peak resident memory, in KiB, of the writer process it forked.
+_WRITER_PEAK_PROBE = """\
+import json, os, sys
+from swarmdec import cli
+peaks = []
+def waitpid(pid, options):
+    pid, status, usage = os.wait4(pid, options)
+    peaks.append(usage.ru_maxrss)
+    return pid, status
+os.waitpid = waitpid
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, peaks[0]]))
+"""
+
+
 #: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit code
 #: and whether the process still has a child, live or zombie.
 _PIPELINE_PROBE = """\
@@ -1098,6 +1129,27 @@ class TestConfigFileAndEnvironment:
         assert main([*argv, "--config", str(config), "--out", str(with_keys)]) == EXIT_OK
         assert main([*argv, "--out", str(without)]) == EXIT_OK
         assert with_keys.read_bytes() == without.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["drift", "--empirical", "--samples", "10"], ["simulate", "--events", "10"]],
+        ids=["drift-empirical", "simulate"],
+    )
+    def test_rule_rate_refused_without_rules(self, tmp_path, capsys, argv):
+        # The noise-only system has no group interactions, so its rule rate
+        # is 0 whatever the flag says.
+        out = tmp_path / "o.csv"
+        argv = [*argv, "--rules", "none", "--epsilon", "0.1", "--out", str(out)]
+        code = main([*argv, "--rule-rate", "5"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "swarmdec: --rule-rate does not apply with --rules none\n"
+        assert list(tmp_path.iterdir()) == []
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rule_rate": 5}))
+        assert main([*argv, "--config", str(config)]) == EXIT_OK
+        keyed = {path: path.read_bytes() for path in tmp_path.glob("*.csv")}
+        assert main(argv) == EXIT_OK
+        assert {path: path.read_bytes() for path in tmp_path.glob("*.csv")} == keyed
 
     def test_keys_a_command_does_not_take_are_type_checked(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1723,6 +1775,26 @@ SIMULATE_OUTPUTS = [
      '"n_events": 12000, "seed": 13}',
      ["--agents", "1001", "--rules", "Mm", "--epsilon", "0.02", "--events", "12000",
       "--init-k", "300", "--seed", "13", "--elide-nulls"]),
+    # Times that '%.17g' writes with an exponent, from 1e16 up and below
+    # 1e-4, and large ones it writes without.
+    ("huge_times", "1793b80eb7209189a049654da7c68ff43c20d2e96864731e6740c10e4a8a423f",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 54, "rule": 2946}, '
+     '"final_count_x1": 55, "final_time": 2.9542847788060104e+21, "final_z": 0.08910891089108919, '
+     '"n_events": 3000, "seed": 24}',
+     ["--rules", "Mmm", "--epsilon", "0", "--rule-rate", "1e-20", "--events", "3000",
+      "--seed", "24"]),
+    ("tiny_times", "be80f0f6f8fabaf29c66a41d4f31c20b9c85089ed6f045f28c9a608c96892bd0",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 49, "rule": 2951}, '
+     '"final_count_x1": 52, "final_time": 0.006045755093807756, "final_z": 0.02970297029702973, '
+     '"n_events": 3000, "seed": 25}',
+     ["--rules", "Mmm", "--epsilon", "0.1", "--rule-rate", "5000", "--events", "3000",
+      "--seed", "25"]),
+    ("large_times", "b5fecfdedbf411966f7a6059b9dfe4f1a41e0aae5426e9d14baab1af396d5692",
+     '{"event_counts": {"noise12": 0, "noise21": 0, "null": 50, "rule": 2950}, '
+     '"final_count_x1": 45, "final_time": 29911574193.041756, "final_z": -0.1089108910891089, '
+     '"n_events": 3000, "seed": 23}',
+     ["--rules", "Mmm", "--epsilon", "0", "--rule-rate", "1e-9", "--events", "3000",
+      "--seed", "23"]),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from array import array
 from bisect import bisect_right
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +25,13 @@ from swarmdec.ssa import (
     _BATCH_EVENTS,
     _SORTED_GROUPS,
     _pick_bounds,
+    _pick_drawer,
     _urn_draws,
     _urn_thresholds,
     simulate,
     trajectory_csv_lines,
 )
+from swarmdec.csvrows import _DECADES, csv_blocks
 from swarmdec.hypergeom import pmf_table
 
 MMM = parse_polarity_string("MMM", 7)
@@ -533,6 +536,40 @@ class TestEventBlocks:
             EventBlocks(SwarmState(101, 51), None, SimConfig(max_events=1), 0)
 
 
+def observable(state: dict) -> dict:
+    """A bit generator's state without the half word numpy keeps from the
+    last word it split even when none is left over (``has_uint32 == 0``),
+    and then never reads."""
+    return {**state, "uinteger": state["uinteger"] if state["has_uint32"] else None}
+
+
+class TestPickDrawer:
+    @pytest.mark.parametrize(
+        "n, g",
+        [(101, g) for g in range(1, 26)]
+        + [(1, 1), (7, 7), (2**31 + 1, 3), (2**32 - 1, 5), (2**32, 2), (2**32 + 9, 4), (MAX_AGENTS, 3)],
+    )
+    def test_picks_are_those_of_generator_integers(self, n, g):
+        # Block by block, with other draws between blocks as in EventBlocks:
+        # the same picks, and the generator left where rng.integers leaves it.
+        # Near 2**31 Lemire's method rejects about half the words, and a
+        # half word is often left over; G == N has a bound of 1.
+        bounds = _pick_bounds(n, g)
+        rng, reference = np.random.default_rng(n + g), np.random.default_rng(n + g)
+        draw = _pick_drawer(rng, bounds)
+        picks = np.empty((BLOCK_EVENTS, g), np.int64)
+        left_over = set()
+        for _ in range(12):
+            draw(picks)
+            assert picks.tolist() == reference.integers(bounds, size=(BLOCK_EVENTS, g)).tolist()
+            state = reference.bit_generator.state
+            assert observable(rng.bit_generator.state) == observable(state)
+            left_over.add(state["has_uint32"])
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+        if n == 2**31 + 1:
+            assert left_over == {0, 1}
+
+
 class TestTrajectoryCsv:
     def test_format(self):
         config = SimConfig(noise_rate=0.05, max_events=200)
@@ -589,6 +626,40 @@ class TestTrajectoryCsv:
         row = list(trajectory_csv_lines(trajectory))[1]
         time_s = row.split(",")[0]
         assert float(time_s) == trajectory.times[0]
+
+    # Powers of ten and their neighbours, where the decade changes (some,
+    # such as 1e-14 and 1e+98, are doubles just below the power, which
+    # '%.17g' rounds up to it; none lies from 1e-4 to 1e16), the ends of the
+    # range laid out without '%.17g' and past them, ties and trailing zeros.
+    TIMES = [
+        0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 9.9999999999999991e-5,
+        1e16, 9999999999999998.0, 0.5, 1.25, 100.0, 123456789.0, 0.1 + 0.2, 2.0**-14,
+        562949953421312.125, 562949953421312.375, 0.30000000000000004,
+        *(
+            t
+            for e in range(-320, 309)
+            for power in [float(f"1e{e}")]
+            for t in (power, math.nextafter(power, 0.0), math.nextafter(power, math.inf))
+        ),
+    ]
+
+    @staticmethod
+    def time_fields(times):
+        n = len(times)
+        block = (array("d", times), array("B", [NULL] * n), array("B", [0] * n), array("B", [1] * n))
+        (text,) = csv_blocks([block], 3)
+        return [row.split(",")[0] for row in text.split("\n")]
+
+    def test_decades_start_at_their_powers_of_ten(self):
+        # The writer finds each time's decade among these doubles.
+        for e, start in zip(range(-4, 17), _DECADES.tolist()):
+            assert Fraction(math.nextafter(start, 0.0)) < Fraction(10) ** e <= Fraction(start)
+
+    def test_times_are_written_as_by_percent_17g(self):
+        expected = ["%.17g" % t for t in self.TIMES]
+        assert self.time_fields(self.TIMES) == expected
+        # Each alone too, so that each decade is also laid out on its own.
+        assert [self.time_fields([t])[0] for t in self.TIMES] == expected
 
     def test_event_labels(self):
         assert EVENT_LABELS[RULE] == "rule"
@@ -661,6 +732,19 @@ if st is not None:
         assert trajectory.n_events <= (max_events or math.inf)
         assert trajectory.final_time <= (t_max or math.inf)
         assert math.isfinite(trajectory.final_time)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, allow_infinity=False)
+            | st.floats(1e-4, 1e16)
+            | st.integers(1, 10**4).map(lambda i: i / 64),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_times_written_as_by_percent_17g(times):
+        assert TestTrajectoryCsv.time_fields(times) == ["%.17g" % t for t in times]
 
     @settings(max_examples=300, deadline=None)
     @given(
