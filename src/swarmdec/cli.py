@@ -84,8 +84,6 @@ MAX_GRID = 10_000_000
 MAX_STATE_AGENTS = 10_000_000
 #: Event bound of ``simulate`` when neither ``--events`` nor ``--t-max`` is given.
 DEFAULT_EVENTS = 100_000
-#: Bytes the pipe to the ``simulate`` writer holds, where Linux allows it.
-_PIPE_BYTES = 2**20
 
 #: Every command as ``(name, help, options it takes, required options, own
 #: defaults)``, in ``--help`` order; ``cmd_<name>`` runs it.  A command takes
@@ -491,7 +489,6 @@ def _writer_process(
     runs no threads; the writer imports numpy after the fork, while this
     process imports its own.
     """
-    import fcntl
     import pickle
     import signal
 
@@ -499,10 +496,6 @@ def _writer_process(
     sys.stderr.flush()
     with _atomic_file(path) as fh:
         source_fd, sink_fd = os.pipe()
-        # Room for a few chunks of blocks, so that this process runs on while
-        # the writer formats one; the default 64 KiB pipe stalls it.  Linux only.
-        with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(sink_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         report_r, report_w = os.pipe()
         sigint = {signal.SIGINT}
         # Blocked across the fork and for the child's whole life: Ctrl-C is the

@@ -67,10 +67,11 @@ def _significant_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _time_text(times: np.ndarray) -> np.ndarray:
     """``'%.17g' % t`` of each time, as rows of 24 NUL-padded bytes.
 
-    ``'%.17g'`` writes a number from ``1e-4`` up to ``1e16`` without an
+    ``'%.17g'`` writes a number from ``1e-4`` up to ``1e17`` without an
     exponent, with its 17 significant digits but their trailing zeros
     after the point, and the point only if a digit follows it.  Those
-    are laid out here; the others are left to ``'%.17g'``, one by one.
+    below ``1e16`` are laid out here; the others are left to ``'%.17g'``,
+    one by one.
     """
     fixed = (times >= 1e-4) & (times < 1e16)
     digits, exponents = _significant_digits(np.where(fixed, times, 1.0))

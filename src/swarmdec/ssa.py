@@ -184,8 +184,9 @@ def _pick_drawer(rng: np.random.Generator, bounds: np.ndarray) -> Callable[[np.n
     and draws again.  Half words come low half first from 64-bit words,
     so an even number of picks takes whole words, done here in one go.  A
     block with a rejection is drawn again by ``rng.integers`` after the
-    generator is wound back, as are all blocks of other bounds and those
-    drawn while a half word is left over.
+    generator is wound back, as are all blocks of other bounds, those
+    drawn while a half word is left over, and all blocks on a big-endian
+    host, where viewing a word as two half words puts its high half first.
     """
     import numpy as np
 
@@ -193,7 +194,7 @@ def _pick_drawer(rng: np.random.Generator, bounds: np.ndarray) -> Callable[[np.n
     wide = np.tile(bounds.astype(np.uint64), BLOCK_EVENTS)
     cutoffs = ((2**32 - wide) % wide).astype(np.uint32)
     words = wide.size // 2
-    lemire = bounds.size > 0 and 2 <= bounds.min() and bounds.max() < 2**32
+    lemire = bounds.size > 0 and 2 <= bounds.min() and bounds.max() < 2**32 and sys.byteorder == "little"
     fast = lemire
 
     def draw(out: np.ndarray) -> None:
@@ -357,9 +358,14 @@ class EventBlocks:
                 clock[1:] /= total
                 np.add.accumulate(clock, out=clock)
             us *= total
-            # Each event's G sorted thresholds, or its G picks, as one tuple.
-            flat = (_urn_thresholds(picks) if sort else picks).ravel().tolist()
-            groups = zip(*[iter(flat)] * group_size) if group_size else itertools.repeat(())
+            # Each event's G sorted thresholds as one tuple; the G picks of a
+            # large group as a slice of the batch's, read only by a group event.
+            if sort:
+                flat = _urn_thresholds(picks).ravel().tolist()
+                groups = zip(*[iter(flat)] * group_size) if group_size else itertools.repeat(())
+            else:
+                flat = memoryview(picks.ravel())
+                groups = (flat[lo : lo + group_size] for lo in itertools.count(0, group_size))
             # Events before the clock passes t_max or max_events is reached.
             stop = min(int(clock.searchsorted(t_max, "right")) - 1, max_events - n_events)
             counts = [count]

@@ -1,8 +1,10 @@
 import math
+import sys
 import tracemalloc
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -568,6 +570,21 @@ class TestPickDrawer:
             assert rng.random(3).tolist() == reference.random(3).tolist()
         if n == 2**31 + 1:
             assert left_over == {0, 1}
+
+    def test_big_endian_host_draws_no_raw_words(self, monkeypatch):
+        # The raw words' picks take each word's low half first, as only a
+        # little-endian host lays it out; elsewhere rng.integers draws them all.
+        monkeypatch.setattr(sys, "byteorder", "big")
+        bounds = _pick_bounds(101, 7)
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        raw_reads = []
+        bit_generator = SimpleNamespace(random_raw=raw_reads.append)
+        draw = _pick_drawer(SimpleNamespace(integers=rng.integers, bit_generator=bit_generator), bounds)
+        picks = np.empty((BLOCK_EVENTS, 7), np.int64)
+        for _ in range(3):
+            draw(picks)
+            assert picks.tolist() == reference.integers(bounds, size=picks.shape).tolist()
+        assert raw_reads == []
 
 
 class TestTrajectoryCsv:
