@@ -21,8 +21,9 @@ interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
 this needs ``os.fork`` (POSIX).  The simulating process owns the output
 file: it creates the temp file before the fork, and renames or removes it
 after the writer ends.  The column block of each batch of events reaches
-the writer pickled.  Every command writes its output a line at a time
-(:func:`_write_lines`), so the file handle's buffer bounds what a write holds.
+the writer pickled, and the writer formats it as it arrives.  Every
+command writes its output a line at a time (:func:`_write_lines`), so the
+file handle's buffer bounds what a write holds.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .schema import (
     ruleset_of_schema,
     schema_of_ruleset,
 )
-from .ssa import CSV_HEADER, MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig
+from .ssa import MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -659,10 +660,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     )
 
     def lines(blocks: Iterator) -> Iterator[str]:  # run by the writer process
-        from .csvrows import CHUNK_ROWS, csv_blocks, joined_blocks
+        from .csvrows import csv_blocks
 
-        rows = csv_blocks(joined_blocks(blocks, CHUNK_ROWS), cfg.agents)
-        return chain([header, CSV_HEADER], rows)
+        return chain([header], csv_blocks(blocks, cfg.agents))
 
     # The record is formatted and written by a second process while this
     # one simulates, so neither waits for the whole run.

@@ -1,13 +1,16 @@
-"""The rows of the trajectory CSV that ``simulate`` writes, formatted
-with numpy a block at a time, byte for byte as Python formats them.
+"""The trajectory CSV that ``simulate`` writes, its rows formatted with
+numpy a block at a time as each block arrives, byte for byte as Python
+formats them.
 
-Each row is ``time,event,k,count_x1,z``.  The time is written as
+The CSV starts with the header line :data:`CSV_HEADER`; each row is
+``time,event,k,count_x1,z``.  The time is written as
 ``'%.17g'`` writes it: from ``1e-4`` up to ``1e16`` its 17 significant
 digits are computed exactly as an integer (Dekker's two-product with a
 power of ten, rounded half to even) and laid out without an exponent
 (:func:`_time_text`); other times are left to ``'%.17g'``, one by one.
 The rest of a row depends only on the event's kind and ``k`` and on the
-count, whose text comes from small tables (:class:`_TextTable`).
+count, whose text comes from small tables (:class:`_TextTable`) that
+format each key once while it stays in their range.
 
 Only the ``simulate`` writer process and :func:`swarmdec.ssa.trajectory_csv_lines`
 import this module, so no other command loads it or numpy.
@@ -24,9 +27,10 @@ import numpy as np
 from .model import lattice_z
 from .ssa import EVENT_LABELS, NOISE12, NOISE21
 
-#: Rows the ``simulate`` writer formats at once (:func:`joined_blocks`),
-#: and most keys a text table of :func:`csv_blocks` holds across blocks.
-CHUNK_ROWS = 8192
+#: The CSV's first line, which :func:`csv_blocks` yields before the rows.
+CSV_HEADER = "time,event,k,count_x1,z"
+#: Most keys a :class:`_TextTable` holds across lookups.
+_TABLE_KEYS = 8192
 #: Dekker's splitter for doubles: ``2**27 + 1``.
 _SPLITTER = 134217729.0
 #: ``10**p`` for p in 0..22, every one an exact double, and the high and
@@ -112,23 +116,30 @@ def _time_text(times: np.ndarray) -> np.ndarray:
 class _TextTable:
     """The text of integer keys, looked up as rows of NUL-padded bytes.
 
-    The table holds the keys of ``range(lo, hi)``.  It is rebuilt when a
-    lookup's keys fall outside: over those keys and the ones it held, while
-    that spans at most :data:`CHUNK_ROWS` keys, else over the new keys
-    alone, so that its memory stays bounded whatever the keys.
+    The table holds the text of the keys of ``range(lo, hi)`` as an ``S``
+    array, and a lookup formats only the keys it adds on either side.
+    Once the range would span more than :data:`_TABLE_KEYS` keys, the
+    table starts over from the lookup's own keys, so that its memory stays
+    bounded whatever the keys.
     """
 
     def __init__(self, text: Callable[[int], str]) -> None:
-        self.text, self.lo, self.hi, self.rows = text, math.inf, -math.inf, None
+        # An empty range at infinity, from which the first lookup starts over.
+        self.text, self.lo, self.hi = text, math.inf, math.inf
 
     def __call__(self, keys: np.ndarray) -> np.ndarray:
         lo, hi = int(keys.min()), int(keys.max()) + 1
         if lo < self.lo or hi > self.hi:
-            if max(hi, self.hi) - min(lo, self.lo) <= CHUNK_ROWS:
-                lo, hi = min(lo, self.lo), max(hi, self.hi)
-            texts = np.array([self.text(key).encode() for key in range(lo, hi)])
-            self.lo, self.hi, self.rows = lo, hi, texts.view(np.uint8).reshape(hi - lo, -1)
-        return self.rows[keys - self.lo]
+            if max(hi, self.hi) - min(lo, self.lo) > _TABLE_KEYS:
+                self.lo, self.hi, self.texts = lo, lo, np.array([], "S")
+            before, after = self._texts(lo, self.lo), self._texts(self.hi, hi)
+            self.texts = np.concatenate([before, self.texts, after])
+            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
+        return self.texts[keys - self.lo].view(np.uint8).reshape(len(keys), -1)
+
+    def _texts(self, lo: int, hi: int) -> np.ndarray:
+        """The text of the keys of ``range(lo, hi)``, as an ``S`` array."""
+        return np.array([self.text(key).encode() for key in range(lo, hi)], "S")
 
 
 def _rows_text(times: np.ndarray, events: np.ndarray, states: np.ndarray) -> str:
@@ -138,18 +149,18 @@ def _rows_text(times: np.ndarray, events: np.ndarray, states: np.ndarray) -> str
     newlines = np.full((len(times), 1), ord("\n"), np.uint8)
     newlines[0] = 0
     text = np.concatenate([newlines, _time_text(times), events, states], axis=1)
-    del events, states  # the parts go before the rows are joined
     return str(text[text != 0], "ascii")
 
 
 def csv_blocks(
     blocks: Iterable[tuple[array, array, array, array]], n_agents: int
 ) -> Iterator[str]:
-    """The CSV rows of each non-empty block of ``(times, kinds, ks, counts)``
-    columns of a run of ``N`` agents, as one string: the rows joined by
-    newlines, with none after the last.
+    """The CSV of a run of ``N`` agents: :data:`CSV_HEADER`, then the rows
+    of each block of ``(times, kinds, ks, counts)`` columns as one string,
+    joined by newlines, with none after the last.  Every block must hold
+    at least one row, as those of :class:`swarmdec.ssa.EventBlocks` do.
 
-    numpy formats a whole block at once: the time as ``'%.17g'`` does
+    numpy formats each block as it comes: the time as ``'%.17g'`` does
     (:func:`_time_text`), then the text of its ``(kind, k)`` and of its
     count and ``z``, each from a :class:`_TextTable`.
     """
@@ -162,26 +173,7 @@ def csv_blocks(
         return f"{count},{lattice_z(count, n_agents):.17g}"
 
     events, states = _TextTable(event_text), _TextTable(state_text)
+    yield CSV_HEADER
     for times, kinds, ks, counts in blocks:
         codes = np.asarray(kinds, np.int64) + 4 * np.asarray(ks, np.int64)
         yield _rows_text(np.asarray(times), events(codes), states(np.asarray(counts, np.int64)))
-
-
-def joined_blocks(
-    blocks: Iterable[tuple[array, array, array, array]], rows: int
-) -> Iterator[tuple[array, array, array, array]]:
-    """The column blocks of ``blocks`` in order, joined into blocks of at
-    least ``rows`` rows but the last; joining extends the first block's
-    columns in place."""
-    joined = None
-    for block in blocks:
-        if joined is None:
-            joined = block
-        else:
-            for column, part in zip(joined, block):
-                column.extend(part)
-        if len(joined[0]) >= rows:
-            yield joined
-            joined = None
-    if joined is not None:
-        yield joined

@@ -166,13 +166,6 @@ class Trajectory(_Record):
         return _label_counts(recorded, self.n_events)
 
 
-def _pick_bounds(n_agents: int, group_size: int) -> np.ndarray:
-    """Exclusive upper bounds ``N, N-1, ..., N-G+1`` of the G urn picks."""
-    import numpy as np
-
-    return np.arange(n_agents, n_agents - group_size, -1)
-
-
 def _pick_drawer(rng: np.random.Generator, bounds: np.ndarray) -> Callable[[np.ndarray], None]:
     """A function that fills a ``(BLOCK_EVENTS, G)`` block with the picks
     ``rng.integers(bounds, size=(BLOCK_EVENTS, G))`` draws, from the same
@@ -337,7 +330,7 @@ class EventBlocks:
             rng = np.random.default_rng(self.seed)
             rules, a_group, total = self.rules, self._a_group, self._total
             group_size = rules.group_size if rules is not None else 0
-            draw_picks = _pick_drawer(rng, _pick_bounds(n, group_size))
+            draw_picks = _pick_drawer(rng, np.arange(n, n - group_size, -1))
             weights = rules.signed_weights if rules is not None else ()
             noise = config.noise_rate
             sort = group_size <= _SORTED_GROUPS
@@ -432,9 +425,6 @@ def simulate(
     )
 
 
-CSV_HEADER = "time,event,k,count_x1,z"
-
-
 def trajectory_csv_lines(
     trajectory: Trajectory, provenance: str | None = None
 ) -> Iterator[str]:
@@ -448,7 +438,6 @@ def trajectory_csv_lines(
 
     if provenance is not None:
         yield provenance
-    yield CSV_HEADER
     columns = (trajectory.times, trajectory.kinds, trajectory.ks, trajectory.counts)
     blocks = (
         [column[lo : lo + _BATCH_EVENTS] for column in columns]

@@ -501,7 +501,7 @@ class TestSimulateMemory:
         # With N = 10**9 + 1 nearly every count is new: the writer that kept
         # the text of every (kind, k, count) it had seen peaked at 127 MiB at
         # 10**6 events and 395 MiB at 3 * 10**6.  Its tables now hold at
-        # most csvrows.CHUNK_ROWS keys.
+        # most 8192 keys across blocks.
         peaks = []
         for events in (100_000, 400_000):
             argv = ["simulate", "--agents", "1000000001", "--rules", "Mmm", "--epsilon", "0.1",

@@ -26,19 +26,22 @@ from swarmdec.ssa import (
     Trajectory,
     _BATCH_EVENTS,
     _SORTED_GROUPS,
-    _pick_bounds,
     _pick_drawer,
     _urn_draws,
     _urn_thresholds,
     simulate,
     trajectory_csv_lines,
 )
-from swarmdec.csvrows import _DECADES, csv_blocks
+from swarmdec.csvrows import _DECADES, _TABLE_KEYS, CSV_HEADER, _TextTable, csv_blocks
 from swarmdec.hypergeom import pmf_table
 
 MMM = parse_polarity_string("MMM", 7)
 MMm = parse_polarity_string("MMm", 7)
 MMM_G5 = parse_polarity_string("MM", 5)
+
+
+def _pick_bounds(n: int, group_size: int) -> np.ndarray:
+    return np.arange(n, n - group_size, -1)
 
 
 def _urn(picks: Sequence[int], favorable: int) -> int:
@@ -594,6 +597,8 @@ class TestTrajectoryCsv:
         lines = list(trajectory_csv_lines(trajectory, "# provenance"))
         assert lines[0] == "# provenance"
         assert lines[1] == "time,event,k,count_x1,z"
+        # The provenance is passed on whole, whatever line breaks it holds.
+        assert next(trajectory_csv_lines(trajectory, "# a\x1cb")) == "# a\x1cb"
         labels = set()
         for row in lines[2:]:
             time_s, label, k_s, count_s, z_s = row.split(",")
@@ -664,7 +669,7 @@ class TestTrajectoryCsv:
     def time_fields(times):
         n = len(times)
         block = (array("d", times), array("B", [NULL] * n), array("B", [0] * n), array("B", [1] * n))
-        (text,) = csv_blocks([block], 3)
+        _, text = csv_blocks([block], 3)
         return [row.split(",")[0] for row in text.split("\n")]
 
     def test_decades_start_at_their_powers_of_ten(self):
@@ -677,6 +682,48 @@ class TestTrajectoryCsv:
         assert self.time_fields(self.TIMES) == expected
         # Each alone too, so that each decade is also laid out on its own.
         assert [self.time_fields([t])[0] for t in self.TIMES] == expected
+
+    def test_text_table_formats_each_key_once(self):
+        # Each lookup formats only the keys it adds on either side, however
+        # wide their text, until the range would pass _TABLE_KEYS keys.
+        calls = []
+        table = _TextTable(lambda key: calls.append(key) or "x" * (key % 7))
+
+        def lookup(keys):
+            rows = table(np.array(keys))
+            assert [bytes(row).rstrip(b"\0") for row in rows] == [b"x" * (key % 7) for key in keys]
+
+        for lo in (0, 50, 100):
+            lookup(range(lo, lo + 100))
+        assert calls == list(range(200))
+        lookup([199, 0, 120])
+        assert len(calls) == 200
+        lookup([100 + _TABLE_KEYS])  # more than _TABLE_KEYS keys from 0: over again
+        lookup([101, 100 + _TABLE_KEYS])
+        assert calls[200:] == [100 + _TABLE_KEYS, *range(101, 100 + _TABLE_KEYS)]
+
+    @pytest.mark.parametrize("n", [101, 10**9 + 1])
+    def test_rows_do_not_depend_on_how_the_run_is_cut_into_blocks(self, n):
+        rng, row = np.random.default_rng(n), np.arange(_BATCH_EVENTS)
+        times = np.cumsum(rng.standard_exponential(_BATCH_EVENTS)).tolist()
+        kinds = rng.integers(0, 4, _BATCH_EVENTS).tolist()
+        ks = [0 if kind in (NOISE12, NOISE21) else k for kind, k in zip(kinds, row % 8)]
+        if n == 101:
+            counts = rng.integers(0, n + 1, _BATCH_EVENTS).tolist()
+        else:  # small steps either way, and jumps up, then down, past what a table holds
+            steps = np.where(row % 100 == 99, 3 * _TABLE_KEYS, rng.integers(-3, 4, _BATCH_EVENTS))
+            counts = (n // 2 + np.cumsum(steps * (-1) ** (row // 300))).tolist()
+        columns = (array("d", times), array("B", kinds), array("q", ks), array("q", counts))
+        rows = []
+        for t, kind, k, count in zip(*columns):
+            k_field = "" if kind in (NOISE12, NOISE21) else k
+            rows.append(f"{t:.17g},{EVENT_LABELS[kind]},{k_field},{count},{2.0 * count / n - 1.0:.17g}")
+        for cuts in ([*range(_BATCH_EVENTS + 1)], [0, 1023, 1024], [0, 1024]):
+            blocks = [[column[lo:hi] for column in columns] for lo, hi in zip(cuts, cuts[1:])]
+            header, *texts = csv_blocks(blocks, n)
+            assert header == CSV_HEADER
+            assert len(texts) == len(blocks)
+            assert "\n".join(texts) == "\n".join(rows)
 
     def test_event_labels(self):
         assert EVENT_LABELS[RULE] == "rule"
