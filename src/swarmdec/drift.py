@@ -19,7 +19,8 @@ analytic routes walk their ``z`` values in increasing order, so they
 compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
 at every point (``_drift_values``).  ``analytic_drift`` is one such point,
 ``analytic_drift_curve`` streams a uniform grid, and
-``find_fixed_points`` scans one and bisects its sign changes.  Since
+``find_fixed_points`` scans one and bisects over ``K`` in each sign change
+for the exact zero of the lattice drift.  Since
 ``R_K`` is an exact sum of exactly rounded probabilities, the rule term of
 the polarity complement of a rule set is ``-R_K`` bit for bit, so their
 noise-free curves satisfy ``a == -b`` at every point; ``swarmdec
@@ -48,13 +49,15 @@ not change with the Python version.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from .hypergeom import PmfTable, _validate, pmf_table
-from .model import NoiseSpec, RuleSet, _Record, check_event_rate, check_swarm_size, count_of_z, lattice_z
+from .model import NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size
+from .model import count_of_z, lattice_z
 
 __all__ = [
     "FixedPoint",
@@ -68,10 +71,6 @@ __all__ = [
     "rule_firing_probabilities",
 ]
 
-#: Refined-bracket width at which bisection stops.
-_BISECT_TOL = 1e-9
-#: Slope magnitude below which a fixed point is classified as marginal.
-_MARGINAL_SLOPE_TOL = 1e-10
 #: Largest number of samples per state of the empirical samplers.  Every
 #: count then stays far below 2**53, so it is exact as a float and each
 #: frequency ``count / draws`` is correctly rounded.
@@ -84,8 +83,12 @@ class Stability(Enum):
     MARGINAL = "marginal"
 
 
+#: Stability of a zero by the signs of the drift (``> 0``) on its two sides.
+_STABILITY = {(True, False): Stability.STABLE, (False, True): Stability.UNSTABLE}
+
+
 class FixedPoint(_Record):
-    """A zero of the drift curve with its stability classification."""
+    """A zero of the lattice drift, its stability, and the grid points around it."""
 
     z: float
     stability: Stability
@@ -383,47 +386,44 @@ def empirical_firing_probabilities(
     return PmfTable(group_size, tuple(float(c) / draws for c in counts))
 
 
-def _bisect(
-    f, lo: float, hi: float, f_lo: float, f_hi: float
-) -> tuple[float, float, float, float]:
-    """Narrow the sign change of ``f`` on ``[lo, hi]`` to a bracket no wider
-    than :data:`_BISECT_TOL`; returns it with ``f`` at both of its ends."""
+def _bisect(f, lo: int, hi: int, f_lo: float, n_agents: int) -> tuple[int, int]:
+    """Narrow the sign change of ``f`` from state ``lo``, where it takes
+    ``f_lo``, to state ``hi`` until the two are adjacent or their lattice
+    z are equal or adjacent doubles; returns the two states."""
     lo_positive = f_lo > 0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1 and lattice_z(hi, n_agents) > math.nextafter(lattice_z(lo, n_agents), 2.0):
+        mid = (lo + hi) // 2
         fm = f(mid)
         if fm == 0.0 or (fm > 0) == lo_positive:
-            lo, f_lo = mid, fm
+            lo = mid
         else:
-            hi, f_hi = mid, fm
-    return lo, hi, f_lo, f_hi
+            hi = mid
+    return lo, hi
 
 
 def find_fixed_points(
-    n_agents: int,
-    rules: RuleSet | None,
-    noise: NoiseSpec,
-    grid_points: int = 2001,
+    n_agents: int, rules: RuleSet | None, noise: NoiseSpec, grid_points: int = 2001
 ) -> list[FixedPoint]:
     """Locate and classify every zero of the analytic drift on [-1, 1].
 
     The curve is scanned on a uniform grid, in one pass that holds only
     the last nonzero point and the ends of the current run of zeros, so
-    memory does not grow with the grid; every sign change is refined by
-    bisection to a bracket narrower than 1e-9.  Because the drift is
-    piecewise constant between lattice states, runs of exact zeros are
-    collapsed: a zero plateau touching a boundary is reported as the
-    boundary fixed point ``z = +/-1`` (classified by the drift just
-    inside), and an interior plateau as a single fixed point at its
-    midpoint.  A drift that vanishes identically yields one marginal
-    fixed point spanning the whole interval.
+    memory does not grow with the grid.  On the cell of state ``K`` the
+    drift is ``R_K - epsilon*z``, so the zero of a sign change between two
+    grid points is found by bisecting over the states between them
+    (:func:`_bisect`): a jump at a cell boundary (:func:`cell_boundary`) or
+    the root ``R_K/epsilon`` inside a cell, either rounded once from the
+    exact zero.  A change from + to - is stable, one from - to + unstable;
+    the bracket is the two grid points around the zero.  Runs of exact
+    zeros are collapsed: a zero plateau touching a boundary is reported as
+    the boundary fixed point ``z = +/-1`` (classified by the drift just
+    inside), and an interior plateau as one fixed point at its midpoint.
+    A drift that vanishes identically yields one marginal fixed point
+    spanning the whole interval.
     """
     if grid_points < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid_points}")
-
-    def drift_at(z: float) -> float:
-        return analytic_drift(n_agents, rules, noise, z)
-
+    term = functools.cache(lambda count: 0.0 if rules is None else _rule_term(n_agents, rules, count))
     found: list[FixedPoint] = []
     z_prev = f_prev = None
     zero_lo = zero_hi = None
@@ -438,26 +438,20 @@ def find_fixed_points(
             if zero_lo is not None:  # zero plateau at the left boundary
                 stability = Stability.STABLE if f < 0 else Stability.UNSTABLE
                 found.append(FixedPoint(-1.0, stability, (zero_lo, zero_hi)))
-        elif zero_lo is not None:
-            # Interior zero plateau: collapse the run to one fixed point.
-            left_sign, right_sign = f_prev > 0, f > 0
-            if left_sign and not right_sign:
-                stability = Stability.STABLE
-            elif not left_sign and right_sign:
-                stability = Stability.UNSTABLE
+        elif zero_lo is not None or (f_prev > 0) != (f > 0):
+            stability = _STABILITY.get((f_prev > 0, f > 0), Stability.MARGINAL)
+            if zero_lo is not None:  # interior zero plateau: one point at its midpoint
+                root = 0.5 * (zero_lo + zero_hi)
             else:
-                stability = Stability.MARGINAL
-            found.append(FixedPoint(0.5 * (zero_lo + zero_hi), stability, (z_prev, z)))
-        elif (f_prev > 0) != (f > 0):
-            lo, hi, f_lo, f_hi = _bisect(drift_at, z_prev, z, f_prev, f)
-            slope = (f_hi - f_lo) / (hi - lo)
-            if abs(slope) < _MARGINAL_SLOPE_TOL:
-                stability = Stability.MARGINAL
-            elif f_prev > 0:
-                stability = Stability.STABLE
-            else:
-                stability = Stability.UNSTABLE
-            found.append(FixedPoint(0.5 * (lo + hi), stability, (lo, hi)))
+                lo, hi = _bisect(
+                    lambda count: term(count) - noise.epsilon * lattice_z(count, n_agents),
+                    count_of_z(n_agents, z_prev), count_of_z(n_agents, z), f_prev, n_agents,
+                )
+                root = cell_boundary(lo, n_agents)  # where the drift jumps through zero
+                if f_prev > 0 and noise.epsilon > 0.0:  # or it falls through zero in cell lo or hi
+                    root = max(min(term(lo) / noise.epsilon, root), term(hi) / noise.epsilon)
+                root = min(max(root, z_prev), z)  # count_of_z rounds N above 2**53
+            found.append(FixedPoint(root, stability, (z_prev, z)))
         z_prev, f_prev = z, f
         zero_lo = None
 

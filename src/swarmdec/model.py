@@ -27,6 +27,7 @@ __all__ = [
     "RulePolarity",
     "RuleSet",
     "SwarmState",
+    "cell_boundary",
     "check_event_rate",
     "check_group_size",
     "check_swarm_size",
@@ -61,6 +62,11 @@ def check_group_size(group_size: int) -> None:
 def lattice_z(count_x1: int, n_agents: int) -> float:
     """Order parameter ``z_K = 2K/N - 1`` of the lattice state ``K``."""
     return 2.0 * count_x1 / n_agents - 1.0
+
+
+def cell_boundary(count_x1: int, n_agents: int) -> float:
+    """``z = (2K+1-N)/N``, the boundary of states ``K`` and ``K + 1``, rounded once."""
+    return (2 * count_x1 + 1 - n_agents) / n_agents
 
 
 def check_event_rate(total: float, n_agents: int) -> float:

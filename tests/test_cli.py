@@ -972,9 +972,9 @@ GOLDEN_OUTPUTS = [
     ],
     ("pure_noise.csv", "e35c8030889214a3f6dacd04f8da479a146d100c8226a5106a0636ab00f763ac",
      ["drift", "--rules", "none", "--epsilon", "0.1"]),
-    ("fp_quiet.json", "84d652afec67b66708b6e59a7f78d735c104481b2f45564035b8a7f92b7befc1",
+    ("fp_quiet.json", "08bb5c5dc193cb88f584d41d18f570612302eaa841972e3d559e501f490bf63d",
      ["fixed-points", "--rules", "MMM", "--epsilon", "0"]),
-    ("fp_noisy.json", "f2dfb1a93dbb51fdb85c91ecf487513bf588506abad9aa9e13f655093e71e920",
+    ("fp_noisy.json", "a37f497b1d430f2e11e1ed84fffe49f904cc0fa2ddb018aa0679b3c95b5ebf59",
      ["fixed-points", "--rules", "MMM", "--epsilon", "0.1"]),
     ("rulesets_g7.txt", "8f9e474bd5400f7f77a75d0f7b8b07ec27e8cf737236c86a88cf42cc9e43e4fb",
      ["rulesets", "--group", "7"]),

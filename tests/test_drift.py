@@ -24,7 +24,7 @@ from swarmdec.drift import (
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf_table
-from swarmdec.model import NoiseSpec, RuleSet, iter_rulesets, lattice_z
+from swarmdec.model import NoiseSpec, RuleSet, count_of_z, iter_rulesets, lattice_z
 from swarmdec.schema import parse_polarity_string
 
 NO_NOISE = NoiseSpec(0.0)
@@ -47,6 +47,42 @@ def rational_rule_drift(n: int, count: int, rules: RuleSet) -> Fraction:
                 math.comb(n, g),
             )
     return total
+
+
+def rational_drift(n: int, rules: RuleSet, epsilon: float, z: float) -> Fraction:
+    """Exact-rational drift at ``z``: the rule term of the state whose exact
+    cell holds ``z``, minus ``epsilon * z``."""
+    z = Fraction(z)
+    count = min(max(math.floor(n * (z + 1) / 2 + Fraction(1, 2)), 0), n)
+    return rational_rule_drift(n, count, rules) - Fraction(epsilon) * z
+
+
+def lattice_sign_changes(
+    n: int, rules: RuleSet | None, epsilon: float, lo: float, hi: float
+) -> list[tuple[Fraction, Stability]]:
+    """Every sign change in ``[lo, hi]`` of the program's own lattice drift
+    ``R_K - epsilon*z``, exactly: ``R_K`` is ``_rule_term``'s double, ``K``'s
+    cell is ``[(2K-1-N)/N, (2K+1-N)/N)``, and all arithmetic is rational."""
+    eps = Fraction(epsilon)
+
+    def term(count):
+        return Fraction(0) if rules is None else Fraction(drift._rule_term(n, rules, count))
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    first = max(count_of_z(n, lo) - 1, 0)
+    last = min(count_of_z(n, hi) + 1, n)
+    changes = []
+    for count in range(first, last + 1):
+        upper = Fraction(2 * count + 1 - n, n)
+        if eps and Fraction(2 * count - 1 - n, n) <= term(count) / eps <= upper:
+            changes.append((term(count) / eps, Stability.STABLE))  # falls through zero
+        if count < last:  # the jump from cell count to the next
+            left, right = sign(term(count) - eps * upper), sign(term(count + 1) - eps * upper)
+            if left != right:
+                changes.append((upper, Stability.STABLE if left > right else Stability.UNSTABLE))
+    return [(x, s) for x, s in changes if Fraction(lo) <= x <= Fraction(hi)]
 
 
 def rational_sign_runs(n: int, rules: RuleSet) -> list[int]:
@@ -273,26 +309,31 @@ class TestTablesBuilt:
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
     @pytest.mark.parametrize(
-        "label, epsilon, grid, bisect_evaluations",
-        # evaluations inside _bisect, counted at the per-point implementation
+        "label, epsilon, grid, float_bisection_steps",
+        # the steps, one table each, that a float bisection to a 1e-9 bracket took
         [("MMM", 0.0, 2001, 20), ("MMM", 0.1, 2001, 60), ("MMm", 0.05, 2001, 60),
          ("mmm", 0.0, 2001, 20), ("Mm", 0.1, 201, 72)],
     )
     def test_fixed_points_scan_builds_one_table_per_state(
-        self, monkeypatch, label, epsilon, grid, bisect_evaluations
+        self, monkeypatch, label, epsilon, grid, float_bisection_steps
     ):
         calls = count_pmf_tables(monkeypatch)
         evaluations = count_bisect_evaluations(monkeypatch)
         rules = parse_polarity_string(label, 2 * len(label) + 1)
         find_fixed_points(101, rules, NoiseSpec(epsilon), grid)
-        assert len(evaluations) == bisect_evaluations
-        # the scan visits every state once; each bisection step is one point
-        assert len(calls) == 102 + len(evaluations)
+        # The scan visits every state once.  No two neighbouring grid points
+        # here lie more than one state apart, so the bisection evaluates no
+        # state, and each of the two stable zeros at epsilon > 0 reads the
+        # rule terms of the two states around it.
+        assert evaluations == []
+        assert len(calls) == 102 + (4 if epsilon else 0) < 102 + float_bisection_steps
 
     def test_bisection_count_at_large_n(self, monkeypatch):
+        calls = count_pmf_tables(monkeypatch)
         evaluations = count_bisect_evaluations(monkeypatch)
         find_fixed_points(1001, parse_polarity_string("MmM", 7), NoiseSpec(0.05), 501)
-        assert len(evaluations) == 66
+        assert len(evaluations) == 4  # 66 steps of a float bisection to 1e-9
+        assert len(calls) == 501 + 4 + 2  # the scan, the bisections, one stable zero's states
 
 
 class TestNegateCheck:
@@ -663,6 +704,52 @@ class TestFixedPoints:
         assert points[0].stability is Stability.STABLE
         assert abs(points[0].z) <= 1e-3
 
+    def test_pure_noise_at_tiny_epsilon_is_stable_at_zero(self):
+        # The strict + -> - crossing of -epsilon*z was once called marginal,
+        # at z = 2.995e-10: its slope, 1e-11, fell below a slope threshold.
+        (point,) = find_fixed_points(101, None, NoiseSpec(1e-11), 200)
+        assert point.stability is Stability.STABLE
+        assert point.z.hex() == (0.0).hex()
+
+    def test_brackets_hold_exact_sign_changes_at_tiny_noise(self):
+        # Each bracket holds a sign change of the exact rational drift, with
+        # the stability its signs give (once, a float bracket narrowed to
+        # 1e-9 held none, and its point was called marginal).
+        n, rules, epsilon = 11, parse_polarity_string("MMm", 7), 1e-11
+        points = find_fixed_points(n, rules, NoiseSpec(epsilon), 200)
+        assert len(points) == 5
+        for fp in points:
+            lo, hi = fp.bracket
+            assert lo <= fp.z <= hi
+            d_lo, d_hi = (rational_drift(n, rules, epsilon, z) for z in (lo, hi))
+            if fp.stability is Stability.STABLE:
+                assert d_lo > 0 > d_hi, fp
+            else:
+                assert fp.stability is Stability.UNSTABLE and d_lo < 0 < d_hi, fp
+
+    @pytest.mark.parametrize("n", [11, 101, 1001])
+    def test_sign_changes_are_the_rounded_lattice_zeros(self, n):
+        # Each zero between two grid points lies within half an ulp of an
+        # exact sign change of the lattice drift, with its direction.
+        grid = {z: i for i, z in enumerate(drift._Grid(2001))}
+        checked = 0
+        for rules in [None, *(r for g in (3, 5, 7) for r in iter_rulesets(g))]:
+            for epsilon in (0.0, 0.05, 0.1, 1e-11):
+                for fp in find_fixed_points(n, rules, NoiseSpec(epsilon)):
+                    lo, hi = fp.bracket
+                    if grid[hi] != grid[lo] + 1 or 0.0 in (
+                        analytic_drift(n, rules, NoiseSpec(epsilon), lo),
+                        analytic_drift(n, rules, NoiseSpec(epsilon), hi),
+                    ):
+                        continue  # a zero plateau
+                    half_ulp = Fraction(math.ulp(fp.z)) / 2
+                    assert any(
+                        abs(Fraction(fp.z) - x) <= half_ulp and s is fp.stability
+                        for x, s in lattice_sign_changes(n, rules, epsilon, lo, hi)
+                    ), (rules, epsilon, fp)
+                    checked += 1
+        assert checked >= 100
+
     def test_identically_zero_drift_is_marginal(self):
         points = find_fixed_points(101, None, NO_NOISE)
         assert points == [FixedPoint(0.0, Stability.MARGINAL, (-1.0, 1.0))]
@@ -679,6 +766,17 @@ class TestFixedPoints:
                     assert f_lo > 0 > f_hi
                 elif fp.stability is Stability.UNSTABLE:
                     assert f_lo < 0 < f_hi
+
+    @pytest.mark.parametrize(
+        "n, label, epsilon, grid",
+        [(895240849967267265, "MMM", 0.0, 367), (97811231052565155, "mmm", 1e-11, 107)],
+    )
+    def test_zero_stays_in_its_bracket_above_2_53(self, n, label, epsilon, grid):
+        # count_of_z rounds N here, so the grid point z = 0 maps to a state
+        # whose cell boundary lies just outside the bracket that ends there.
+        points = find_fixed_points(n, parse_polarity_string(label, 7), NoiseSpec(epsilon), grid)
+        assert 0.0 in [fp.z for fp in points]
+        assert all(fp.bracket[0] <= fp.z <= fp.bracket[1] for fp in points)
 
     @pytest.mark.parametrize("g", [5, 7])
     def test_interior_count_matches_rational_oracle(self, g):
@@ -712,15 +810,13 @@ class TestFixedPoints:
         [
             ("MMM", 0.0, [
                 FixedPoint(-1.0, Stability.STABLE, (-1.0, -0.991)),
-                FixedPoint(-4.768371582031254e-10, Stability.UNSTABLE, (-9.536743164062508e-10, 0.0)),
+                FixedPoint(0.0, Stability.UNSTABLE, (-0.0010000000000000009, 0.0)),
                 FixedPoint(1.0, Stability.STABLE, (0.9910000000000001, 1.0)),
             ]),
             ("MMM", 0.1, [
-                FixedPoint(-0.9702970299720763, Stability.STABLE,
-                           (-0.9702970304489135, -0.9702970294952391)),
-                FixedPoint(-4.768371582031254e-10, Stability.UNSTABLE, (-9.536743164062508e-10, 0.0)),
-                FixedPoint(0.9702970299720766, Stability.STABLE,
-                           (0.9702970294952393, 0.9702970304489137)),
+                FixedPoint(-0.9702970297029703, Stability.STABLE, (-0.971, -0.97)),
+                FixedPoint(0.0, Stability.UNSTABLE, (-0.0010000000000000009, 0.0)),
+                FixedPoint(0.9702970297029703, Stability.STABLE, (0.97, 0.9710000000000001)),
             ]),
         ],
     )

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from array import array
 
@@ -12,7 +13,9 @@ from swarmdec.model import (
     RulePolarity,
     RuleSet,
     SwarmState,
+    cell_boundary,
     iter_rulesets,
+    lattice_z,
     signed_weight,
     state_of_z,
 )
@@ -78,6 +81,32 @@ class TestZMapping:
         for count in range(102):
             state = SwarmState(101, count)
             assert state_of_z(101, state.z) == state
+
+
+class TestCellBoundary:
+    @staticmethod
+    def counts(n: int) -> list[int]:
+        """Every K up to N = 101, else the ends, the centre and 20 000 sampled K."""
+        if n <= 101:
+            return list(range(n))
+        rng = random.Random(n)
+        return [0, n // 2, n - 1] + [rng.randrange(n) for _ in range(20_000)]
+
+    @pytest.mark.parametrize("n", [3, 101, 2**53 + 1, 2**1022 - 1])
+    def test_mirror_states_give_negated_boundaries(self, n):
+        for k in self.counts(n):
+            b = cell_boundary(k, n)
+            if 2 * k + 1 == n:  # the centre is its own mirror
+                assert b == 0.0 and math.copysign(1.0, b) == 1.0
+            else:
+                assert cell_boundary(n - 1 - k, n).hex() == (-b).hex(), k
+
+    @pytest.mark.parametrize("n", [3, 101, 1001, 100_001])
+    def test_boundary_lies_between_its_two_states(self, n):
+        # Not above 2**53: there lattice_z's two roundings break this order.
+        for k in range(n):
+            b = cell_boundary(k, n)
+            assert lattice_z(k, n) <= b <= lattice_z(k + 1, n), k
 
 
 class TestSignedWeight:
