@@ -49,15 +49,13 @@ not change with the Python version.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from .hypergeom import PmfTable, _validate, pmf_table
-from .model import NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size
-from .model import count_of_z, lattice_z
+from .model import NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 __all__ = [
     "FixedPoint",
@@ -402,7 +400,10 @@ def _bisect(f, lo: int, hi: int, f_lo: float, n_agents: int) -> tuple[int, int]:
 
 
 def find_fixed_points(
-    n_agents: int, rules: RuleSet | None, noise: NoiseSpec, grid_points: int = 2001
+    n_agents: int,
+    rules: RuleSet | None,
+    noise: NoiseSpec,
+    grid_points: int = 2001,
 ) -> list[FixedPoint]:
     """Locate and classify every zero of the analytic drift on [-1, 1].
 
@@ -423,7 +424,10 @@ def find_fixed_points(
     """
     if grid_points < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid_points}")
-    term = functools.cache(lambda count: 0.0 if rules is None else _rule_term(n_agents, rules, count))
+
+    def term(count: int) -> float:
+        return 0.0 if rules is None else _rule_term(n_agents, rules, count)
+
     found: list[FixedPoint] = []
     z_prev = f_prev = None
     zero_lo = zero_hi = None
@@ -449,7 +453,8 @@ def find_fixed_points(
                 )
                 root = cell_boundary(lo, n_agents)  # where the drift jumps through zero
                 if f_prev > 0 and noise.epsilon > 0.0:  # or it falls through zero in cell lo or hi
-                    root = max(min(term(lo) / noise.epsilon, root), term(hi) / noise.epsilon)
+                    in_lo = term(lo) / noise.epsilon
+                    root = in_lo if in_lo <= root else max(root, term(hi) / noise.epsilon)
                 root = min(max(root, z_prev), z)  # count_of_z rounds N above 2**53
             found.append(FixedPoint(root, stability, (z_prev, z)))
         z_prev, f_prev = z, f

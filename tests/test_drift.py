@@ -333,7 +333,8 @@ class TestTablesBuilt:
         evaluations = count_bisect_evaluations(monkeypatch)
         find_fixed_points(1001, parse_polarity_string("MmM", 7), NoiseSpec(0.05), 501)
         assert len(evaluations) == 4  # 66 steps of a float bisection to 1e-9
-        assert len(calls) == 501 + 4 + 2  # the scan, the bisections, one stable zero's states
+        # The scan, the bisections, and the two states around each of the two stable zeros.
+        assert len(calls) == 501 + 4 + 4
 
 
 class TestNegateCheck:
@@ -727,15 +728,21 @@ class TestFixedPoints:
             else:
                 assert fp.stability is Stability.UNSTABLE and d_lo < 0 < d_hi, fp
 
+    @pytest.mark.parametrize("grid_points", [2001, 201])
     @pytest.mark.parametrize("n", [11, 101, 1001])
-    def test_sign_changes_are_the_rounded_lattice_zeros(self, n):
+    def test_sign_changes_are_the_rounded_lattice_zeros(self, n, grid_points):
         # Each zero between two grid points lies within half an ulp of an
-        # exact sign change of the lattice drift, with its direction.
-        grid = {z: i for i, z in enumerate(drift._Grid(2001))}
+        # exact sign change of the lattice drift, with its direction.  At
+        # epsilon 0.3 to 1.0 some stable zeros lie where the rule term rises
+        # (0 < R' < epsilon), so that the drift falls through zero in the
+        # lower of two adjacent cells while the root R_K/epsilon of the upper
+        # cell lies below their boundary too; a grid of 201 points puts such
+        # a pair between two grid points at N = 1001.
+        grid = {z: i for i, z in enumerate(drift._Grid(grid_points))}
         checked = 0
         for rules in [None, *(r for g in (3, 5, 7) for r in iter_rulesets(g))]:
-            for epsilon in (0.0, 0.05, 0.1, 1e-11):
-                for fp in find_fixed_points(n, rules, NoiseSpec(epsilon)):
+            for epsilon in (0.0, 0.05, 0.1, 1e-11, 0.3, 0.6, 1.0):
+                for fp in find_fixed_points(n, rules, NoiseSpec(epsilon), grid_points):
                     lo, hi = fp.bracket
                     if grid[hi] != grid[lo] + 1 or 0.0 in (
                         analytic_drift(n, rules, NoiseSpec(epsilon), lo),
@@ -777,6 +784,33 @@ class TestFixedPoints:
         points = find_fixed_points(n, parse_polarity_string(label, 7), NoiseSpec(epsilon), grid)
         assert 0.0 in [fp.z for fp in points]
         assert all(fp.bracket[0] <= fp.z <= fp.bracket[1] for fp in points)
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    def test_mirror_zeros_negate_bit_for_bit(self, n):
+        # R_{N-K} == -R_K and the boundary (2K+1-N)/N is rounded once, so
+        # every zero has its mirror image, and the centre is exactly 0.0.
+        for rules in iter_rulesets(7):
+            for epsilon in (0.0, 0.05, 0.1):
+                zs = [fp.z for fp in find_fixed_points(n, rules, NoiseSpec(epsilon))]
+                half = len(zs) // 2
+                assert [z.hex() for z in zs[half + 1:]] == [(-z).hex() for z in reversed(zs[:half])]
+                assert zs[half].hex() == (0.0).hex(), (rules, epsilon, zs)
+
+    def test_mirror_zeros_at_the_largest_swarm(self):
+        # Here lattice_z and count_of_z round, and the bisection stops where
+        # the lattice z of its two states are adjacent doubles, so the two
+        # sides end on states that are not mirror images: a pair differs in
+        # its last bits.
+        points = find_fixed_points(2**1022 - 1, parse_polarity_string("Mmm", 7), NoiseSpec(0.1), 201)
+        assert [(fp.z, fp.stability.value) for fp in points] == [
+            (-0.967916192035067, "stable"),
+            (-0.642309571150074, "unstable"),
+            (0.0, "stable"),
+            (0.6423095711500738, "unstable"),
+            (0.9679161920350668, "stable"),
+        ]
+        for fp, mirror in zip(points, reversed(points)):
+            assert abs(fp.z + mirror.z) <= 2 * math.ulp(fp.z)
 
     @pytest.mark.parametrize("g", [5, 7])
     def test_interior_count_matches_rational_oracle(self, g):
