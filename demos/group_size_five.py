@@ -25,7 +25,6 @@ from swarmdec import (
     format_schema,
     parse_polarity_string,
     rule_firing_probabilities,
-    schema_of_ruleset,
 )
 
 N_AGENTS = 101
@@ -41,7 +40,7 @@ def main() -> None:
     OUT_DIR.mkdir(exist_ok=True)
     rules = parse_polarity_string("Mm", 5)
     print("reactions:")
-    for line in format_schema(schema_of_ruleset(rules)).splitlines():
+    for line in format_schema(rules).splitlines():
         print(f"  {line}")
 
     for epsilon in (0.0, 0.1):

@@ -22,7 +22,6 @@ from swarmdec import (
     find_fixed_points,
     format_schema,
     iter_rulesets,
-    schema_of_ruleset,
 )
 
 N_AGENTS = 101
@@ -39,7 +38,7 @@ def main() -> None:
     print(f"{len(rulesets)} rule sets for group size {GROUP}:\n")
     for rules in rulesets:
         print(rules.label)
-        for line in format_schema(schema_of_ruleset(rules)).splitlines():
+        for line in format_schema(rules).splitlines():
             print(f"  {line}")
 
         curve = list(analytic_drift_curve(N_AGENTS, rules, quiet, grid_points=201))

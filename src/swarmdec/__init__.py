@@ -28,17 +28,12 @@ from .model import (
     state_of_z,
 )
 from .schema import (
-    Reaction,
-    ReactionSchema,
     SchemaError,
     SchemaSyntaxError,
     SchemaValidationError,
     format_schema,
     parse_polarity_string,
     parse_schema,
-    reaction_text,
-    ruleset_of_schema,
-    schema_of_ruleset,
 )
 from .ssa import (
     EVENT_LABELS,
@@ -59,8 +54,6 @@ __all__ = [
     "FrozenSystemError",
     "NoiseSpec",
     "PmfTable",
-    "Reaction",
-    "ReactionSchema",
     "RulePolarity",
     "RuleSet",
     "SchemaError",
@@ -82,10 +75,7 @@ __all__ = [
     "pmf",
     "pmf_bruteforce",
     "pmf_table",
-    "reaction_text",
     "rule_firing_probabilities",
-    "ruleset_of_schema",
-    "schema_of_ruleset",
     "signed_weight",
     "simulate",
     "state_of_z",

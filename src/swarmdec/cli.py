@@ -62,14 +62,7 @@ from .model import (
     lattice_z,
     state_of_z,
 )
-from .schema import (
-    SchemaError,
-    format_schema,
-    parse_polarity_string,
-    parse_schema,
-    ruleset_of_schema,
-    schema_of_ruleset,
-)
+from .schema import SchemaError, format_schema, parse_polarity_string, parse_schema
 from .ssa import MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig
 
 EXIT_OK = 0
@@ -328,7 +321,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     elif schema_arg is not None:
         text = _read_utf8(schema_arg, "schema file")
         try:
-            rules = ruleset_of_schema(parse_schema(text))
+            rules = parse_schema(text)
         except SchemaError as exc:
             raise ConfigError(f"schema file {_printed_name(schema_arg)}: {exc}") from exc
 
@@ -710,7 +703,7 @@ def _ruleset_listing(group: int) -> Iterator[str]:
         if index:
             yield ""
         yield rules.label
-        for line in format_schema(schema_of_ruleset(rules)).splitlines():
+        for line in format_schema(rules).splitlines():
             yield f"  {line}"
 
 

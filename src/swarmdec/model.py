@@ -145,17 +145,9 @@ class SwarmState(_Record):
             )
 
     @property
-    def count_x2(self) -> int:
-        return self.n_agents - self.count_x1
-
-    @property
     def z(self) -> float:
         """Order parameter x1-fraction minus x2-fraction, in [-1, 1]."""
         return lattice_z(self.count_x1, self.n_agents)
-
-    @property
-    def is_consensus(self) -> bool:
-        return self.count_x1 in (0, self.n_agents)
 
 
 class NoiseSpec(_Record):

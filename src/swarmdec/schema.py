@@ -1,4 +1,5 @@
-"""Textual reaction schemas and their mapping to rule sets.
+"""Rule sets as reaction text: :func:`parse_schema` reads the text into a
+:class:`~swarmdec.model.RuleSet` and :func:`format_schema` writes it back.
 
 A rule set can be written out as one conversion reaction per group
 composition, in a chemical-equation style::
@@ -20,27 +21,25 @@ A bare species means coefficient 1 and an absent species means 0.
 Species names are case-sensitive: ``x2`` is rejected.  Serialization
 always emits ``->``, ascending X1 count, bare species for coefficient 1
 and omitted species for coefficient 0, so one parse/serialize pass
-canonicalizes any accepted text.
+canonicalizes any accepted text.  The parser checks the schema
+constraints once, in :func:`_check_rows`: each reaction keeps the group
+size and flips one agent, every composition 1..G-1 appears once, and
+mirror compositions ``k`` and ``G - k`` imply the same polarity.
 """
 
 from __future__ import annotations
 
 import re
 
-from .model import RulePolarity, RuleSet, _Record, check_group_size, signed_weight
+from .model import RulePolarity, RuleSet, check_group_size, signed_weight
 
 __all__ = [
-    "Reaction",
-    "ReactionSchema",
     "SchemaError",
     "SchemaSyntaxError",
     "SchemaValidationError",
     "format_schema",
     "parse_polarity_string",
     "parse_schema",
-    "reaction_text",
-    "ruleset_of_schema",
-    "schema_of_ruleset",
 ]
 
 #: One token of a reaction line.  ``bad`` takes any other non-space character,
@@ -79,55 +78,26 @@ class SchemaValidationError(SchemaError):
         self.line = line
 
 
-class Reaction(_Record):
-    """One conversion: a group of fixed size in which one agent flips."""
-
-    lhs_x1: int
-    lhs_x2: int
-    rhs_x1: int
-    rhs_x2: int
-
-    def __post_init__(self) -> None:
-        if min(self.lhs_x1, self.lhs_x2, self.rhs_x1, self.rhs_x2) < 0:
-            raise ValueError("coefficients must be non-negative")
-        if self.lhs_x1 + self.lhs_x2 != self.rhs_x1 + self.rhs_x2:
-            raise ValueError("group size must be conserved across the arrow")
-        if abs(self.rhs_x1 - self.lhs_x1) != 1:
-            raise ValueError("exactly one agent must flip per reaction")
-
-    @property
-    def group_size(self) -> int:
-        return self.lhs_x1 + self.lhs_x2
-
-    @property
-    def composition(self) -> int:
-        """Number of X1 opinions in the group before the flip."""
-        return self.lhs_x1
-
-    @property
-    def delta_x1(self) -> int:
-        return self.rhs_x1 - self.lhs_x1
-
-
 def _implied_polarity(k: int, group_size: int, delta_x1: int) -> RulePolarity:
     """Polarity of the rule that moves the X1 count by ``delta_x1`` at ``k``."""
     majority = signed_weight(k, group_size, RulePolarity.MAJORITY) == delta_x1
     return RulePolarity.MAJORITY if majority else RulePolarity.MINORITY
 
 
-def _check_rows(group_size: int, rows: list[tuple[int | None, int, int, int, int]]) -> None:
-    """Raise :class:`SchemaValidationError` unless ``rows`` form a valid schema.
+def _check_rows(
+    group_size: int, rows: list[tuple[int, int, int, int, int]]
+) -> tuple[RulePolarity, ...]:
+    """The polarities of ``rows``, one per minority count 1..(G-1)/2; raise
+    :class:`SchemaValidationError` unless the rows form a valid schema.
 
     Each row is ``(line, lhs_x1, lhs_x2, rhs_x1, rhs_x2)``; ``line`` is the
-    1-based source line, or None for rows that did not come from text.
+    1-based source line.
     """
     g = group_size
     try:
         check_group_size(g)
     except ValueError as exc:
-        raise SchemaValidationError(
-            str(exc), reason="arity", line=rows[0][0] if rows else None
-        ) from None
+        raise SchemaValidationError(str(exc), reason="arity", line=rows[0][0]) from None
     deltas: dict[int, int] = {}
     for line, l1, l2, r1, r2 in rows:
         if l1 + l2 != g or r1 + r2 != g:
@@ -163,6 +133,7 @@ def _check_rows(group_size: int, rows: list[tuple[int | None, int, int, int, int
             f"schema must cover every composition 1..{g - 1}; missing {missing}",
             reason="missing-composition",
         )
+    polarities = []
     for k in range(1, (g + 1) // 2):
         left = _implied_polarity(k, g, deltas[k])
         right = _implied_polarity(g - k, g, deltas[g - k])
@@ -172,17 +143,8 @@ def _check_rows(group_size: int, rows: list[tuple[int | None, int, int, int, int
                 f"polarities ({left.value} vs {right.value})",
                 reason="asymmetry",
             )
-
-
-class ReactionSchema(_Record):
-    """A complete rule listing: one reaction per composition 1..G-1."""
-
-    group_size: int
-    reactions: tuple[Reaction, ...]
-
-    def __post_init__(self) -> None:
-        rows = [(None, r.lhs_x1, r.lhs_x2, r.rhs_x1, r.rhs_x2) for r in self.reactions]
-        _check_rows(self.group_size, rows)
+        polarities.append(left)
+    return tuple(polarities)
 
 
 def _parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
@@ -234,8 +196,8 @@ def _parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     return tuple(counts)
 
 
-def parse_schema(text: str) -> ReactionSchema:
-    """Parse schema text into a validated :class:`ReactionSchema`.
+def parse_schema(text: str) -> RuleSet:
+    """The rule set that schema text writes out, one reaction per composition.
 
     The group size is inferred from the first reaction; every later
     line must conserve it.  Raises :class:`SchemaSyntaxError` for
@@ -254,28 +216,7 @@ def parse_schema(text: str) -> ReactionSchema:
             "schema contains no reactions", reason="missing-composition"
         )
     group_size = rows[0][1] + rows[0][2]
-    _check_rows(group_size, rows)
-    return ReactionSchema(group_size, tuple(Reaction(*row[1:]) for row in rows))
-
-
-def ruleset_of_schema(schema: ReactionSchema) -> RuleSet:
-    """Extract the polarity assignment of a validated schema."""
-    deltas = {r.composition: r.delta_x1 for r in schema.reactions}
-    g = schema.group_size
-    polarities = tuple(
-        _implied_polarity(m, g, deltas[m]) for m in range(1, (g - 1) // 2 + 1)
-    )
-    return RuleSet(g, polarities)
-
-
-def schema_of_ruleset(rules: RuleSet) -> ReactionSchema:
-    """The canonical reaction listing of a rule set, ascending X1 count."""
-    g = rules.group_size
-    reactions = []
-    for k in range(1, g):
-        delta = rules.signed_weight(k)
-        reactions.append(Reaction(k, g - k, k + delta, g - k - delta))
-    return ReactionSchema(g, tuple(reactions))
+    return RuleSet(group_size, _check_rows(group_size, rows))
 
 
 def _format_side(c1: int, c2: int) -> str:
@@ -287,17 +228,15 @@ def _format_side(c1: int, c2: int) -> str:
     return "+".join(terms)
 
 
-def reaction_text(reaction: Reaction) -> str:
-    """Canonical single-line rendering of one reaction."""
-    lhs = _format_side(reaction.lhs_x1, reaction.lhs_x2)
-    rhs = _format_side(reaction.rhs_x1, reaction.rhs_x2)
-    return f"{lhs} -> {rhs}"
-
-
-def format_schema(schema: ReactionSchema) -> str:
-    """Canonical multi-line rendering, one reaction per composition."""
-    ordered = sorted(schema.reactions, key=lambda r: r.composition)
-    return "\n".join(reaction_text(r) for r in ordered) + "\n"
+def format_schema(rules: RuleSet) -> str:
+    """Canonical reaction text of a rule set: one line per composition
+    k = 1..G-1, in ascending order."""
+    g = rules.group_size
+    lines = []
+    for k in range(1, g):
+        w = rules.signed_weights[k]
+        lines.append(f"{_format_side(k, g - k)} -> {_format_side(k + w, g - k - w)}\n")
+    return "".join(lines)
 
 
 def parse_polarity_string(s: str, group_size: int) -> RuleSet:

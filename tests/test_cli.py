@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import signal
 import stat
@@ -34,7 +35,7 @@ from swarmdec.cli import (
     main,
     resolve_config,
 )
-from swarmdec.model import MAX_SWARM_SIZE
+from swarmdec.model import MAX_SWARM_SIZE, iter_rulesets
 
 MMm_SCHEMA = """\
 X1+6X2 -> 7X2
@@ -1281,6 +1282,39 @@ class TestSchemaFileInput:
         comments, _, _ = read_csv(out)
         assert "rules=MMm" in comments[0]
         assert "group=7" in comments[0]
+
+    @staticmethod
+    def _messy_schema(rules):
+        """``rules`` as shuffled reaction text with comments, blank lines,
+        both arrows and every coefficient written out, 1 included."""
+        g = rules.group_size
+
+        def side(x1, x2):
+            return "+".join(f"{c}{species}" for c, species in ((x1, "X1"), (x2, "X2")) if c)
+
+        lines = []
+        for k in range(1, g):
+            w = rules.signed_weight(k)
+            arrow = "→" if k % 2 else "->"
+            lines.append(f"  {side(k, g - k)} {arrow} {side(k + w, g - k - w)}")
+        random.Random(rules.label).shuffle(lines)
+        lines[1:1] = ["", "# a comment"]
+        return "# rule set\n\n" + "\n".join(lines) + "\n\n"
+
+    @pytest.mark.parametrize("rules", list(iter_rulesets(7)), ids=lambda rules: rules.label)
+    def test_schema_run_matches_rules_run(self, tmp_path, capsys, rules):
+        schema_path = tmp_path / "rules.txt"
+        schema_path.write_text(self._messy_schema(rules))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["drift", "--schema", str(schema_path), "--out", str(a)]) == EXIT_OK
+        assert main(["drift", "--rules", rules.label, "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        assert main(["rulesets", "--schema", str(schema_path)]) == EXIT_OK
+        from_schema = capsys.readouterr()
+        assert main(["rulesets", "--rules", rules.label]) == EXIT_OK
+        assert capsys.readouterr() == from_schema
+        assert from_schema.out.count("\n") == 8 * 8 - 1
 
     def test_schema_and_rules_conflict(self, tmp_path):
         schema_path = tmp_path / "rules.txt"

@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against this checkout's package."""
+"""Each demo script, and the README's Python code, runs to completion
+against this checkout's package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,13 @@ def test_demo_runs(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_readme_python_blocks_run():
+    # The blocks run in order in one namespace, as a reader would paste them.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -19,7 +19,6 @@ from swarmdec.model import (
     signed_weight,
     state_of_z,
 )
-from swarmdec.schema import Reaction, ReactionSchema, SchemaValidationError, schema_of_ruleset
 from swarmdec.ssa import SimConfig, Trajectory
 
 M = RulePolarity.MAJORITY
@@ -29,10 +28,10 @@ m = RulePolarity.MINORITY
 class TestSwarmState:
     def test_valid(self):
         state = SwarmState(101, 51)
-        assert state.count_x2 == 50
-        assert not state.is_consensus
-        assert SwarmState(101, 0).is_consensus
-        assert SwarmState(101, 101).is_consensus
+        assert (state.n_agents, state.count_x1) == (101, 51)
+        assert state.count_x1 not in (0, state.n_agents)
+        assert SwarmState(101, 0).count_x1 in (0, 101)
+        assert SwarmState(101, 101).count_x1 in (0, 101)
 
     @pytest.mark.parametrize("n, k", [(100, 50), (0, 0), (-3, 0), (101, -1), (101, 102)])
     def test_invalid(self, n, k):
@@ -223,8 +222,6 @@ RECORDS = {
     "RuleSet": lambda: RuleSet(5, (M, m)),
     "PmfTable": lambda: PmfTable(1, (0.5, 0.5)),
     "FixedPoint": lambda: FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
-    "Reaction": lambda: Reaction(1, 2, 0, 3),
-    "ReactionSchema": lambda: schema_of_ruleset(RuleSet(3, (M,))),
     "SimConfig": lambda: SimConfig(noise_rate=0.05, max_events=10),
 }
 
@@ -287,7 +284,6 @@ class TestRecords:
             (PmfTable(1, (0.5, 0.5)), "PmfTable(group_size=1, probabilities=(0.5, 0.5))"),
             (FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
              "FixedPoint(z=0.0, stability=<Stability.STABLE: 'stable'>, bracket=(-0.1, 0.1))"),
-            (Reaction(1, 2, 0, 3), "Reaction(lhs_x1=1, lhs_x2=2, rhs_x1=0, rhs_x2=3)"),
             (SimConfig(max_events=10),
              "SimConfig(rule_rate=0.5, noise_rate=0.0, max_events=10, t_max=None, "
              "record_null_draws=True, stop_at_consensus=False)"),
@@ -336,11 +332,6 @@ class TestRecords:
             (lambda: PmfTable(3, (0.5, 0.5)), ValueError, "table for group size 3 needs 4 entries, got 2"),
             (lambda: PmfTable(1, (1.5, -0.5)), ValueError, "probabilities must lie in [0, 1]"),
             (lambda: PmfTable(1, (0.5, 0.25)), ValueError, "probabilities sum to 0.75, expected 1"),
-            (lambda: Reaction(-1, 3, 0, 2), ValueError, "coefficients must be non-negative"),
-            (lambda: Reaction(1, 2, 1, 1), ValueError, "group size must be conserved across the arrow"),
-            (lambda: Reaction(1, 2, 1, 2), ValueError, "exactly one agent must flip per reaction"),
-            (lambda: ReactionSchema(3, (Reaction(1, 2, 2, 1),)), SchemaValidationError,
-             "schema must cover every composition 1..2; missing [2]"),
             (lambda: SimConfig(rule_rate=-0.5, max_events=1), ValueError,
              "rule rate must be finite and >= 0, got -0.5"),
             (lambda: SimConfig(noise_rate=math.nan, max_events=1), ValueError,

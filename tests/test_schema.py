@@ -1,19 +1,18 @@
 import pytest
 
-from swarmdec.model import RulePolarity, iter_rulesets
+from swarmdec.model import RulePolarity, RuleSet, iter_rulesets
 from swarmdec.schema import (
-    Reaction,
-    ReactionSchema,
     SchemaError,
     SchemaSyntaxError,
     SchemaValidationError,
+    _parse_line,
     format_schema,
     parse_polarity_string,
     parse_schema,
-    reaction_text,
-    ruleset_of_schema,
-    schema_of_ruleset,
 )
+
+M = RulePolarity.MAJORITY
+m = RulePolarity.MINORITY
 
 MMM_G7 = """\
 X1+6X2 -> 7X2
@@ -38,35 +37,34 @@ X1+6X2 -> 7X2
 
 class TestParsing:
     def test_all_majority_g7(self):
-        schema = parse_schema(MMM_G7)
-        assert schema.group_size == 7
-        assert len(schema.reactions) == 6
-        assert ruleset_of_schema(schema).label == "MMM"
+        rules = parse_schema(MMM_G7)
+        assert rules == RuleSet(7, (M, M, M))
+        assert rules.label == "MMM"
 
     def test_two_minority_slots_g7(self):
-        assert ruleset_of_schema(parse_schema(MMM_G7_TWO_MINORITY)).label == "MMm"
+        assert parse_schema(MMM_G7_TWO_MINORITY) == RuleSet(7, (M, M, m))
 
     def test_arrow_glyph_accepted(self):
         assert parse_schema(MMM_G7_GLYPH) == parse_schema(MMM_G7)
 
     def test_g3_majority(self):
-        schema = parse_schema("X1+2X2 -> 3X2\n2X1+X2 -> 3X1")
-        assert schema.group_size == 3
-        assert ruleset_of_schema(schema).label == "M"
+        rules = parse_schema("X1+2X2 -> 3X2\n2X1+X2 -> 3X1")
+        assert rules.group_size == 3
+        assert rules.label == "M"
 
     def test_bare_and_missing_species(self):
-        schema = parse_schema("X1+2X2 -> 3X2\n2X1+X2 -> 3X1")
-        first = schema.reactions[0]
-        assert (first.lhs_x1, first.lhs_x2, first.rhs_x1, first.rhs_x2) == (1, 2, 0, 3)
+        assert _parse_line("X1+2X2 -> 3X2", 1) == (1, 2, 0, 3)
+        assert _parse_line("2X1+X2 -> 3X1", 2) == (2, 1, 3, 0)
+        explicit = "1X1+2X2 -> 3X2\n2X1+1X2 -> 3X1"
+        assert parse_schema(explicit) == parse_schema("X1+2X2 -> 3X2\n2X1+X2 -> 3X1")
 
     def test_comments_blank_lines_whitespace(self):
         text = "# all-majority, G = 3\n\n  X1 + 2X2->3X2  \n\n2X1+X2 ->  3X1\n# done\n"
-        assert ruleset_of_schema(parse_schema(text)).label == "M"
+        assert parse_schema(text).label == "M"
 
-    def test_input_order_preserved(self):
+    def test_input_order_ignored(self):
         reversed_text = "2X1+X2 -> 3X1\nX1+2X2 -> 3X2"
-        schema = parse_schema(reversed_text)
-        assert [r.composition for r in schema.reactions] == [2, 1]
+        assert parse_schema(reversed_text) == parse_schema("X1+2X2 -> 3X2\n2X1+X2 -> 3X1")
 
 
 class TestValidationErrors:
@@ -121,6 +119,32 @@ class TestValidationErrors:
         with pytest.raises(SchemaValidationError) as excinfo:
             parse_schema(text)
         assert excinfo.value.reason == "asymmetry"
+
+    # One input per reason, with its exact message and line (None when the
+    # schema as a whole, not one line of it, breaks the constraint).
+    PINNED = [
+        ("2X1+2X2 -> 3X1+X2", "arity", 1, "group size must be an odd integer >= 3, got 4"),
+        ("# G = 3\nX1+2X2 -> 3X2\n2X1+2X2 -> 3X1+X2", "arity", 3,
+         "coefficients must sum to the group size 3 on both sides (got 4 -> 4)"),
+        ("X1+6X2 -> 3X1+4X2", "step", 1,
+         "exactly one agent must flip per reaction (X1 count changes by 2)"),
+        ("3X2 -> X1+2X2", "composition", 1, "composition 0 admits no conversion (group is uniform)"),
+        ("X1+2X2 -> 3X2\nX1+2X2 -> 2X1+X2", "duplicate-composition", 2,
+         "two reactions share composition 1"),
+        ("X1+2X2 -> 2X1+X2", "missing-composition", None,
+         "schema must cover every composition 1..2; missing [2]"),
+        ("# nothing here\n", "missing-composition", None, "schema contains no reactions"),
+        ("X1+2X2 -> 3X2\n2X1+X2 -> X1+2X2", "asymmetry", None,
+         "compositions 1 and 2 imply different polarities (M vs m)"),
+    ]
+
+    @pytest.mark.parametrize("text, reason, line, message", PINNED)
+    def test_pinned_message_and_line(self, text, reason, line, message):
+        with pytest.raises(SchemaValidationError) as excinfo:
+            parse_schema(text)
+        error = excinfo.value
+        prefix = f"line {line}: " if line is not None else ""
+        assert (str(error), error.reason, error.line) == (prefix + message, reason, line)
 
 
 class TestSyntaxErrors:
@@ -224,20 +248,22 @@ class TestSyntaxErrors:
 class TestSerialization:
     def test_minority_g3_canonical_text(self):
         rules = parse_polarity_string("m", 3)
-        text = format_schema(schema_of_ruleset(rules))
+        text = format_schema(rules)
         assert text == "X1+2X2 -> 2X1+X2\n2X1+X2 -> X1+2X2\n"
 
     def test_two_minority_g7_canonical_text(self):
         rules = parse_polarity_string("MMm", 7)
-        assert format_schema(schema_of_ruleset(rules)) == MMM_G7_TWO_MINORITY
+        assert format_schema(rules) == MMM_G7_TWO_MINORITY
 
     def test_reaction_text_coefficient_conventions(self):
-        assert reaction_text(Reaction(1, 6, 0, 7)) == "X1+6X2 -> 7X2"
-        assert reaction_text(Reaction(6, 1, 7, 0)) == "6X1+X2 -> 7X1"
+        # A bare species for coefficient 1, no term for coefficient 0.
+        lines = format_schema(parse_polarity_string("MMM", 7)).splitlines()
+        assert lines[0] == "X1+6X2 -> 7X2"
+        assert lines[-1] == "6X1+X2 -> 7X1"
 
     def test_serialize_sorts_by_composition(self):
-        schema = parse_schema("2X1+X2 -> 3X1\nX1+2X2 -> 3X2")
-        assert format_schema(schema) == "X1+2X2 -> 3X2\n2X1+X2 -> 3X1\n"
+        rules = parse_schema("2X1+X2 -> 3X1\nX1+2X2 -> 3X2")
+        assert format_schema(rules) == "X1+2X2 -> 3X2\n2X1+X2 -> 3X1\n"
 
     def test_canonicalization_is_idempotent(self):
         messy = "5X1 + 2X2 → 6X1+X2\nX1+6X2->7X2\n6X1+X2 -> 7X1\n" \
@@ -246,13 +272,10 @@ class TestSerialization:
         assert once == MMM_G7
         assert format_schema(parse_schema(once)) == once
 
-    @pytest.mark.parametrize("g", [3, 5, 7, 9])
+    @pytest.mark.parametrize("g", [3, 5, 7, 9, 11, 13, 15, 17])
     def test_round_trip_every_ruleset(self, g):
         for rules in iter_rulesets(g):
-            schema = schema_of_ruleset(rules)
-            reparsed = parse_schema(format_schema(schema))
-            assert reparsed == schema
-            assert ruleset_of_schema(reparsed) == rules
+            assert parse_schema(format_schema(rules)) == rules
 
 
 class TestPolarityString:
@@ -276,20 +299,3 @@ class TestPolarityString:
         with pytest.raises(ValueError):
             parse_polarity_string("MM", 4)
 
-
-class TestDirectConstruction:
-    def test_reaction_invariants(self):
-        with pytest.raises(ValueError):
-            Reaction(1, 2, 3, 1)  # group size not conserved
-        with pytest.raises(ValueError):
-            Reaction(1, 2, 3, 0)  # two agents flip
-        with pytest.raises(ValueError):
-            Reaction(-1, 4, 0, 3)
-
-    def test_schema_invariants(self):
-        good = schema_of_ruleset(parse_polarity_string("M", 3))
-        assert ReactionSchema(3, good.reactions) == good
-        with pytest.raises(SchemaValidationError):
-            ReactionSchema(3, good.reactions[:1])
-        with pytest.raises(SchemaValidationError):
-            ReactionSchema(4, good.reactions)

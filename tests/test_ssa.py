@@ -358,7 +358,7 @@ class TestSimulate:
     def test_absorption_from_center(self):
         config = SimConfig(max_events=10**6, stop_at_consensus=True)
         trajectory = simulate(SwarmState(101, 51), MMM, config, seed=7)
-        assert trajectory.final_state.is_consensus
+        assert trajectory.final_state.count_x1 in (0, trajectory.final_state.n_agents)
         assert trajectory.n_events < 10**6
         assert abs(trajectory.final_state.z) == 1.0
 
