@@ -29,6 +29,7 @@ mirror compositions ``k`` and ``G - k`` imply the same polarity.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .model import RulePolarity, RuleSet, check_group_size, signed_weight
@@ -48,6 +49,9 @@ __all__ = [
 _TOKEN = re.compile(
     r"(?P<arrow>->|→)|(?P<plus>\+)|(?P<coef>[0-9]+)|(?P<species>X[12])|(?P<bad>\S)"
 )
+#: Most missing compositions a ``missing-composition`` error lists; past them
+#: it gives how many more are missing.
+_LISTED_MISSING = 10
 
 
 class SchemaError(ValueError):
@@ -128,9 +132,13 @@ def _check_rows(
             )
         deltas[l1] = r1 - l1
     if len(deltas) != g - 1:
-        missing = sorted(set(range(1, g)) - set(deltas))
+        # Walking k upward past the present ones is bounded by the rows, not by G.
+        absent = (k for k in range(1, g) if k not in deltas)
+        missing = list(itertools.islice(absent, _LISTED_MISSING))
+        more = g - 1 - len(deltas) - len(missing)
         raise SchemaValidationError(
-            f"schema must cover every composition 1..{g - 1}; missing {missing}",
+            f"schema must cover every composition 1..{g - 1}; missing {missing}"
+            + (f" and {more} more" if more else ""),
             reason="missing-composition",
         )
     polarities = []

@@ -21,12 +21,14 @@ that stops earlier is therefore an exact prefix of a longer one.  The
 picks are those ``Generator.integers`` draws, computed from whole random
 words at once (:func:`_pick_drawer`).
 
-There is one event loop, :class:`EventBlocks`.  It does with numpy, four
+There is one event loop, :class:`EventBlocks`.  It does with numpy, eight
 blocks at a time, all that does not depend on ``K``: the clock, and, up to
 :data:`_SORTED_GROUPS` agents a group, each group event's ``G`` sorted urn
 thresholds, whose number ``<= K`` is its ``k`` at count ``K``
 (:func:`_urn_thresholds`).  Only that lookup (or, for larger groups, the
-urn itself) and the count are left to a per-event loop.  It yields the record of
+urn itself) and the count are left to a per-event loop, which records one
+code per event: its ``k``, or a noise code.  The count path, kinds and
+``k`` column are table lookups of those codes.  It yields the record of
 each batch as a block of columns while the run goes on, and knows the
 run's end once it is exhausted.  :func:`simulate` joins the
 blocks into a :class:`Trajectory`, and the ``simulate`` command passes
@@ -85,9 +87,9 @@ RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
 #: Events per block of random draws in :class:`EventBlocks`.
 BLOCK_EVENTS = 256
 #: Events per batch of blocks of draws that :class:`EventBlocks` handles
-#: with numpy at once, and most rows of a block it yields; larger batches
-#: hold more memory while they run.
-_BATCH_EVENTS = 4 * BLOCK_EVENTS
+#: with numpy at once (2048), and most rows of a block it yields; larger
+#: batches cost fewer numpy calls an event but hold more memory while they run.
+_BATCH_EVENTS = 8 * BLOCK_EVENTS
 #: Largest group size whose urn thresholds :class:`EventBlocks` computes:
 #: that costs ``G**2 / 2`` numpy steps an event, where running the urn in
 #: the event loop costs ``G`` Python steps; the two cost about the same at G = 25 to 31.
@@ -234,15 +236,6 @@ def _urn_count(picks: Sequence[int], count: int) -> int:
     return count - favorable
 
 
-def _urn_draws(picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """X1 agents drawn by the urn of each event whose picks are a row of
-    ``picks``, at the count in ``counts``: the urn run for all at once."""
-    favorable = counts.copy()
-    for row in picks.T:
-        favorable -= row < favorable
-    return counts - favorable
-
-
 def _int_column(largest: int) -> array:
     """Empty unsigned column just wide enough for values up to ``largest``."""
     return next((array(c) for c in "BHI" if largest < 256 ** array(c).itemsize), array("Q"))
@@ -331,7 +324,13 @@ class EventBlocks:
             rules, a_group, total = self.rules, self._a_group, self._total
             group_size = rules.group_size if rules is not None else 0
             draw_picks = _pick_drawer(rng, np.arange(n, n - group_size, -1))
-            weights = rules.signed_weights if rules is not None else ()
+            # An event's code is its composition k, or one of the two noise
+            # codes after k = 0..G; the tables give its step, kind and k.
+            weights = rules.signed_weights if rules is not None else (0,)
+            down, up = len(weights), len(weights) + 1
+            step = np.array([*weights, -1, 1])
+            kind_of = np.array([RULE if w else NULL for w in weights] + [NOISE12, NOISE21])
+            k_of = np.array([*range(len(weights)), 0, 0])
             noise = config.noise_rate
             sort = group_size <= _SORTED_GROUPS
             drawn = bisect_right if sort else _urn_count
@@ -361,17 +360,22 @@ class EventBlocks:
                 groups = (flat[lo : lo + group_size] for lo in itertools.count(0, group_size))
             # Events before the clock passes t_max or max_events is reached.
             stop = min(int(clock.searchsorted(t_max, "right")) - 1, max_events - n_events)
-            counts = [count]
-            add_count = counts.append
+            # Codes below 256 go to a bytearray, which appends faster than an array.
+            record, start = bytearray() if up < 256 else _int_column(up), count
+            add_code = record.append
             for u, group in zip(us[:stop].tolist(), groups):
                 if u < a_group:
-                    count += weights[drawn(group, count)]
+                    k = drawn(group, count)
+                    count += weights[k]
+                    add_code(k)
                 elif u < a_group + noise * count:
                     count -= 1
+                    add_code(down)
                 else:
                     count += 1
-                add_count(count)
-            path = np.array(counts, np.int64)
+                    add_code(up)
+            codes = np.asarray(memoryview(record))
+            path = np.concatenate(([start], step[codes])).cumsum()
             if stops:  # the run ends at its first consensus, not at the batch's end
                 ended = np.flatnonzero((path == 0) | (path == n))
                 path = path[: ended[0] + 1] if len(ended) else path
@@ -381,16 +385,10 @@ class EventBlocks:
             t = float(clock[done])
             running = done == _BATCH_EVENTS and n_events < max_events and count not in stops
             self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
-            # The kind of each event follows from its channel and the count
-            # before and after it, and its k from its picks and the count before.
-            before, after = path[:-1], path[1:]
-            group = us[:done] < a_group
-            kinds = np.where(after == before, NULL, RULE)
-            kinds = np.where(group, kinds, np.where(after < before, NOISE12, NOISE21))
-            ks = np.where(group, _urn_draws(picks[:done], before), 0)
-            rows = [clock[1 : done + 1], kinds, ks, after]
+            codes = codes[:done]
+            rows = [clock[1 : done + 1], kind_of[codes], k_of[codes], path[1:]]
             if not config.record_null_draws:
-                rows = [row[kinds != NULL] for row in rows]
+                rows = [row[rows[1] != NULL] for row in rows]
             tally = np.bincount(rows[1], minlength=len(EVENT_LABELS)).tolist()
             self._recorded = [a + b for a, b in zip(self._recorded, tally)]
             if len(rows[0]):

@@ -480,8 +480,9 @@ class TestSimulateMemory:
     def test_peak_does_not_grow_with_events(self, tmp_path, capsys):
         # Held as a Trajectory before the write, the record peaked at 2.0 MiB
         # at 2*10**4 events and 4.0 MiB at 2*10**5 here.  Streamed to the
-        # writer process, the peak is 0.3 MiB at both, about one block of
-        # columns.  tracemalloc slows the SSA about tenfold, hence 2*10**5.
+        # writer process, the peak is 0.67 MiB at both, about one batch of
+        # 2048 events' draws and columns.  tracemalloc slows the SSA about
+        # tenfold, hence 2*10**5.
         args = ["simulate", "--rules", "Mmm", "--epsilon", "0.1", "--seed", "1",
                 "--out", str(tmp_path / "run.csv")]
         assert main([*args, "--events", "1000"]) == EXIT_OK  # imports, caches
@@ -1333,6 +1334,17 @@ class TestSchemaFileInput:
         )
         assert code == EXIT_CONFIG
 
+    def test_missing_compositions_of_a_huge_group(self, tmp_path, capsys):
+        # One 25-byte line declares G = 200001: the error lists a few of the
+        # 199999 missing compositions, not all of them.
+        schema_path = tmp_path / "rules.txt"
+        schema_path.write_text("1X1+200000X2 -> 200001X2\n")
+        out = tmp_path / "d.csv"
+        code = main(["drift", "--schema", str(schema_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and not out.exists()
+        assert err.count("\n") == 1 and len(err) - len(str(schema_path)) < 200
+        assert err.startswith("swarmdec: ") and err.endswith(" and 199989 more\n")
 
     def test_non_utf8_schema_file(self, tmp_path, capsys):
         schema_path = tmp_path / "rules.txt"

@@ -133,6 +133,11 @@ class TestValidationErrors:
          "two reactions share composition 1"),
         ("X1+2X2 -> 2X1+X2", "missing-composition", None,
          "schema must cover every composition 1..2; missing [2]"),
+        ("X1+12X2 -> 13X2", "missing-composition", None,
+         "schema must cover every composition 1..12; missing [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1 more"),
+        ("1X1+200000X2 -> 200001X2", "missing-composition", None,
+         "schema must cover every composition 1..200000; missing [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] "
+         "and 199989 more"),
         ("# nothing here\n", "missing-composition", None, "schema contains no reactions"),
         ("X1+2X2 -> 3X2\n2X1+X2 -> X1+2X2", "asymmetry", None,
          "compositions 1 and 2 imply different polarities (M vs m)"),

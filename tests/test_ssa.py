@@ -27,7 +27,6 @@ from swarmdec.ssa import (
     _BATCH_EVENTS,
     _SORTED_GROUPS,
     _pick_drawer,
-    _urn_draws,
     _urn_thresholds,
     simulate,
     trajectory_csv_lines,
@@ -493,16 +492,16 @@ class TestEventBlocks:
         assert events.event_counts() == expected
 
     @staticmethod
-    def check_follows_the_urn(rules):
+    def check_follows_the_urn(rules, n=101):
         # Replay the run's draws event by event: every group event's k is
         # _urn of its own row of picks at the count before it, and every
         # time is the running sum of exponential / total.  The run spans
         # more than two batches.
-        n, seed = 101, 31
+        count, seed = n // 2 + 1, 31
         config = SimConfig(noise_rate=0.05, max_events=2 * _BATCH_EVENTS + 17)
-        run = simulate(SwarmState(n, 51), rules, config, seed=seed)
+        run = simulate(SwarmState(n, count), rules, config, seed=seed)
         assert len(run.kinds) == config.max_events
-        expected = _replay(n, 51, rules, config, seed, config.max_events)
+        expected = _replay(n, count, rules, config, seed, config.max_events)
         assert list(zip(run.times, run.kinds, run.ks, run.counts)) == expected
         groups = sum(kind in (RULE, NULL) for kind in run.kinds)
         assert groups > config.max_events // 2
@@ -515,6 +514,11 @@ class TestEventBlocks:
         self.check_follows_the_urn(
             parse_polarity_string("M" * _SORTED_GROUPS, 2 * _SORTED_GROUPS + 1)
         )
+
+    def test_wide_codes_follow_the_urn(self):
+        # At G = 255 an event's code (k = 0..255, then the two noise codes)
+        # takes two bytes.
+        self.check_follows_the_urn(parse_polarity_string("Mm" * 63 + "M", 255), n=301)
 
     def test_elided_nulls_follow_the_urn(self):
         # As above with null draws elided, from near X2 consensus, where
@@ -718,7 +722,7 @@ class TestTrajectoryCsv:
         for t, kind, k, count in zip(*columns):
             k_field = "" if kind in (NOISE12, NOISE21) else k
             rows.append(f"{t:.17g},{EVENT_LABELS[kind]},{k_field},{count},{2.0 * count / n - 1.0:.17g}")
-        for cuts in ([*range(_BATCH_EVENTS + 1)], [0, 1023, 1024], [0, 1024]):
+        for cuts in ([*range(_BATCH_EVENTS + 1)], [0, _BATCH_EVENTS - 1, _BATCH_EVENTS], [0, _BATCH_EVENTS]):
             blocks = [[column[lo:hi] for column in columns] for lo, hi in zip(cuts, cuts[1:])]
             header, *texts = csv_blocks(blocks, n)
             assert header == CSV_HEADER
@@ -819,10 +823,9 @@ if st is not None:
     )
     def test_thresholds_follow_the_urn(n_agents, group_size, events, data):
         # The k of a group event at count K, as EventBlocks finds it among
-        # its thresholds or with _urn_draws, is _urn of its picks at K, for
-        # every K.  Each is a step function of K that steps only at a
-        # threshold, so past 40 agents the Ks on either side of each
-        # threshold cover every step.
+        # its thresholds, is _urn of its picks at K, for every K.  Each is a
+        # step function of K that steps only at a threshold, so past 40
+        # agents the Ks on either side of each threshold cover every step.
         assume(group_size <= n_agents)
         picks = [
             [data.draw(st.integers(0, n_agents - 1 - j)) for j in range(group_size)]
@@ -838,5 +841,3 @@ if st is not None:
                 counts.update(y - d for y in event_thresholds for d in (0, 1))
             for count in counts:
                 assert bisect_right(event_thresholds, count) == _urn(event_picks, count)
-                drawn = _urn_draws(np.array([event_picks]), np.array([count]))
-                assert drawn.tolist() == [_urn(event_picks, count)]
