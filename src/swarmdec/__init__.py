@@ -17,7 +17,7 @@ from .drift import (
     find_fixed_points,
     rule_firing_probabilities,
 )
-from .hypergeom import PmfTable, pmf, pmf_bruteforce, pmf_table
+from .hypergeom import pmf, pmf_bruteforce, pmf_table
 from .model import (
     NoiseSpec,
     RulePolarity,
@@ -53,7 +53,6 @@ __all__ = [
     "FixedPoint",
     "FrozenSystemError",
     "NoiseSpec",
-    "PmfTable",
     "RulePolarity",
     "RuleSet",
     "SchemaError",

@@ -54,7 +54,7 @@ import random
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .hypergeom import PmfTable, _validate, pmf_table
+from .hypergeom import _validate, pmf_table
 from .model import NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 __all__ = [
@@ -115,7 +115,7 @@ def _rule_term(n_agents: int, rules: RuleSet, count: int) -> float:
     rule sets give exactly negated terms.
     """
     table = pmf_table(n_agents, count, rules.group_size)
-    return math.fsum([w * p for w, p in zip(rules.signed_weights, table.probabilities)])
+    return math.fsum([w * p for w, p in zip(rules.signed_weights, table)])
 
 
 def _drift_values(
@@ -363,25 +363,27 @@ def empirical_drift(
 
 def rule_firing_probabilities(
     n_agents: int, group_size: int, count_x1: int
-) -> PmfTable:
-    """Probability that the rule at each composition fires at this state.
+) -> tuple[float, ...]:
+    """Probability that the rule at each composition ``k = 0..G`` fires
+    at this state, one entry per ``k``.
 
-    This is exactly the hypergeometric composition law; in particular it
-    does not depend on the noise level or on the rule polarities.
+    This is exactly the hypergeometric composition law (``pmf_table``); in
+    particular it does not depend on the noise level or on the rule polarities.
     """
     return pmf_table(n_agents, count_x1, group_size)
 
 
 def empirical_firing_probabilities(
     n_agents: int, group_size: int, count_x1: int, draws: int, seed: int
-) -> PmfTable:
-    """Observed composition frequencies over ``draws`` group draws
-    (``1..MAX_SAMPLES``) from the urn (:func:`_urn_counts`), by the
-    generator of state ``count_x1`` (:func:`_state_rng`)."""
+) -> tuple[float, ...]:
+    """Observed frequency of each composition ``k = 0..G`` over ``draws``
+    group draws (``1..MAX_SAMPLES``) from the urn (:func:`_urn_counts`), by
+    the generator of state ``count_x1`` (:func:`_state_rng`), one entry
+    per ``k``; the counts sum to ``draws``."""
     _check_samples("draws", draws)
     rng = _state_rng(seed, count_x1)
     counts = _urn_counts(rng, n_agents, count_x1, group_size, draws)
-    return PmfTable(group_size, tuple(float(c) / draws for c in counts))
+    return tuple(float(c) / draws for c in counts)
 
 
 def _bisect(f, lo: int, hi: int, f_lo: float, n_agents: int) -> tuple[int, int]:

@@ -8,9 +8,11 @@ opinions in the group follows the hypergeometric distribution
 
 ``pmf`` evaluates this exactly: Python integers never overflow, so the
 binomials are computed in full precision and only the final division
-rounds (to nearest, once).  ``pmf_bruteforce`` is an independent
-validation oracle: it enumerates every subset and returns the whole law
-at one state, one entry per ``k``, from that one walk.
+rounds (to nearest, once).  The law at one state is a plain tuple of
+``G + 1`` floats indexed by ``k``: ``pmf_table`` builds it from ``pmf``,
+and ``pmf_bruteforce``, an independent validation oracle, by enumerating
+every subset once.  Both divide the same integer count by ``C(N, G)``,
+so the two tuples are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -18,37 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .model import _Record
+__all__ = ["pmf", "pmf_bruteforce", "pmf_table"]
 
-__all__ = ["PmfTable", "pmf", "pmf_bruteforce", "pmf_table"]
-
-_SUM_TOL = 1e-12
 _BRUTEFORCE_MAX_N = 24
-
-
-class PmfTable(_Record):
-    """Probabilities of each composition ``k = 0..G`` at one swarm state."""
-
-    group_size: int
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.probabilities) != self.group_size + 1:
-            raise ValueError(
-                f"table for group size {self.group_size} needs "
-                f"{self.group_size + 1} entries, got {len(self.probabilities)}"
-            )
-        if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
-            raise ValueError("probabilities must lie in [0, 1]")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-
-    def __iter__(self):
-        return iter(self.probabilities)
-
-    def __getitem__(self, k: int) -> float:
-        return self.probabilities[k]
 
 
 def _validate(n_agents: int, count_x1: int, group_size: int, k: int) -> None:
@@ -86,12 +60,9 @@ def pmf(n_agents: int, count_x1: int, group_size: int, k: int) -> float:
     return favorable / math.comb(n_agents, group_size)
 
 
-def pmf_table(n_agents: int, count_x1: int, group_size: int) -> PmfTable:
-    """Full composition distribution for ``k = 0..G`` at one state."""
-    return PmfTable(
-        group_size,
-        tuple(pmf(n_agents, count_x1, group_size, k) for k in range(group_size + 1)),
-    )
+def pmf_table(n_agents: int, count_x1: int, group_size: int) -> tuple[float, ...]:
+    """The law of ``k = 0..G`` at one state: ``G + 1`` entries ``pmf(..., k)``."""
+    return tuple(pmf(n_agents, count_x1, group_size, k) for k in range(group_size + 1))
 
 
 def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int) -> tuple[float, ...]:

@@ -191,7 +191,7 @@ def per_point_drift(n: int, rules: RuleSet | None, epsilon: float, z: float) -> 
         return -noise_term
     count = min(max(math.floor(n * (z + 1.0) / 2.0 + 0.5), 0), n)  # half away from zero
     table = pmf_table(n, count, rules.group_size)
-    terms = [rules.signed_weight(k) * p for k, p in enumerate(table.probabilities)]
+    terms = [rules.signed_weight(k) * p for k, p in enumerate(table)]
     return math.fsum(terms) - noise_term
 
 
@@ -517,14 +517,14 @@ class TestUrnCounts:
         lowest, highest = max(0, self.G - (self.N - count)), min(self.G, count)
         assert all(h == 0 for k, h in enumerate(hits) if not lowest <= k <= highest)
         # Each cell is Binomial(DRAWS, p_k); 8 cells per state at 1e-9 each.
-        for k, p in enumerate(pmf_table(self.N, count, self.G).probabilities):
+        for k, p in enumerate(pmf_table(self.N, count, self.G)):
             assert abs(hits[k] - self.DRAWS * p) <= bernstein_radius(self.DRAWS, p), (count, k)
 
     def test_cost_does_not_grow_with_draws(self):
         start = time.perf_counter()
         table = empirical_firing_probabilities(101, 7, 51, MAX_SAMPLES, seed=5)
         assert time.perf_counter() - start < 5.0
-        assert math.fsum(table.probabilities) == 1.0
+        assert math.fsum(table) == 1.0
 
     def test_group_larger_than_swarm_rejected(self):
         with pytest.raises(ValueError, match="group size"):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from swarmdec.hypergeom import PmfTable, pmf, pmf_bruteforce, pmf_table
+from swarmdec.drift import empirical_firing_probabilities
+from swarmdec.hypergeom import pmf, pmf_bruteforce, pmf_table
 
 
 def rational_pmf(n, count, g, k):
@@ -66,36 +67,26 @@ class TestPmf:
         for n in (7, 12):
             for g in (3, 5):
                 for count in range(n + 1):
-                    law = pmf_bruteforce(n, count, g)
-                    for k in range(g + 1):
-                        assert abs(pmf(n, count, g, k) - law[k]) <= 1e-12
+                    assert pmf_table(n, count, g) == pmf_bruteforce(n, count, g)
 
 
-class TestPmfTable:
+class TestLawTuple:
     def test_frozen_values(self):
         # Enumeration of C(10,4) subsets: counts 5, 50, 100, 50, 5 of 210.
         table = pmf_table(10, 5, 4)
         expected = [5 / 210, 50 / 210, 100 / 210, 50 / 210, 5 / 210]
-        assert list(table.probabilities) == pytest.approx(expected, abs=1e-15)
-        assert list(table.probabilities) == pytest.approx(
+        assert list(table) == pytest.approx(expected, abs=1e-15)
+        assert list(table) == pytest.approx(
             [0.0238095, 0.2380952, 0.4761905, 0.2380952, 0.0238095], abs=1e-7
         )
 
     def test_degenerate_full_draw(self):
-        assert pmf_table(7, 7, 7).probabilities == (0, 0, 0, 0, 0, 0, 0, 1)
+        assert pmf_table(7, 7, 7) == (0, 0, 0, 0, 0, 0, 0, 1)
 
     def test_iteration_and_indexing(self):
         table = pmf_table(10, 5, 4)
         assert table[2] == pmf(10, 5, 4, 2)
         assert len(list(table)) == 5
-
-    def test_invariants_rejected_on_construction(self):
-        with pytest.raises(ValueError):
-            PmfTable(2, (0.5, 0.5))  # wrong length
-        with pytest.raises(ValueError):
-            PmfTable(1, (1.2, -0.2))  # out of range
-        with pytest.raises(ValueError):
-            PmfTable(1, (0.6, 0.6))  # does not sum to 1
 
 
 class TestDistributionProperties:
@@ -103,7 +94,7 @@ class TestDistributionProperties:
     def test_normalization_full_sweep(self, g):
         for n in range(g, 302):
             for count in range(n + 1):
-                total = math.fsum(pmf_table(n, count, g).probabilities)
+                total = math.fsum(pmf_table(n, count, g))
                 assert abs(total - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [9, 10, 101])
@@ -132,6 +123,47 @@ class TestDistributionProperties:
         n = 101
         for count in range(n + 1):
             mean = math.fsum(
-                k * p for k, p in enumerate(pmf_table(n, count, g).probabilities)
+                k * p for k, p in enumerate(pmf_table(n, count, g))
             )
             assert abs(mean - g * count / n) <= 1e-10
+
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    st = None
+
+if st is not None:
+
+    @st.composite
+    def states(draw):
+        # Odd N up to MAX_SWARM_SIZE = 2**1022 - 1, small ones often;
+        # G from 1 to min(N, 64); K at the edges of the support, or anywhere.
+        n = 2 * draw(st.integers(0, 60) | st.integers(0, 2**1021 - 1)) + 1
+        g = draw(st.integers(1, min(n, 64)))
+        edges = [c for c in (0, 1, g - 1, g, n - g, n - 1, n) if 0 <= c <= n]
+        count = draw(st.sampled_from(edges) | st.integers(0, n))
+        return n, count, g
+
+    @settings(max_examples=300, deadline=None)
+    @example((2**1022 - 1, 2**1021, 64))
+    @example((2**1022 - 1, 1, 64))
+    @given(states())
+    def test_law_is_a_normalized_tuple_at_every_size(state):
+        n, count, g = state
+        law = pmf_table(n, count, g)
+        assert type(law) is tuple and len(law) == g + 1
+        assert all(p == pmf(n, count, g, k) for k, p in enumerate(law))
+        assert all(0.0 <= p <= 1.0 for p in law)
+        assert abs(math.fsum(law) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, count, g, draws, seed",
+    [(3, 1, 3, 1, 0), (11, 0, 5, 10, 1), (101, 51, 7, 10**5, 2), (1001, 999, 25, 777, 3)],
+)
+def test_sampled_law_is_a_normalized_tuple(n, count, g, draws, seed):
+    law = empirical_firing_probabilities(n, g, count, draws, seed)
+    assert type(law) is tuple and len(law) == g + 1
+    assert all(0.0 <= p <= 1.0 for p in law)
+    assert abs(math.fsum(law) - 1.0) <= 1e-12

@@ -6,7 +6,6 @@ from array import array
 import pytest
 
 from swarmdec.drift import FixedPoint, Stability
-from swarmdec.hypergeom import PmfTable
 from swarmdec.model import (
     MAX_SWARM_SIZE,
     NoiseSpec,
@@ -220,7 +219,6 @@ RECORDS = {
     "SwarmState": lambda: SwarmState(101, 51),
     "NoiseSpec": lambda: NoiseSpec(0.05),
     "RuleSet": lambda: RuleSet(5, (M, m)),
-    "PmfTable": lambda: PmfTable(1, (0.5, 0.5)),
     "FixedPoint": lambda: FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
     "SimConfig": lambda: SimConfig(noise_rate=0.05, max_events=10),
 }
@@ -281,7 +279,6 @@ class TestRecords:
             (SwarmState(101, 51), "SwarmState(n_agents=101, count_x1=51)"),
             (NoiseSpec(), "NoiseSpec(epsilon=0.0)"),
             (RuleSet(3, (M,)), "RuleSet(group_size=3, polarities=(<RulePolarity.MAJORITY: 'M'>,))"),
-            (PmfTable(1, (0.5, 0.5)), "PmfTable(group_size=1, probabilities=(0.5, 0.5))"),
             (FixedPoint(0.0, Stability.STABLE, (-0.1, 0.1)),
              "FixedPoint(z=0.0, stability=<Stability.STABLE: 'stable'>, bracket=(-0.1, 0.1))"),
             (SimConfig(max_events=10),
@@ -329,9 +326,6 @@ class TestRecords:
             (lambda: RuleSet(4, ()), ValueError, "group size must be an odd integer >= 3, got 4"),
             (lambda: RuleSet(5, (M,)), ValueError, "group size 5 needs 2 polarity entries, got 1"),
             (lambda: RuleSet(3, ("M",)), TypeError, "polarities must be RulePolarity values"),
-            (lambda: PmfTable(3, (0.5, 0.5)), ValueError, "table for group size 3 needs 4 entries, got 2"),
-            (lambda: PmfTable(1, (1.5, -0.5)), ValueError, "probabilities must lie in [0, 1]"),
-            (lambda: PmfTable(1, (0.5, 0.25)), ValueError, "probabilities sum to 0.75, expected 1"),
             (lambda: SimConfig(rule_rate=-0.5, max_events=1), ValueError,
              "rule rate must be finite and >= 0, got -0.5"),
             (lambda: SimConfig(noise_rate=math.nan, max_events=1), ValueError,

@@ -300,7 +300,7 @@ class TestStep:
             for row in picks[start:start + 2**16].tolist():
                 counts[_urn(row, count)] += 1
         table = pmf_table(n, count, g)
-        interior_mass = math.fsum(table.probabilities[1:g])
+        interior_mass = math.fsum(table[1:g])
         fired = sum(counts[1:g])
         for k in range(1, g):
             observed = counts[k] / fired
