@@ -24,6 +24,11 @@ after the writer ends.  The column block of each batch of events reaches
 the writer pickled, and the writer formats it as it arrives.  Every
 command writes its output a line at a time (:func:`_write_lines`), so the
 file handle's buffer bounds what a write holds.
+
+A process compiles and runs only the modules its command uses: ``drift``,
+``hypergeom``, ``schema`` and ``ssa`` are lazy module handles, which load
+on first use, and :func:`main` builds the options of the named command
+alone.
 """
 
 from __future__ import annotations
@@ -40,18 +45,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from . import __version__
-from .drift import (
-    MAX_SAMPLES,
-    _lattice_drift,
-    analytic_drift_curve,
-    empirical_drift,
-    empirical_firing_probabilities,
-    find_fixed_points,
-    rule_firing_probabilities,
-)
-from .hypergeom import pmf_bruteforce, pmf_table
+from . import __version__, _lazy_submodule
 from .model import (
+    MAX_AGENTS,
+    MAX_SAMPLES,
     NoiseSpec,
     RuleSet,
     SwarmState,
@@ -60,10 +57,11 @@ from .model import (
     check_swarm_size,
     iter_rulesets,
     lattice_z,
+    parse_polarity_string,
     state_of_z,
 )
-from .schema import SchemaError, format_schema, parse_polarity_string, parse_schema
-from .ssa import MAX_AGENTS, EventBlocks, FrozenSystemError, SimConfig
+
+drift, hypergeom, schema, ssa = map(_lazy_submodule, ("drift", "hypergeom", "schema", "ssa"))
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,7 +178,9 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of those in
+    ``commands`` (all by default); the others parse none."""
     parser = argparse.ArgumentParser(
         prog="swarmdec",
         description="Collective decision-making swarm experiments.",
@@ -189,6 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, command_help, takes, _, _ in _COMMANDS:
         target, takes = sub.add_parser(command, help=command_help), takes.split()
+        if commands is not None and command not in commands:
+            continue
         agents_cap = _AGENTS_CAPS.get(command, "2**1022 - 1")
         for name, kind, help_text, _, _ in _OPTIONS:
             if name in takes:
@@ -299,13 +301,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         for name in ("samples", "rule_rate"):
             if getattr(args, name, None) is not None:
                 raise ConfigError(f"--{name.replace('_', '-')} applies only with --empirical")
+            given.discard(name)
 
     agents, group = values["agents"], values["group"]
     rules_arg, schema_arg = values["rules"], values["schema"]
     if rules_arg is not None and schema_arg is not None:
         raise ConfigError("--rules and --schema are mutually exclusive")
     pure_noise = rules_arg == "none"
-    if pure_noise and getattr(args, "rule_rate", None) is not None:
+    if pure_noise and "rule_rate" in given:
         raise ConfigError("--rule-rate does not apply with --rules none")
     rules: RuleSet | None = None
     if rules_arg is not None and not pure_noise:
@@ -321,8 +324,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     elif schema_arg is not None:
         text = _read_utf8(schema_arg, "schema file")
         try:
-            rules = parse_schema(text)
-        except SchemaError as exc:
+            rules = schema.parse_schema(text)
+        except schema.SchemaError as exc:
             raise ConfigError(f"schema file {_printed_name(schema_arg)}: {exc}") from exc
 
     if rules is not None:
@@ -572,7 +575,7 @@ def _write_plot_script(cfg: ExperimentConfig, body: str) -> None:
 
 def cmd_drift(cfg: ExperimentConfig) -> int:
     if cfg.empirical:  # sampled first, so that a refused run leaves no file behind
-        points = empirical_drift(
+        points = drift.empirical_drift(
             cfg.agents, cfg.rules, cfg.noise, cfg.samples, cfg.seed, rule_rate=cfg.rule_rate
         )
         header = _run_header(cfg, samples=cfg.samples, rule_rate=cfg.rule_rate)
@@ -580,7 +583,7 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
             _write_text(_empirical_path(cfg.out), _curve_csv(points, header))
         except ValueError as exc:  # the total event rate overflows
             raise ConfigError(str(exc)) from exc
-    points = analytic_drift_curve(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
+    points = drift.analytic_drift_curve(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     _write_text(cfg.out, _curve_csv(points, _run_header(cfg, grid=cfg.grid)))
     if cfg.plot_script:
         title = cfg.rules_label or "drift"
@@ -607,13 +610,13 @@ def _probs_csv(cfg: ExperimentConfig, tables: Iterable, **extra) -> Iterator[str
 
 def cmd_probs(cfg: ExperimentConfig) -> int:
     tables = (
-        rule_firing_probabilities(cfg.agents, cfg.group, count)
+        drift.rule_firing_probabilities(cfg.agents, cfg.group, count)
         for count in range(cfg.agents + 1)
     )
     _write_text(cfg.out, _probs_csv(cfg, tables))
     if cfg.empirical:
         tables = (
-            empirical_firing_probabilities(cfg.agents, cfg.group, count, cfg.samples, cfg.seed)
+            drift.empirical_firing_probabilities(cfg.agents, cfg.group, count, cfg.samples, cfg.seed)
             for count in range(cfg.agents + 1)
         )
         _write_text(_empirical_path(cfg.out), _probs_csv(cfg, tables, samples=cfg.samples))
@@ -630,7 +633,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     import json
 
     unbounded = cfg.events is None and cfg.t_max is None
-    sim_config = SimConfig.from_noise_level(
+    sim_config = ssa.SimConfig.from_noise_level(
         cfg.noise.epsilon,
         rule_rate=cfg.rule_rate,
         max_events=DEFAULT_EVENTS if unbounded else cfg.events,
@@ -639,8 +642,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stop_at_consensus=cfg.stop_at_consensus,
     )
     try:
-        events = EventBlocks(cfg.initial, cfg.rules, sim_config, cfg.seed)
-    except ValueError as exc:  # the total event rate overflows
+        events = ssa.EventBlocks(cfg.initial, cfg.rules, sim_config, cfg.seed)
+    except (ValueError, ssa.FrozenSystemError) as exc:  # an overflowing or zero event rate
         raise ConfigError(str(exc)) from exc
     header = _run_header(
         cfg,
@@ -683,7 +686,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_fixed_points(cfg: ExperimentConfig) -> int:
     import json
 
-    points = find_fixed_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
+    points = drift.find_fixed_points(cfg.agents, cfg.rules, cfg.noise, cfg.grid)
     payload = [
         {
             "z": fp.z,
@@ -703,7 +706,7 @@ def _ruleset_listing(group: int) -> Iterator[str]:
         if index:
             yield ""
         yield rules.label
-        for line in format_schema(rules).splitlines():
+        for line in schema.format_schema(rules).splitlines():
             yield f"  {line}"
 
 
@@ -724,7 +727,7 @@ def _check_pmf_oracle() -> dict:
             if g > n:
                 continue
             for count in range(n + 1):
-                pairs = zip(pmf_table(n, count, g), pmf_bruteforce(n, count, g))
+                pairs = zip(hypergeom.pmf_table(n, count, g), hypergeom.pmf_bruteforce(n, count, g))
                 worst = max(worst, *(abs(p - q) for p, q in pairs))
     return {
         "name": "pmf-bruteforce-agreement",
@@ -787,7 +790,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     # The G=7 lattice drifts at every checked noise level, one rule term
     # per rule set and state, shared by the three drift checks.
     drifts = {
-        rules: _lattice_drift(_CHECK_AGENTS, rules, _CHECK_EPSILONS)
+        rules: drift._lattice_drift(_CHECK_AGENTS, rules, _CHECK_EPSILONS)
         for rules in iter_rulesets(7)
     }
     checks = [
@@ -809,7 +812,10 @@ _HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name, *_ in _C
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option but -h and --version, which exit, so a
+    # command runs only as the first word, and only its options are built.
+    parser = build_parser(argv[:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -818,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return _HANDLERS[cfg.command](cfg)
-    except (ConfigError, FrozenSystemError) as exc:
+    except ConfigError as exc:
         print(f"swarmdec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

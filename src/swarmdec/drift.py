@@ -55,7 +55,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from .hypergeom import _validate, pmf_table
-from .model import NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
+from .model import MAX_SAMPLES, NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 __all__ = [
     "FixedPoint",
@@ -68,11 +68,6 @@ __all__ = [
     "find_fixed_points",
     "rule_firing_probabilities",
 ]
-
-#: Largest number of samples per state of the empirical samplers.  Every
-#: count then stays far below 2**53, so it is exact as a float and each
-#: frequency ``count / draws`` is correctly rounded.
-MAX_SAMPLES = 1_000_000_000
 
 
 class Stability(Enum):

@@ -9,7 +9,7 @@ opinions in the group follows the hypergeometric distribution
 ``pmf`` evaluates this exactly: Python integers never overflow, so the
 binomials are computed in full precision and only the final division
 rounds (to nearest, once).  The law at one state is a plain tuple of
-``G + 1`` floats indexed by ``k``: ``pmf_table`` builds it from ``pmf``,
+``G + 1`` floats indexed by ``k``: ``pmf_table`` builds it as ``pmf`` does,
 and ``pmf_bruteforce``, an independent validation oracle, by enumerating
 every subset once.  Both divide the same integer count by ``C(N, G)``,
 so the two tuples are equal bit for bit.
@@ -52,17 +52,22 @@ def pmf(n_agents: int, count_x1: int, group_size: int, k: int) -> float:
     population holds, or more X2 than it holds) have probability 0.
     """
     _validate(n_agents, count_x1, group_size, k)
+    return _probability(n_agents, count_x1, group_size, k, math.comb(n_agents, group_size))
+
+
+def _probability(n_agents: int, count_x1: int, group_size: int, k: int, subsets: int) -> float:
+    """:func:`pmf` of valid arguments, given ``subsets = C(N, G)``."""
     if k > count_x1 or group_size - k > n_agents - count_x1:
         return 0.0
-    favorable = math.comb(count_x1, k) * math.comb(
-        n_agents - count_x1, group_size - k
-    )
-    return favorable / math.comb(n_agents, group_size)
+    return math.comb(count_x1, k) * math.comb(n_agents - count_x1, group_size - k) / subsets
 
 
 def pmf_table(n_agents: int, count_x1: int, group_size: int) -> tuple[float, ...]:
-    """The law of ``k = 0..G`` at one state: ``G + 1`` entries ``pmf(..., k)``."""
-    return tuple(pmf(n_agents, count_x1, group_size, k) for k in range(group_size + 1))
+    """The law of ``k = 0..G`` at one state: ``G + 1`` entries ``pmf(..., k)``,
+    which share one ``C(N, G)``."""
+    _validate(n_agents, count_x1, group_size, 0)
+    subsets = math.comb(n_agents, group_size)
+    return tuple(_probability(n_agents, count_x1, group_size, k, subsets) for k in range(group_size + 1))
 
 
 def pmf_bruteforce(n_agents: int, count_x1: int, group_size: int) -> tuple[float, ...]:

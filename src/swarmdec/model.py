@@ -34,6 +34,7 @@ __all__ = [
     "count_of_z",
     "iter_rulesets",
     "lattice_z",
+    "parse_polarity_string",
     "signed_weight",
     "state_of_z",
 ]
@@ -42,6 +43,12 @@ __all__ = [
 #: Largest swarm size: up to it, ``2N`` is a finite double, so the lattice
 #: arithmetic (``2K/N - 1``, ``N(z+1)/2``) never overflows.
 MAX_SWARM_SIZE = 2**1022 - 1
+#: Largest swarm size of a simulation: the urn's picks are drawn as int64 integers.
+MAX_AGENTS = 2**63 - 1
+#: Largest number of samples per state of the empirical samplers.  Every
+#: count then stays far below 2**53, so it is exact as a float and each
+#: frequency ``count / draws`` is correctly rounded.
+MAX_SAMPLES = 1_000_000_000
 
 
 def check_swarm_size(n_agents: int) -> None:
@@ -215,6 +222,21 @@ class RuleSet(_Record):
             for p in self.polarities
         )
         return RuleSet(self.group_size, flipped)
+
+
+def parse_polarity_string(s: str, group_size: int) -> RuleSet:
+    """Rule set encoded as one 'M'/'m' per minority count, e.g. ``MMm``:
+    the inverse of :attr:`RuleSet.label`."""
+    check_group_size(group_size)
+    expected = (group_size - 1) // 2
+    if len(s) != expected:
+        raise ValueError(
+            f"polarity string for group size {group_size} must have length {expected}, got {len(s)}"
+        )
+    for i, ch in enumerate(s):
+        if ch not in ("M", "m"):
+            raise ValueError(f"invalid polarity character {ch!r} at position {i}; expected 'M' or 'm'")
+    return RuleSet(group_size, tuple(map(RulePolarity, s)))
 
 
 def count_of_z(n_agents: int, z: float) -> int:

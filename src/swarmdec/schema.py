@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .model import RulePolarity, RuleSet, check_group_size, signed_weight
+from .model import RulePolarity, RuleSet, check_group_size, parse_polarity_string, signed_weight
 
 __all__ = [
     "SchemaError",
@@ -245,24 +245,3 @@ def format_schema(rules: RuleSet) -> str:
         w = rules.signed_weights[k]
         lines.append(f"{_format_side(k, g - k)} -> {_format_side(k + w, g - k - w)}\n")
     return "".join(lines)
-
-
-def parse_polarity_string(s: str, group_size: int) -> RuleSet:
-    """Rule set encoded as one 'M'/'m' per minority count, e.g. ``MMm``."""
-    check_group_size(group_size)
-    expected = (group_size - 1) // 2
-    if len(s) != expected:
-        raise ValueError(
-            f"polarity string for group size {group_size} must have length "
-            f"{expected}, got {len(s)}"
-        )
-    polarities = []
-    for i, ch in enumerate(s):
-        try:
-            polarities.append(RulePolarity(ch))
-        except ValueError:
-            raise ValueError(
-                f"invalid polarity character {ch!r} at position {i}; "
-                "expected 'M' or 'm'"
-            ) from None
-    return RuleSet(group_size, tuple(polarities))

@@ -45,10 +45,10 @@ concurrently, each with its own generator (seed ``base + index``).
 
 numpy is imported only where it is used: where random numbers are drawn
 (iterating :class:`EventBlocks`) and where CSV rows are formatted
-(:mod:`swarmdec.csvrows`, imported only then).  Importing this module, as
-every analytic command does, loads neither, and the ``simulate``
-command's writer process, forked first, imports them while the
-simulating process imports numpy.
+(:mod:`swarmdec.csvrows`, imported only then).  Importing this module
+loads neither.  Of the commands only ``simulate`` runs it, and its writer
+process, forked first, imports them while the simulating process imports
+numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from array import array
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .model import RuleSet, SwarmState, _Record, check_event_rate
+from .model import MAX_AGENTS, RuleSet, SwarmState, _Record, check_event_rate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,8 +94,6 @@ _BATCH_EVENTS = 8 * BLOCK_EVENTS
 #: that costs ``G**2 / 2`` numpy steps an event, where running the urn in
 #: the event loop costs ``G`` Python steps; the two cost about the same at G = 25 to 31.
 _SORTED_GROUPS = 25
-#: Largest swarm size of a run: the urn's picks are drawn as int64 integers.
-MAX_AGENTS = 2**63 - 1
 
 
 class FrozenSystemError(RuntimeError):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmdec import cli, drift
+from swarmdec import cli, drift, hypergeom
 from swarmdec.cli import (
     _CONFIG_KEYS,
     EXIT_CONFIG,
@@ -922,7 +922,7 @@ class TestValidate:
         assert self.run_failing(tmp_path, capsys) == ["complement-negation"]
 
     def test_pmf_disagreeing_with_enumeration_fails(self, tmp_path, capsys, monkeypatch):
-        real = cli.pmf_bruteforce
+        real = hypergeom.pmf_bruteforce
 
         def one_entry_off(n_agents, count_x1, group_size):
             law = real(n_agents, count_x1, group_size)
@@ -930,7 +930,7 @@ class TestValidate:
                 return (*law[:2], law[2] + 1e-9, *law[3:])
             return law
 
-        monkeypatch.setattr(cli, "pmf_bruteforce", one_entry_off)
+        monkeypatch.setattr(hypergeom, "pmf_bruteforce", one_entry_off)
         assert self.run_failing(tmp_path, capsys) == ["pmf-bruteforce-agreement"]
 
 
@@ -1139,7 +1139,7 @@ class TestConfigFileAndEnvironment:
     )
     def test_rule_rate_refused_without_rules(self, tmp_path, capsys, argv):
         # The noise-only system has no group interactions, so its rule rate
-        # is 0 whatever the flag says.
+        # is 0 whatever the flag or a config-file key says.
         out = tmp_path / "o.csv"
         argv = [*argv, "--rules", "none", "--epsilon", "0.1", "--out", str(out)]
         code = main([*argv, "--rule-rate", "5"])
@@ -1148,10 +1148,32 @@ class TestConfigFileAndEnvironment:
         assert list(tmp_path.iterdir()) == []
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"rule_rate": 5}))
-        assert main([*argv, "--config", str(config)]) == EXIT_OK
-        keyed = {path: path.read_bytes() for path in tmp_path.glob("*.csv")}
-        assert main(argv) == EXIT_OK
-        assert {path: path.read_bytes() for path in tmp_path.glob("*.csv")} == keyed
+        assert main([*argv, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "swarmdec: --rule-rate does not apply with --rules none\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["drift", "--empirical", "--samples", "10"], ["simulate", "--events", "10"]],
+        ids=["drift-empirical", "simulate"],
+    )
+    def test_rules_none_from_config_file_runs(self, tmp_path, argv):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rules": "none"}))
+        keyed, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = [*argv, "--epsilon", "0.1"]
+        assert main([*common, "--config", str(config), "--out", str(keyed)]) == EXIT_OK
+        assert main([*common, "--rules", "none", "--out", str(flagged)]) == EXIT_OK
+        assert keyed.read_bytes() == flagged.read_bytes()
+
+    def test_rule_rate_key_ignored_without_empirical_under_rules_none(self, tmp_path):
+        # drift without --empirical does not read the rate, so the key is ignored.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rules": "none", "rule_rate": 5}))
+        keyed, flagged = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["drift", "--epsilon", "0.1", "--config", str(config), "--out", str(keyed)]) == EXIT_OK
+        assert main(["drift", "--epsilon", "0.1", "--rules", "none", "--out", str(flagged)]) == EXIT_OK
+        assert keyed.read_bytes() == flagged.read_bytes()
 
     def test_keys_a_command_does_not_take_are_type_checked(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1954,6 +1976,82 @@ class TestStartup:
         (tmp_path / "cfg.json").write_text('{"rules": "MMm", "out": "d.csv"}')
         code, *loaded = _fresh_run(_STARTUP_PROBE, *argv, cwd=tmp_path).split()
         assert code == "0" and "json" in loaded
+
+
+#: Runs ``cli.main`` on the arguments in a fresh interpreter; prints the exit
+#: code, then the swarmdec modules that ran.  A lazy submodule is in
+#: ``sys.modules`` from the start, but is a plain module only once it has run.
+_MODULES_PROBE = """\
+import sys, types
+from swarmdec import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(n for n, m in sys.modules.items() if n.startswith("swarmdec") and type(m) is types.ModuleType))
+"""
+
+#: Wraps the traced benchmark's targets after ``import swarmdec.cli``, as
+#: ``bench/inproc.py`` does, and prints the span names of one drift command.
+_TRACED_PROBE = """\
+import importlib.util, sys
+import swarmdec.cli as cli
+spec = importlib.util.spec_from_file_location("bench_inproc", sys.argv[1])
+inproc = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(inproc)
+tracer = inproc.Tracer()
+inproc.install(tracer)
+code = cli.main(["drift", "--rules", "MMm", "--grid", "11", "--out", "d.csv"])
+print(code, *sorted({span[0] for span in tracer.spans}))
+"""
+
+
+class TestLazyModules:
+    """Each command compiles and runs only the swarmdec modules it uses."""
+
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [(["--version"], {"swarmdec", "swarmdec.cli", "swarmdec.model"}),
+         (["drift", "--rules", "MMm", "--out", "d.csv"],
+          {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.drift", "swarmdec.hypergeom"}),
+         (["probs", "--group", "5", "--out", "p.csv"],
+          {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.drift", "swarmdec.hypergeom"}),
+         (["rulesets", "--group", "5"], {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.schema"})],
+        ids=["version", "drift", "probs", "rulesets"],
+    )
+    def test_command_runs_only_its_modules(self, tmp_path, argv, ran):
+        code, *modules = _fresh_run(_MODULES_PROBE, *argv, cwd=tmp_path).split()
+        assert code == "0" and set(modules) == ran
+
+    def test_submodule_import_after_cli(self, tmp_path):
+        probe = (
+            "import swarmdec.cli; import swarmdec.drift;"
+            "print(swarmdec.drift.pmf_table is swarmdec.hypergeom.pmf_table)"
+        )
+        assert _fresh_run(probe, cwd=tmp_path) == "True"
+
+    def test_first_use_from_many_threads(self, tmp_path):
+        # Threads that reach a module while another runs it wait for all of it.
+        probe = (
+            "import sys; from concurrent.futures import ThreadPoolExecutor; from swarmdec import cli;"
+            "sys.setswitchinterval(1e-6);"
+            "argv = lambda i: ['probs', '--group', '5', '--agents', '11', '--out', f'p{i}.csv'];"
+            "print(list(ThreadPoolExecutor(4).map(lambda i: cli.main(argv(i)), range(4))))"
+        )
+        assert _fresh_run(probe, cwd=tmp_path) == "[0, 0, 0, 0]"
+
+    def test_star_import_binds_every_name(self, tmp_path):
+        probe = "import swarmdec; from swarmdec import *; print(sorted(set(swarmdec.__all__) - set(globals())))"
+        assert _fresh_run(probe, cwd=tmp_path) == "[]"
+
+    def test_traced_benchmark_wraps_the_lazy_modules(self, tmp_path):
+        inproc = Path(__file__).resolve().parents[1] / "bench" / "inproc.py"
+        code, *spans = _fresh_run(_TRACED_PROBE, str(inproc), cwd=tmp_path).split()
+        assert code == "0"
+        assert {"cli.drift", "drift.analytic_drift_curve", "hypergeom.pmf_table"} <= set(spans)
+
+    def test_parser_of_one_command_has_no_other_options(self):
+        parser = build_parser(["probs"])
+        assert vars(parser.parse_args(["probs", "--group", "5"]))["group"] == 5
+        assert set(vars(parser.parse_args(["drift"]))) == {"command"}
+        assert set(vars(build_parser([]).parse_args(["simulate"]))) == {"command"}
 
 
 def test_readme_documents_every_option():
