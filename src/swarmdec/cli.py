@@ -609,10 +609,7 @@ def _probs_csv(cfg: ExperimentConfig, tables: Iterable, **extra) -> Iterator[str
 
 
 def cmd_probs(cfg: ExperimentConfig) -> int:
-    tables = (
-        drift.rule_firing_probabilities(cfg.agents, cfg.group, count)
-        for count in range(cfg.agents + 1)
-    )
+    tables = (hypergeom.pmf_table(cfg.agents, count, cfg.group) for count in range(cfg.agents + 1))
     _write_text(cfg.out, _probs_csv(cfg, tables))
     if cfg.empirical:
         tables = (

@@ -9,8 +9,8 @@ digits are computed exactly as an integer (Dekker's two-product with a
 power of ten, rounded half to even) and laid out without an exponent
 (:func:`_time_text`); other times are left to ``'%.17g'``, one by one.
 The rest of a row depends only on the event's kind and ``k`` and on the
-count, whose text comes from small tables (:class:`_TextTable`) that
-format each key once while it stays in their range.
+count, and each block formats the text of its own distinct keys once
+(:func:`_texts`), with nothing kept from one block to the next.
 
 Only the ``simulate`` writer process and :func:`swarmdec.ssa.trajectory_csv_lines`
 import this module, so no other command loads it or numpy.
@@ -18,7 +18,6 @@ import this module, so no other command loads it or numpy.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Callable, Iterable, Iterator
 
@@ -29,8 +28,6 @@ from .ssa import EVENT_LABELS, NOISE12, NOISE21
 
 #: The CSV's first line, which :func:`csv_blocks` yields before the rows.
 CSV_HEADER = "time,event,k,count_x1,z"
-#: Most keys a :class:`_TextTable` holds across lookups.
-_TABLE_KEYS = 8192
 #: Dekker's splitter for doubles: ``2**27 + 1``.
 _SPLITTER = 134217729.0
 #: ``10**p`` for p in 0..22, every one an exact double, and the high and
@@ -113,33 +110,12 @@ def _time_text(times: np.ndarray) -> np.ndarray:
     return text
 
 
-class _TextTable:
-    """The text of integer keys, looked up as rows of NUL-padded bytes.
-
-    The table holds the text of the keys of ``range(lo, hi)`` as an ``S``
-    array, and a lookup formats only the keys it adds on either side.
-    Once the range would span more than :data:`_TABLE_KEYS` keys, the
-    table starts over from the lookup's own keys, so that its memory stays
-    bounded whatever the keys.
-    """
-
-    def __init__(self, text: Callable[[int], str]) -> None:
-        # An empty range at infinity, from which the first lookup starts over.
-        self.text, self.lo, self.hi = text, math.inf, math.inf
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        lo, hi = int(keys.min()), int(keys.max()) + 1
-        if lo < self.lo or hi > self.hi:
-            if max(hi, self.hi) - min(lo, self.lo) > _TABLE_KEYS:
-                self.lo, self.hi, self.texts = lo, lo, np.array([], "S")
-            before, after = self._texts(lo, self.lo), self._texts(self.hi, hi)
-            self.texts = np.concatenate([before, self.texts, after])
-            self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
-        return self.texts[keys - self.lo].view(np.uint8).reshape(len(keys), -1)
-
-    def _texts(self, lo: int, hi: int) -> np.ndarray:
-        """The text of the keys of ``range(lo, hi)``, as an ``S`` array."""
-        return np.array([self.text(key).encode() for key in range(lo, hi)], "S")
+def _texts(keys: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
+    """``text(key)`` of each key, as rows of NUL-padded bytes; each
+    distinct key is formatted once."""
+    unique, index = np.unique(keys, return_inverse=True)
+    table = np.array([text(key).encode() for key in unique.tolist()], "S")
+    return table[index].view(np.uint8).reshape(len(keys), -1)
 
 
 def _rows_text(times: np.ndarray, events: np.ndarray, states: np.ndarray) -> str:
@@ -162,7 +138,8 @@ def csv_blocks(
 
     numpy formats each block as it comes: the time as ``'%.17g'`` does
     (:func:`_time_text`), then the text of its ``(kind, k)`` and of its
-    count and ``z``, each from a :class:`_TextTable`.
+    count and ``z``, each distinct key of the block formatted once
+    (:func:`_texts`).
     """
 
     def event_text(code: int) -> str:
@@ -172,8 +149,8 @@ def csv_blocks(
     def state_text(count: int) -> str:
         return f"{count},{lattice_z(count, n_agents):.17g}"
 
-    events, states = _TextTable(event_text), _TextTable(state_text)
     yield CSV_HEADER
     for times, kinds, ks, counts in blocks:
         codes = np.asarray(kinds, np.int64) + 4 * np.asarray(ks, np.int64)
-        yield _rows_text(np.asarray(times), events(codes), states(np.asarray(counts, np.int64)))
+        events, states = _texts(codes, event_text), _texts(np.asarray(counts, np.int64), state_text)
+        yield _rows_text(np.asarray(times), events, states)

@@ -2012,7 +2012,7 @@ class TestLazyModules:
          (["drift", "--rules", "MMm", "--out", "d.csv"],
           {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.drift", "swarmdec.hypergeom"}),
          (["probs", "--group", "5", "--out", "p.csv"],
-          {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.drift", "swarmdec.hypergeom"}),
+          {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.hypergeom"}),
          (["rulesets", "--group", "5"], {"swarmdec", "swarmdec.cli", "swarmdec.model", "swarmdec.schema"})],
         ids=["version", "drift", "probs", "rulesets"],
     )

@@ -31,7 +31,7 @@ from swarmdec.ssa import (
     simulate,
     trajectory_csv_lines,
 )
-from swarmdec.csvrows import _DECADES, _TABLE_KEYS, CSV_HEADER, _TextTable, csv_blocks
+from swarmdec.csvrows import _DECADES, CSV_HEADER, csv_blocks
 from swarmdec.hypergeom import pmf_table
 
 MMM = parse_polarity_string("MMM", 7)
@@ -687,25 +687,6 @@ class TestTrajectoryCsv:
         # Each alone too, so that each decade is also laid out on its own.
         assert [self.time_fields([t])[0] for t in self.TIMES] == expected
 
-    def test_text_table_formats_each_key_once(self):
-        # Each lookup formats only the keys it adds on either side, however
-        # wide their text, until the range would pass _TABLE_KEYS keys.
-        calls = []
-        table = _TextTable(lambda key: calls.append(key) or "x" * (key % 7))
-
-        def lookup(keys):
-            rows = table(np.array(keys))
-            assert [bytes(row).rstrip(b"\0") for row in rows] == [b"x" * (key % 7) for key in keys]
-
-        for lo in (0, 50, 100):
-            lookup(range(lo, lo + 100))
-        assert calls == list(range(200))
-        lookup([199, 0, 120])
-        assert len(calls) == 200
-        lookup([100 + _TABLE_KEYS])  # more than _TABLE_KEYS keys from 0: over again
-        lookup([101, 100 + _TABLE_KEYS])
-        assert calls[200:] == [100 + _TABLE_KEYS, *range(101, 100 + _TABLE_KEYS)]
-
     @pytest.mark.parametrize("n", [101, 10**9 + 1])
     def test_rows_do_not_depend_on_how_the_run_is_cut_into_blocks(self, n):
         rng, row = np.random.default_rng(n), np.arange(_BATCH_EVENTS)
@@ -714,8 +695,8 @@ class TestTrajectoryCsv:
         ks = [0 if kind in (NOISE12, NOISE21) else k for kind, k in zip(kinds, row % 8)]
         if n == 101:
             counts = rng.integers(0, n + 1, _BATCH_EVENTS).tolist()
-        else:  # small steps either way, and jumps up, then down, past what a table holds
-            steps = np.where(row % 100 == 99, 3 * _TABLE_KEYS, rng.integers(-3, 4, _BATCH_EVENTS))
+        else:  # small steps either way, and wide jumps up, then down
+            steps = np.where(row % 100 == 99, 3 * 8192, rng.integers(-3, 4, _BATCH_EVENTS))
             counts = (n // 2 + np.cumsum(steps * (-1) ** (row // 300))).tolist()
         columns = (array("d", times), array("B", kinds), array("q", ks), array("q", counts))
         rows = []
@@ -813,6 +794,36 @@ if st is not None:
     )
     def test_times_written_as_by_percent_17g(times):
         assert TestTrajectoryCsv.time_fields(times) == ["%.17g" % t for t in times]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_agents=st.integers(1, 40) | st.integers(1, MAX_AGENTS) | st.just(MAX_AGENTS),
+        data=st.data(),
+    )
+    def test_rows_written_as_by_f_strings(n_agents, data):
+        # Blocks of 1 to 64 rows, cut anywhere, whose counts repeat, come in
+        # any order and reach 0 and N, are written as a row-by-row f-string
+        # writes them, each block whatever the blocks before it held.
+        pool = data.draw(st.lists(st.integers(0, n_agents), min_size=1, max_size=8))
+        row = st.tuples(
+            st.floats(min_value=0.0, allow_infinity=False),
+            st.sampled_from([RULE, NULL, NOISE12, NOISE21]),
+            st.integers(0, 15) | st.integers(0, 2**40),
+            st.sampled_from([0, n_agents, *pool]),
+        )
+        blocks = data.draw(st.lists(st.lists(row, min_size=1, max_size=64), min_size=1, max_size=6))
+        columns, expected = [], []
+        for block in blocks:
+            times, kinds, ks, counts = zip(*block)
+            columns.append((array("d", times), array("B", kinds), array("q", ks), array("q", counts)))
+            rows = []
+            for t, kind, k, count in block:
+                k_field = "" if kind in (NOISE12, NOISE21) else k
+                rows.append(
+                    f"{t:.17g},{EVENT_LABELS[kind]},{k_field},{count},{2.0 * count / n_agents - 1.0:.17g}"
+                )
+            expected.append("\n".join(rows))
+        assert list(csv_blocks(columns, n_agents)) == [CSV_HEADER, *expected]
 
     @settings(max_examples=300, deadline=None)
     @given(
