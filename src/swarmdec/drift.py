@@ -13,18 +13,19 @@ the rule dynamics without altering the firing probabilities.
 
 The drift depends on ``z`` only through the lattice state ``K`` nearest
 to it (``model.count_of_z``), and only its rule term
-``R_K = sum_k w_k * P_K(k)`` costs anything: an exact ``pmf_table`` and
-an exact sum.  ``_rule_term`` is the one place that computes it, and the
-analytic routes walk their ``z`` values in increasing order, so they
-compute ``R_K`` once per state visited and evaluate ``R_K - epsilon * z``
-at every point (``_drift_values``).  ``analytic_drift`` is one such point,
+``R_K = sum_k w_k * P_K(k)`` costs anything.  ``_rule_term`` is the one
+place that computes it, correctly rounded: the integer sum of ``w_k``
+times the column ``C(K, k) * C(N - K, G - k)`` of ``hypergeom._hits``,
+divided once by ``C(N, G)``.  The analytic routes walk their ``z``
+values in increasing order, so they compute ``R_K`` once per state
+visited and evaluate ``R_K - epsilon * z`` at every point
+(``_drift_values``).  ``analytic_drift`` is one such point,
 ``analytic_drift_curve`` streams a uniform grid, and
 ``find_fixed_points`` scans one and bisects over ``K`` in each sign change
-for the exact zero of the lattice drift.  Since
-``R_K`` is an exact sum of exactly rounded probabilities, the rule term of
-the polarity complement of a rule set is ``-R_K`` bit for bit, so their
-noise-free curves satisfy ``a == -b`` at every point; ``swarmdec
-validate`` requires exactly that on the lattice.
+for the exact zero of the lattice drift.  The polarity complement of a
+rule set negates every weight, hence the integer, so its rule term is
+``-R_K`` bit for bit and the two noise-free curves satisfy ``a == -b`` at
+every point; ``swarmdec validate`` requires exactly that on the lattice.
 
 ``empirical_drift`` estimates the same quantity by Monte Carlo, and
 ``empirical_firing_probabilities`` the composition law itself, by
@@ -54,7 +55,7 @@ import random
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .hypergeom import _validate, pmf_table
+from .hypergeom import _hits, _validate, pmf_table
 from .model import MAX_SAMPLES, NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
 
 __all__ = [
@@ -104,13 +105,14 @@ class _Grid:
 
 
 def _rule_term(n_agents: int, rules: RuleSet, count: int) -> float:
-    """Rule term ``R_K = sum_k w_k * P_K(k)`` of the drift at state ``K``.
-
-    Exact summation of exactly computed probabilities, so complementary
-    rule sets give exactly negated terms.
+    """Rule term ``R_K = sum_k w_k * P_K(k)`` of the drift at state ``K``,
+    correctly rounded: the exact integer ``sum_k w_k * C(K, k) * C(N - K, G - k)``
+    divided once by ``C(N, G)``, so complementary rule sets give exactly
+    negated terms.
     """
-    table = pmf_table(n_agents, count, rules.group_size)
-    return math.fsum([w * p for w, p in zip(rules.signed_weights, table)])
+    g = rules.group_size
+    _validate(n_agents, count, g, 0)
+    return sum(w * h for w, h in zip(rules.signed_weights, _hits(n_agents, count, g))) / math.comb(n_agents, g)
 
 
 def _drift_values(
@@ -149,9 +151,9 @@ def analytic_drift(
     ``rules=None`` only the noise term ``-epsilon*z`` remains, which is
     the purely noise-driven system.
 
-    The rule term is accumulated with exact summation of exactly
-    computed probabilities, so complementary rule sets produce exactly
-    negated values and the noise term superposes exactly.
+    The rule term is one exact integer divided once (:func:`_rule_term`),
+    so complementary rule sets produce exactly negated values and the
+    noise term superposes exactly.
     """
     if not -1.0 <= z <= 1.0:
         raise ValueError(f"order parameter must lie in [-1, 1], got {z}")

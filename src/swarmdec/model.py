@@ -197,23 +197,12 @@ class RuleSet(_Record):
         """Compact encoding, one 'M'/'m' per minority count 1..(G-1)/2."""
         return "".join(p.value for p in self.polarities)
 
-    def polarity_at(self, k: int) -> RulePolarity:
-        """Polarity of the rule that fires when ``k`` of the G drawn hold X1."""
-        g = self.group_size
-        if not 1 <= k <= g - 1:
-            raise ValueError(f"composition k must lie in [1, {g - 1}], got {k}")
-        return self.polarities[min(k, g - k) - 1]
-
-    def signed_weight(self, k: int) -> int:
-        """Change of count_x1 when the rule at composition ``k`` fires."""
-        if k in (0, self.group_size):
-            return 0
-        return signed_weight(k, self.group_size, self.polarity_at(k))
-
     @functools.cached_property
     def signed_weights(self) -> tuple[int, ...]:
-        """:meth:`signed_weight` of every composition ``k = 0..G``."""
-        return tuple(self.signed_weight(k) for k in range(self.group_size + 1))
+        """:func:`signed_weight` of every composition ``k = 0..G``, each under
+        the polarity of its minority count ``min(k, G - k)``."""
+        g = self.group_size
+        return (0, *(signed_weight(k, g, self.polarities[min(k, g - k) - 1]) for k in range(1, g)), 0)
 
     def complement(self) -> "RuleSet":
         """The rule set with every polarity flipped."""

@@ -952,9 +952,9 @@ SAMPLED_OUTPUTS = [
 #: lines, number formats and JSON layout, so a refactor that changes any of
 #: them fails here.
 GOLDEN_OUTPUTS = [
-    ("g5_quiet.csv", "90239293a91a25c251451df2a8d8d43d19371ddfb43b83cd40d2a3c1b97d1491",
+    ("g5_quiet.csv", "3de2c01a10b056eb6dd5253467b72c8a6130edd501ba17623a21f62d9045425f",
      ["drift", "--agents", "101", "--rules", "Mm", "--epsilon", "0", "--grid", "201"]),
-    ("g5_noisy.csv", "73fc84c182b579576502263638f6dd93fa71c04312479fa2c7d81322d907eb9d",
+    ("g5_noisy.csv", "da27ccb834b737a682a576b898cb3ecef4dbef6ed20d6d6f5ba893a8a8102341",
      ["drift", "--agents", "101", "--rules", "Mm", "--epsilon", "0.1", "--grid", "201"]),
     ("g5_probs.csv", "d87a387e492295ecf6c82a03997d0f115756865f8bd511aa6e5e1ec222694772",
      ["probs", "--agents", "101", "--group", "5"]),
@@ -962,14 +962,14 @@ GOLDEN_OUTPUTS = [
         (f"g7_{label}.csv", digest,
          ["drift", "--agents", "101", "--rules", label, "--epsilon", "0", "--grid", "201"])
         for label, digest in [
-            ("MMM", "035f5510d529fc538d710941aa96925246bd95a158b422b9dbc7dbe3c6efd2c0"),
-            ("MMm", "f322e48f849161e746b5327bbd7ba700e6975b9abb016a425aef087ba015f3ef"),
-            ("MmM", "a88b542e53c29f336294a31579cea651cd4ab546767f2826077facabcb80840b"),
-            ("Mmm", "99a80b7a30b17d58c6c88e5f3587d8cd4891a2682f71f0745e5d11da0328b1e7"),
-            ("mMM", "d30be1d0a7f16779f4b32cf25c2dcdfa460803b341d6d4ee84a570626c3b65db"),
-            ("mMm", "9c9a363f442eab3731217bb31cc71e73bf6c4edccb74c3b87e640ca14a3a222b"),
-            ("mmM", "d353a543ad961986b2c8e13020fbd3f8ebd97481c5c37216c48af39daa27ff5a"),
-            ("mmm", "89779a6bf81d1c39af68edfa406a099653a6bd57df0b93129b61ca5e6f6eb84e"),
+            ("MMM", "690384cc3650401f82b70a6c9be2ac8b1eacf2267e46236b059263cb0d629603"),
+            ("MMm", "0f83515ee207b4c25198a1c063644b4263e6e616f1d69cdf29d1c62195f1da70"),
+            ("MmM", "d7dc86110089d37786e731f2624975e331dc2ef12ae7ebc7a42b48797c83d7f6"),
+            ("Mmm", "c934432f4f2dc56918ead460475fa19f7c5ec3646568a9dc43e20c194ddbd486"),
+            ("mMM", "f31db5e5d52a77514a1e24811f4bafae59844870f75f9a8497fdcb4c6278eba8"),
+            ("mMm", "3225e452c29952051d7f9dbd71ef4ae53e50d3e7e5e7d27d7b4989bc7cc7738f"),
+            ("mmM", "84013beddd2548dcb84dc23c5d64995050c6c6c7b72ff91618eb91ad0f47ce70"),
+            ("mmm", "17e5ae0f3cd4c7e8b8a30ce31ce06d78c6436680c2faff29a816c9e5d7982f7b"),
         ]
     ],
     ("pure_noise.csv", "e35c8030889214a3f6dacd04f8da479a146d100c8226a5106a0636ab00f763ac",
@@ -1317,7 +1317,7 @@ class TestSchemaFileInput:
 
         lines = []
         for k in range(1, g):
-            w = rules.signed_weight(k)
+            w = rules.signed_weights[k]
             arrow = "→" if k % 2 else "->"
             lines.append(f"  {side(k, g - k)} {arrow} {side(k + w, g - k - w)}")
         random.Random(rules.label).shuffle(lines)
@@ -1998,8 +1998,9 @@ inproc = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(inproc)
 tracer = inproc.Tracer()
 inproc.install(tracer)
-code = cli.main(["drift", "--rules", "MMm", "--grid", "11", "--out", "d.csv"])
-print(code, *sorted({span[0] for span in tracer.spans}))
+codes = [cli.main(["drift", "--rules", "MMm", "--grid", "11", "--out", "d.csv"]),
+         cli.main(["probs", "--group", "5", "--agents", "11", "--out", "p.csv"])]
+print(max(codes), *sorted({span[0] for span in tracer.spans}))
 """
 
 
@@ -2045,7 +2046,8 @@ class TestLazyModules:
         inproc = Path(__file__).resolve().parents[1] / "bench" / "inproc.py"
         code, *spans = _fresh_run(_TRACED_PROBE, str(inproc), cwd=tmp_path).split()
         assert code == "0"
-        assert {"cli.drift", "drift.analytic_drift_curve", "hypergeom.pmf_table"} <= set(spans)
+        # drift reads no table, probs one per state.
+        assert {"cli.drift", "drift.analytic_drift_curve", "cli.probs", "hypergeom.pmf_table"} <= set(spans)
 
     def test_parser_of_one_command_has_no_other_options(self):
         parser = build_parser(["probs"])

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import struct
 import sys
@@ -24,7 +26,7 @@ from swarmdec.drift import (
     rule_firing_probabilities,
 )
 from swarmdec.hypergeom import pmf_table
-from swarmdec.model import NoiseSpec, RuleSet, count_of_z, iter_rulesets, lattice_z
+from swarmdec.model import NoiseSpec, RulePolarity, RuleSet, count_of_z, iter_rulesets, lattice_z
 from swarmdec.schema import parse_polarity_string
 
 NO_NOISE = NoiseSpec(0.0)
@@ -35,18 +37,13 @@ def lattice_zs(n: int) -> tuple[float, ...]:
     return tuple(lattice_z(count, n) for count in range(n + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def rational_rule_drift(n: int, count: int, rules: RuleSet) -> Fraction:
-    """Exact-rational reference for the rule term of the drift."""
+    """Exact-rational reference for the rule term of the drift, from the
+    binomials of the hypergeometric law themselves."""
     g = rules.group_size
-    total = Fraction(0)
-    for k in range(g + 1):
-        weight = rules.signed_weight(k)
-        if weight:
-            total += weight * Fraction(
-                math.comb(count, k) * math.comb(n - count, g - k),
-                math.comb(n, g),
-            )
-    return total
+    hits = [math.comb(count, k) * math.comb(n - count, g - k) for k in range(g + 1)]
+    return Fraction(sum(map(operator.mul, rules.signed_weights, hits)), math.comb(n, g))
 
 
 def rational_drift(n: int, rules: RuleSet, epsilon: float, z: float) -> Fraction:
@@ -183,16 +180,14 @@ class TestAnalyticDrift:
 
 
 def per_point_drift(n: int, rules: RuleSet | None, epsilon: float, z: float) -> float:
-    """The drift as it was computed before the lattice engine: every point
-    rounds z to its state (as ``state_of_z`` did) and builds and sums that
-    state's table afresh."""
+    """The drift by its definition, point by point: every point rounds z to
+    its state (as ``state_of_z`` does) and takes that state's exact rational
+    rule term, rounded once, minus the noise term."""
     noise_term = epsilon * z
     if rules is None:
         return -noise_term
     count = min(max(math.floor(n * (z + 1.0) / 2.0 + 0.5), 0), n)  # half away from zero
-    table = pmf_table(n, count, rules.group_size)
-    terms = [rules.signed_weight(k) * p for k, p in enumerate(table)]
-    return math.fsum(terms) - noise_term
+    return float(rational_rule_drift(n, count, rules)) - noise_term
 
 
 def bits(values) -> bytes:
@@ -211,7 +206,8 @@ ENGINE_CASES = [
 
 
 class TestLatticeEngine:
-    """The per-state rule term gives every double the per-point formula gave."""
+    """The per-state rule term gives every double the per-point definition
+    gives: the correctly rounded rational rule term minus ``epsilon * z``."""
 
     @pytest.mark.parametrize(
         "n, rules", ENGINE_CASES, ids=[f"{n}-{r.label if r else 'none'}" for n, r in ENGINE_CASES]
@@ -264,16 +260,17 @@ class TestLatticeEngine:
                 assert bits(values) == bits(expected), (rules.label, epsilon)
 
 
-def count_pmf_tables(monkeypatch) -> list:
-    """Record the arguments of every table the drift module builds."""
+def count_rule_columns(monkeypatch) -> list:
+    """Record the arguments of every integer column (``_hits``) the drift
+    module builds, one per rule term."""
     calls = []
-    real = drift.pmf_table
+    real = drift._hits
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(drift, "pmf_table", counting)
+    monkeypatch.setattr(drift, "_hits", counting)
     return calls
 
 
@@ -295,29 +292,29 @@ def count_bisect_evaluations(monkeypatch) -> list:
 
 class TestTablesBuilt:
     def test_curve_builds_one_table_per_state(self, monkeypatch):
-        calls = count_pmf_tables(monkeypatch)
+        calls = count_rule_columns(monkeypatch)
         points = analytic_drift_curve(101, parse_polarity_string("MMm", 7), NoiseSpec(0.05), 20001)
-        assert calls == []  # lazy: no table until the points are read
+        assert calls == []  # lazy: no column until the points are read
         assert len(list(points)) == 20001
         assert len(calls) == 102
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
     def test_lattice_drift_builds_one_table_per_state(self, monkeypatch):
         # validate's drift checks share these, at every noise level.
-        calls = count_pmf_tables(monkeypatch)
+        calls = count_rule_columns(monkeypatch)
         drift._lattice_drift(101, parse_polarity_string("MmM", 7), (0.0, 0.05, 0.1))
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
     @pytest.mark.parametrize(
         "label, epsilon, grid, float_bisection_steps",
-        # the steps, one table each, that a float bisection to a 1e-9 bracket took
+        # the steps, one column each, that a float bisection to a 1e-9 bracket took
         [("MMM", 0.0, 2001, 20), ("MMM", 0.1, 2001, 60), ("MMm", 0.05, 2001, 60),
          ("mmm", 0.0, 2001, 20), ("Mm", 0.1, 201, 72)],
     )
     def test_fixed_points_scan_builds_one_table_per_state(
         self, monkeypatch, label, epsilon, grid, float_bisection_steps
     ):
-        calls = count_pmf_tables(monkeypatch)
+        calls = count_rule_columns(monkeypatch)
         evaluations = count_bisect_evaluations(monkeypatch)
         rules = parse_polarity_string(label, 2 * len(label) + 1)
         find_fixed_points(101, rules, NoiseSpec(epsilon), grid)
@@ -329,7 +326,7 @@ class TestTablesBuilt:
         assert len(calls) == 102 + (4 if epsilon else 0) < 102 + float_bisection_steps
 
     def test_bisection_count_at_large_n(self, monkeypatch):
-        calls = count_pmf_tables(monkeypatch)
+        calls = count_rule_columns(monkeypatch)
         evaluations = count_bisect_evaluations(monkeypatch)
         find_fixed_points(1001, parse_polarity_string("MmM", 7), NoiseSpec(0.05), 501)
         assert len(evaluations) == 4  # 66 steps of a float bisection to 1e-9
@@ -534,9 +531,10 @@ class TestUrnCounts:
 
 
 class TestRouteIndependence:
-    """The samplers never read the pmf they are compared with: the pmf and
-    ``pmf_table`` raise when called from inside a sampler, numpy cannot be
-    imported, and the sampled outputs are unchanged."""
+    """The samplers never read the pmf they are compared with: the pmf,
+    ``pmf_table`` and its integer column ``_hits`` raise when called from
+    inside a sampler, numpy cannot be imported, and the sampled outputs are
+    unchanged."""
 
     SAMPLERS = {drift.empirical_drift.__code__, drift.empirical_firing_probabilities.__code__}
     COMMANDS = [
@@ -572,7 +570,7 @@ class TestRouteIndependence:
             return wrapper
 
         for module in (swarmdec, hypergeom, drift, cli):
-            for name in ("pmf", "pmf_table"):
+            for name in ("pmf", "pmf_table", "_hits"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, guarded(getattr(module, name)))
         # The samplers run on the standard library: importing numpy fails.
@@ -800,17 +798,22 @@ class TestFixedPoints:
         # Here lattice_z and count_of_z round, and the bisection stops where
         # the lattice z of its two states are adjacent doubles, so the two
         # sides end on states that are not mirror images: a pair differs in
-        # its last bits.
+        # its last bits.  The two centre states have the exact rule terms
+        # +-2.19e-308, so the drift jumps through zero at z = 0; the
+        # bisection stops some 8e290 states short of them, at lattice z that
+        # no longer differ, and reports the zero of the right state's line
+        # R_K - 0.1*z, -2.19e-307, within that resolution (ulp(1.0)) of 0.
         points = find_fixed_points(2**1022 - 1, parse_polarity_string("Mmm", 7), NoiseSpec(0.1), 201)
         assert [(fp.z, fp.stability.value) for fp in points] == [
             (-0.967916192035067, "stable"),
             (-0.642309571150074, "unstable"),
-            (0.0, "stable"),
+            (-2.1903070794680264e-307, "stable"),
             (0.6423095711500738, "unstable"),
             (0.9679161920350668, "stable"),
         ]
-        for fp, mirror in zip(points, reversed(points)):
+        for fp, mirror in zip(points[:2], reversed(points[3:])):
             assert abs(fp.z + mirror.z) <= 2 * math.ulp(fp.z)
+        assert abs(points[2].z) <= math.ulp(1.0)
 
     @pytest.mark.parametrize("g", [5, 7])
     def test_interior_count_matches_rational_oracle(self, g):
@@ -878,3 +881,35 @@ class TestMixedG5RuleSet:
         assert rational_rule_drift(101, 50, rules) < 0
         assert rational_rule_drift(101, 51, rules) > 0
 
+
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    st = None
+
+if st is not None:
+
+    @st.composite
+    def rule_states(draw):
+        # Odd N up to MAX_SWARM_SIZE = 2**1022 - 1, small ones often; odd G
+        # from 3 to min(N, 64) with any polarities; K at the edges of the
+        # support, or anywhere.
+        n = 2 * draw(st.integers(1, 60) | st.integers(1, 2**1021 - 1)) + 1
+        g = 2 * draw(st.integers(1, (min(n, 64) - 1) // 2)) + 1
+        polarities = draw(st.lists(st.sampled_from(RulePolarity), min_size=g // 2, max_size=g // 2))
+        edges = [c for c in (0, 1, g - 1, g, n - g, n - 1, n, n // 2, n // 2 + 1) if 0 <= c <= n]
+        count = draw(st.sampled_from(edges) | st.integers(0, n))
+        return n, count, RuleSet(g, tuple(polarities))
+
+    @settings(max_examples=300, deadline=None)
+    @example((2**1022 - 1, 2**1021 - 1, parse_polarity_string("Mmm", 7)))
+    @example((101, 49, parse_polarity_string("MmM", 7)))
+    @example((3, 1, parse_polarity_string("m", 3)))
+    @given(rule_states())
+    def test_rule_term_is_the_correctly_rounded_integer_sum(state):
+        n, count, rules = state
+        term = drift._rule_term(n, rules, count)
+        assert term == float(rational_rule_drift(n, count, rules))
+        # A nonzero double equals only itself, so this is bit for bit.
+        assert term == -drift._rule_term(n, rules.complement(), count)

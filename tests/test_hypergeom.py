@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from swarmdec.drift import empirical_firing_probabilities
-from swarmdec.hypergeom import pmf, pmf_bruteforce, pmf_table
+from swarmdec.hypergeom import _hits, pmf, pmf_bruteforce, pmf_table
 
 
 def rational_pmf(n, count, g, k):
@@ -62,6 +62,13 @@ class TestPmf:
     def test_domain_errors(self, n, count, g, k):
         with pytest.raises(ValueError):
             pmf(n, count, g, k)
+
+    @pytest.mark.parametrize("n, g", [(101, 101), (1001, 101)])
+    def test_table_is_pmf_at_every_state(self, n, g):
+        # pmf_table steps through its integer column by the binomial ratios;
+        # pmf divides its own two binomials.
+        for count in range(n + 1):
+            assert pmf_table(n, count, g) == tuple(pmf(n, count, g, k) for k in range(g + 1)), count
 
     def test_agrees_with_bruteforce_everywhere_small(self):
         for n in (7, 12):
@@ -156,6 +163,14 @@ if st is not None:
         assert all(p == pmf(n, count, g, k) for k, p in enumerate(law))
         assert all(0.0 <= p <= 1.0 for p in law)
         assert abs(math.fsum(law) - 1.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @example((2**1022 - 1, 2**1022 - 2, 64))
+    @example((7, 3, 7))
+    @given(states())
+    def test_hits_are_the_subset_counts(state):
+        n, count, g = state
+        assert _hits(n, count, g) == [math.comb(count, k) * math.comb(n - count, g - k) for k in range(g + 1)]
 
 
 @pytest.mark.parametrize(

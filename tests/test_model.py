@@ -149,20 +149,18 @@ class TestSignedWeight:
 
 class TestRuleSet:
     def test_label_and_mirror_lookup(self):
+        # Compositions k and G - k share the polarity of their minority count.
         rules = RuleSet(7, (M, M, m))
         assert rules.label == "MMm"
         for k in range(1, 7):
-            assert rules.polarity_at(k) is rules.polarity_at(7 - k)
-        assert rules.polarity_at(1) is M
-        assert rules.polarity_at(3) is m
-        assert rules.polarity_at(4) is m
+            slot = rules.polarities[min(k, 7 - k) - 1]
+            assert rules.signed_weights[k] == signed_weight(k, 7, slot)
+            assert rules.signed_weights[k] == -rules.signed_weights[7 - k]
 
     def test_signed_weight_delegates(self):
         rules = RuleSet(7, (M, M, m))
-        assert rules.signed_weight(0) == 0
-        assert rules.signed_weight(7) == 0
-        assert rules.signed_weight(1) == -1
-        assert rules.signed_weight(3) == 1  # minority slot flips the sign
+        assert rules.signed_weights == (0, -1, -1, 1, -1, 1, 1, 0)  # minority slot flips the sign
+        assert rules.complement().signed_weights == tuple(-w for w in rules.signed_weights)
 
     def test_complement_is_involutive(self):
         rules = RuleSet(7, (M, m, M))

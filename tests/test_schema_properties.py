@@ -53,7 +53,7 @@ ANY_REACTIONS = st.tuples(*[st.integers(0, 9)] * 4).filter(lambda r: r[0] + r[1]
 
 def _canonical_rows(rules: RuleSet) -> list[tuple[int, int, int, int]]:
     g = rules.group_size
-    return [_reaction(k, g, rules.signed_weight(k)) for k in range(1, g)]
+    return [_reaction(k, g, rules.signed_weights[k]) for k in range(1, g)]
 
 
 @st.composite

@@ -73,8 +73,8 @@ def _replay(n, count, rules, config, seed, events):
             t += dt
             if u < config.rule_rate * n:
                 k = _urn(group, count)
-                count += rules.signed_weight(k)
-                kind = RULE if rules.signed_weight(k) else NULL
+                count += rules.signed_weights[k]
+                kind = RULE if rules.signed_weights[k] else NULL
             elif u < config.rule_rate * n + config.noise_rate * count:
                 k, kind = 0, NOISE12
                 count -= 1
@@ -107,7 +107,7 @@ def verify_trajectory(trajectory: Trajectory, rules: RuleSet | None) -> None:
         if kind == RULE:
             if rules is None:
                 raise ValueError("rule events in a trajectory without rules")
-            count += rules.signed_weight(k)
+            count += rules.signed_weights[k]
         elif kind == NOISE12:
             count -= 1
         elif kind == NOISE21:
