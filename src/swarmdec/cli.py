@@ -7,7 +7,7 @@ probs         rule firing probabilities per lattice state -> CSV
 simulate      one Gillespie run -> trajectory CSV + JSON summary on stdout
 fixed-points  zeros of the drift curve with stability -> JSON
 rulesets      every rule set for a group size, with canonical reactions
-validate      internal cross-checks (oracle agreement, symmetries) -> JSON
+validate      the cross-checks of ``drift.validation_checks`` -> JSON
 
 Every output file starts with a provenance comment line recording the
 package version and the resolved configuration, and all commands are
@@ -717,85 +717,10 @@ def cmd_rulesets(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _check_pmf_oracle() -> dict:
-    worst = 0.0
-    for n in (7, 10, 12):
-        for g in (3, 5, 7):
-            if g > n:
-                continue
-            for count in range(n + 1):
-                pairs = zip(hypergeom.pmf_table(n, count, g), hypergeom.pmf_bruteforce(n, count, g))
-                worst = max(worst, *(abs(p - q) for p, q in pairs))
-    return {
-        "name": "pmf-bruteforce-agreement",
-        "passed": worst == 0.0,
-        "detail": f"max |pmf - enumeration| = {worst:.3e}",
-    }
-
-
-#: Swarm size and noise levels of the lattice checks of ``validate``.
-_CHECK_AGENTS = 101
-_CHECK_EPSILONS = (0.0, 0.05, 0.1)
-
-
-def _check_antisymmetry(drifts: dict) -> dict:
-    worst = 0.0
-    for by_epsilon in drifts.values():
-        for epsilon in (0.0, 0.1):
-            values = by_epsilon[epsilon]
-            for count in range(_CHECK_AGENTS + 1):
-                worst = max(worst, abs(values[count] + values[_CHECK_AGENTS - count]))
-    return {
-        "name": "lattice-antisymmetry",
-        "passed": worst <= 1e-12,
-        "detail": f"max |drift(z_K) + drift(z_(N-K))| = {worst:.3e}",
-    }
-
-
-def _check_complement_negation(drifts: dict) -> dict:
-    ok = all(
-        a == -b
-        for rules, by_epsilon in drifts.items()
-        if rules.label[0] == "M"  # each pair once
-        for a, b in zip(by_epsilon[0.0], drifts[rules.complement()][0.0])
-    )
-    return {
-        "name": "complement-negation",
-        "passed": ok,
-        "detail": "drift curves of complementary rule sets negate pointwise",
-    }
-
-
-def _check_noise_superposition(drifts: dict) -> dict:
-    exact = True
-    zs = [lattice_z(count, _CHECK_AGENTS) for count in range(_CHECK_AGENTS + 1)]
-    for by_epsilon in drifts.values():
-        for epsilon in (0.05, 0.1):
-            for z, with_noise, without in zip(zs, by_epsilon[epsilon], by_epsilon[0.0]):
-                if with_noise != without - epsilon * z:
-                    exact = False
-    return {
-        "name": "noise-superposition",
-        "passed": exact,
-        "detail": "drift(z; eps) == drift(z; 0) - eps*z bit-exactly",
-    }
-
-
 def cmd_validate(cfg: ExperimentConfig) -> int:
     import json
 
-    # The G=7 lattice drifts at every checked noise level, one rule term
-    # per rule set and state, shared by the three drift checks.
-    drifts = {
-        rules: drift._lattice_drift(_CHECK_AGENTS, rules, _CHECK_EPSILONS)
-        for rules in iter_rulesets(7)
-    }
-    checks = [
-        _check_pmf_oracle(),
-        _check_antisymmetry(drifts),
-        _check_complement_negation(drifts),
-        _check_noise_superposition(drifts),
-    ]
+    checks = drift.validation_checks()
     report = {"version": __version__, "checks": checks, "passed": all(c["passed"] for c in checks)}
     text = json.dumps(report, indent=2)
     sys.stdout.write(text + "\n")

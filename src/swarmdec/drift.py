@@ -26,6 +26,9 @@ for the exact zero of the lattice drift.  The polarity complement of a
 rule set negates every weight, hence the integer, so its rule term is
 ``-R_K`` bit for bit and the two noise-free curves satisfy ``a == -b`` at
 every point; ``swarmdec validate`` requires exactly that on the lattice.
+Its checks are ``validation_checks``: the composition law against its
+enumeration oracle, then three properties of the lattice drift, read
+from one walk of the rule terms (``_lattice_drift``).
 
 ``empirical_drift`` estimates the same quantity by Monte Carlo, and
 ``empirical_firing_probabilities`` the composition law itself, by
@@ -55,8 +58,9 @@ import random
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
+from . import hypergeom
 from .hypergeom import _hits, _validate, pmf_table
-from .model import MAX_SAMPLES, NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, lattice_z
+from .model import MAX_SAMPLES, NoiseSpec, RuleSet, _Record, cell_boundary, check_event_rate, check_swarm_size, count_of_z, iter_rulesets, lattice_z
 
 __all__ = [
     "FixedPoint",
@@ -68,6 +72,7 @@ __all__ = [
     "empirical_firing_probabilities",
     "find_fixed_points",
     "rule_firing_probabilities",
+    "validation_checks",
 ]
 
 
@@ -183,6 +188,47 @@ def _lattice_drift(
     zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
     terms = [_rule_term(n_agents, rules, count) for count in range(n_agents + 1)]
     return {eps: [term - eps * z for term, z in zip(terms, zs)] for eps in epsilons}
+
+
+def validation_checks() -> list[dict]:
+    """The checks of ``swarmdec validate``, in report order, as
+    ``{name, passed, detail}`` dicts: ``hypergeom.pmf_table`` against its
+    enumeration oracle ``hypergeom.pmf_bruteforce`` for N in {7, 10, 12},
+    G in {3, 5, 7} and every K, then the antisymmetry, complement negation
+    and noise superposition of the lattice drift at N = 101 of every G = 7
+    rule set, all three read from one walk of its rule terms
+    (:func:`_lattice_drift`)."""
+    worst_pmf = max(0.0, *(
+        abs(p - q)
+        for n in (7, 10, 12) for g in (3, 5, 7) for count in range(n + 1)
+        for p, q in zip(hypergeom.pmf_table(n, count, g), hypergeom.pmf_bruteforce(n, count, g))
+    ))
+    n_agents = 101
+    drifts = {rules: _lattice_drift(n_agents, rules, (0.0, 0.05, 0.1)) for rules in iter_rulesets(7)}
+    worst_sum = max(0.0, *(
+        abs(a + b)
+        for by_epsilon in drifts.values() for epsilon in (0.0, 0.1)
+        for a, b in zip(by_epsilon[epsilon], reversed(by_epsilon[epsilon]))
+    ))
+    negated = all(
+        a == -b
+        for rules, by_epsilon in drifts.items()
+        if rules.label[0] == "M"  # each pair once
+        for a, b in zip(by_epsilon[0.0], drifts[rules.complement()][0.0])
+    )
+    zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
+    superposed = all(
+        with_noise == without - epsilon * z
+        for by_epsilon in drifts.values() for epsilon in (0.05, 0.1)
+        for z, with_noise, without in zip(zs, by_epsilon[epsilon], by_epsilon[0.0])
+    )
+    checks = [
+        ("pmf-bruteforce-agreement", worst_pmf == 0.0, f"max |pmf - enumeration| = {worst_pmf:.3e}"),
+        ("lattice-antisymmetry", worst_sum <= 1e-12, f"max |drift(z_K) + drift(z_(N-K))| = {worst_sum:.3e}"),
+        ("complement-negation", negated, "drift curves of complementary rule sets negate pointwise"),
+        ("noise-superposition", superposed, "drift(z; eps) == drift(z; 0) - eps*z bit-exactly"),
+    ]
+    return [{"name": name, "passed": passed, "detail": detail} for name, passed, detail in checks]
 
 
 def _binomial(uniform: Callable[[], float], n: int, p: float) -> int:

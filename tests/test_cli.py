@@ -933,6 +933,18 @@ class TestValidate:
         monkeypatch.setattr(hypergeom, "pmf_bruteforce", one_entry_off)
         assert self.run_failing(tmp_path, capsys) == ["pmf-bruteforce-agreement"]
 
+    def test_asymmetric_rule_term_fails(self, tmp_path, capsys, monkeypatch):
+        real = drift._rule_term
+
+        def off_at_one_state(n_agents, rules, count):
+            term = real(n_agents, rules, count)
+            if rules.label == "MMm" and count == 30:
+                return term + 1e-9
+            return term
+
+        monkeypatch.setattr(drift, "_rule_term", off_at_one_state)
+        assert self.run_failing(tmp_path, capsys) == ["lattice-antisymmetry", "complement-negation"]
+
 
 #: (file name, sha256, arguments) of the ``--empirical`` sibling files of two
 #: seeded runs; ``--out`` is the name without ``.empirical``.  Their bytes
@@ -1339,7 +1351,7 @@ class TestSchemaFileInput:
         assert capsys.readouterr() == from_schema
         assert from_schema.out.count("\n") == 8 * 8 - 1
 
-    def test_schema_and_rules_conflict(self, tmp_path):
+    def test_schema_and_rules_conflict(self, tmp_path, capsys):
         schema_path = tmp_path / "rules.txt"
         schema_path.write_text(MMm_SCHEMA)
         code = main(
@@ -1347,6 +1359,12 @@ class TestSchemaFileInput:
              str(tmp_path / "d.csv")]
         )
         assert code == EXIT_CONFIG
+        # A schema's group size and an explicit --group must agree.
+        schema_path.write_text("X1+2X2 -> 3X2\n2X1+X2 -> 3X1\n")
+        capsys.readouterr()
+        code = main(["drift", "--schema", str(schema_path), "--group", "5", "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "swarmdec: --group 5 conflicts with the rule set's group size 3\n"
 
     def test_invalid_schema_file(self, tmp_path):
         schema_path = tmp_path / "rules.txt"

@@ -145,6 +145,8 @@ class TestAnalyticDrift:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             analytic_drift(101, None, NO_NOISE, 1.5)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            analytic_drift_curve(101, None, NO_NOISE, 1)
 
     def test_noise_superposes_exactly(self):
         rules = parse_polarity_string("MmM", 7)
