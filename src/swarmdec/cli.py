@@ -400,7 +400,8 @@ def _fmt(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
-        return f"{value:g}"
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)  # :g keeps only 6 digits
     return str(value)
 
 

@@ -27,8 +27,9 @@ rule set negates every weight, hence the integer, so its rule term is
 ``-R_K`` bit for bit and the two noise-free curves satisfy ``a == -b`` at
 every point; ``swarmdec validate`` requires exactly that on the lattice.
 Its checks are ``validation_checks``: the composition law against its
-enumeration oracle, then three properties of the lattice drift, read
-from one walk of the rule terms (``_lattice_drift``).
+enumeration oracle, then three properties of the drift at every lattice
+state, read from ``_drift_values`` itself, so a fault in the evaluator
+the commands run fails them.
 
 ``empirical_drift`` estimates the same quantity by Monte Carlo, and
 ``empirical_firing_probabilities`` the composition law itself, by
@@ -179,32 +180,25 @@ def analytic_drift_curve(
     return zip(zs, _drift_values(n_agents, rules, noise.epsilon, zs))
 
 
-def _lattice_drift(
-    n_agents: int, rules: RuleSet, epsilons: Iterable[float]
-) -> dict[float, list[float]]:
-    """``dz/dt`` at every lattice state ``z_K``, ``K = 0..N``, for each noise
-    level in ``epsilons``, all read from one walk of the rule terms; each
-    value is the expression :func:`_drift_values` evaluates."""
-    zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
-    terms = [_rule_term(n_agents, rules, count) for count in range(n_agents + 1)]
-    return {eps: [term - eps * z for term, z in zip(terms, zs)] for eps in epsilons}
-
-
 def validation_checks() -> list[dict]:
     """The checks of ``swarmdec validate``, in report order, as
     ``{name, passed, detail}`` dicts: ``hypergeom.pmf_table`` against its
     enumeration oracle ``hypergeom.pmf_bruteforce`` for N in {7, 10, 12},
     G in {3, 5, 7} and every K, then the antisymmetry, complement negation
-    and noise superposition of the lattice drift at N = 101 of every G = 7
-    rule set, all three read from one walk of its rule terms
-    (:func:`_lattice_drift`)."""
+    and noise superposition of the drift at every lattice state ``z_K``,
+    ``K = 0..101``, of every G = 7 rule set at each noise level, all three
+    read from the evaluator the commands run (:func:`_drift_values`)."""
     worst_pmf = max(0.0, *(
         abs(p - q)
         for n in (7, 10, 12) for g in (3, 5, 7) for count in range(n + 1)
         for p, q in zip(hypergeom.pmf_table(n, count, g), hypergeom.pmf_bruteforce(n, count, g))
     ))
     n_agents = 101
-    drifts = {rules: _lattice_drift(n_agents, rules, (0.0, 0.05, 0.1)) for rules in iter_rulesets(7)}
+    zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
+    drifts = {
+        rules: {epsilon: list(_drift_values(n_agents, rules, epsilon, zs)) for epsilon in (0.0, 0.05, 0.1)}
+        for rules in iter_rulesets(7)
+    }
     worst_sum = max(0.0, *(
         abs(a + b)
         for by_epsilon in drifts.values() for epsilon in (0.0, 0.1)
@@ -216,7 +210,6 @@ def validation_checks() -> list[dict]:
         if rules.label[0] == "M"  # each pair once
         for a, b in zip(by_epsilon[0.0], drifts[rules.complement()][0.0])
     )
-    zs = [lattice_z(count, n_agents) for count in range(n_agents + 1)]
     superposed = all(
         with_noise == without - epsilon * z
         for by_epsilon in drifts.values() for epsilon in (0.05, 0.1)

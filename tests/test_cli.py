@@ -116,6 +116,18 @@ class TestDrift:
         assert float(rows[0][1]) == 0.1   # drift(-1) = +eps
         assert float(rows[-1][1]) == -0.1  # drift(+1) = -eps
 
+    def test_provenance_keeps_every_digit_of_epsilon(self, tmp_path):
+        # Six significant digits would record both as epsilon=0.123457.
+        headers = []
+        for epsilon in ("0.1234567", "0.1234568"):
+            out = tmp_path / f"{epsilon}.csv"
+            code = main(["drift", "--rules", "Mm", "--epsilon", epsilon, "--grid", "21", "--out", str(out)])
+            assert code == EXIT_OK
+            comments, _, _ = read_csv(out)
+            assert f"epsilon={epsilon}" in comments[0].split()
+            headers.append(comments[0])
+        assert headers[0] != headers[1]
+
     def test_empirical_sibling(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(
@@ -944,6 +956,19 @@ class TestValidate:
 
         monkeypatch.setattr(drift, "_rule_term", off_at_one_state)
         assert self.run_failing(tmp_path, capsys) == ["lattice-antisymmetry", "complement-negation"]
+
+    def test_one_ulp_break_of_the_noisy_evaluator_fails(self, tmp_path, capsys, monkeypatch):
+        # The checks read the evaluator the commands run, not a copy of it.
+        real = drift._drift_values
+
+        def one_ulp_high_at_005(n_agents, rules, epsilon, zs):
+            values = list(real(n_agents, rules, epsilon, zs))
+            if epsilon == 0.05 and rules.label == "MMm":
+                values[30] = math.nextafter(values[30], 1.0)
+            return iter(values)
+
+        monkeypatch.setattr(drift, "_drift_values", one_ulp_high_at_005)
+        assert self.run_failing(tmp_path, capsys) == ["noise-superposition"]
 
 
 #: (file name, sha256, arguments) of the ``--empirical`` sibling files of two

@@ -222,6 +222,8 @@ class TestLatticeEngine:
             + [(2 * count + 1) / n - 1.0 for count in range(0, n, max(1, n // 50))]
             + [-1.0, 1.0]
         )
+        # the lattice states z_K: every one below N = 2000, every (N // 1000)-th above
+        lattice = [lattice_z(count, n) for count in range(0, n + 1, max(1, n // 1000))]
         for epsilon in (0.0, 0.05, 0.1):
             noise = NoiseSpec(epsilon)
             for grid in (2, 201, 2001):
@@ -229,9 +231,10 @@ class TestLatticeEngine:
                 expected = [per_point_drift(n, rules, epsilon, z) for z in zs]
                 assert bits(values) == bits(expected), (epsilon, grid)
                 assert zs == tuple(drift._Grid(grid))
-            expected = [per_point_drift(n, rules, epsilon, z) for z in off_lattice]
-            values = drift._drift_values(n, rules, epsilon, off_lattice)
-            assert bits(values) == bits(expected), epsilon
+            for zs in (off_lattice, lattice):
+                expected = [per_point_drift(n, rules, epsilon, z) for z in zs]
+                values = drift._drift_values(n, rules, epsilon, zs)
+                assert bits(values) == bits(expected), epsilon
             points = [-1.0, 1.0, off_lattice[len(off_lattice) // 2]]
             assert bits(analytic_drift(n, rules, noise, z) for z in points) == bits(
                 per_point_drift(n, rules, epsilon, z) for z in points
@@ -252,14 +255,6 @@ class TestLatticeEngine:
         find_fixed_points(101, rules, NoiseSpec(epsilon), 2001)
         (zs, values), *_ = scanned
         assert bits(values) == bits(per_point_drift(101, rules, epsilon, z) for z in zs)
-
-    def test_lattice_drift_is_the_per_point_curve(self):
-        zs = lattice_zs(101)
-        for rules in iter_rulesets(7):
-            by_epsilon = drift._lattice_drift(101, rules, (0.0, 0.05, 0.1))
-            for epsilon, values in by_epsilon.items():
-                expected = [per_point_drift(101, rules, epsilon, z) for z in zs]
-                assert bits(values) == bits(expected), (rules.label, epsilon)
 
 
 def count_rule_columns(monkeypatch) -> list:
@@ -299,12 +294,6 @@ class TestTablesBuilt:
         assert calls == []  # lazy: no column until the points are read
         assert len(list(points)) == 20001
         assert len(calls) == 102
-        assert sorted(count for _, count, _ in calls) == list(range(102))
-
-    def test_lattice_drift_builds_one_table_per_state(self, monkeypatch):
-        # validate's drift checks share these, at every noise level.
-        calls = count_rule_columns(monkeypatch)
-        drift._lattice_drift(101, parse_polarity_string("MmM", 7), (0.0, 0.05, 0.1))
         assert sorted(count for _, count, _ in calls) == list(range(102))
 
     @pytest.mark.parametrize(
@@ -352,8 +341,8 @@ class TestNegateCheck:
         g = 2 * len(a) + 1
         rules_a, rules_b = parse_polarity_string(a, g), parse_polarity_string(b, g)
         for n in sorted({g, g + 2, 11, 101, 1001}):
-            (values_a,) = drift._lattice_drift(n, rules_a, (0.0,)).values()
-            (values_b,) = drift._lattice_drift(n, rules_b, (0.0,)).values()
+            values_a = list(drift._drift_values(n, rules_a, 0.0, lattice_zs(n)))
+            values_b = list(drift._drift_values(n, rules_b, 0.0, lattice_zs(n)))
             assert len(values_a) == n + 1
             assert all(x == -y for x, y in zip(values_a, values_b)), (n, a)
 
