@@ -12,18 +12,17 @@ validate      the cross-checks of ``drift.validation_checks`` -> JSON
 Every output file starts with a provenance comment line recording the
 package version and the resolved configuration, and all commands are
 deterministic given identical flags (including the seed).  Exit codes:
-0 success, 2 configuration error, 3 I/O error (also when the writer
+0 success, 2 configuration error, 3 I/O error (also when the simulating
 process of ``simulate`` fails or dies), 4 validation failure, 130
 interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
 
-``simulate`` formats its CSV in a forked process while it simulates
-(:func:`_writer_process`), so its memory does not grow with ``--events``;
-this needs ``os.fork`` (POSIX).  The simulating process owns the output
-file: it creates the temp file before the fork, and renames or removes it
-after the writer ends.  The column block of each batch of events reaches
-the writer pickled, and the writer formats it as it arrives.  Every
-command writes its output a line at a time (:func:`_write_lines`), so the
-file handle's buffer bounds what a write holds.
+``simulate`` runs the simulation in a forked process
+(:func:`_simulation_process`), which pickles the column block of each
+batch of events up a pipe; this process formats each block as it arrives
+and writes it, so memory does not grow with ``--events``.  This needs
+``os.fork`` (POSIX).  Every command writes its output through
+:func:`_write_text`, a line at a time (:func:`_write_lines`), so the file
+handle's buffer bounds what a write holds.
 
 A process compiles and runs only the modules its command uses: ``drift``,
 ``hypergeom``, ``schema`` and ``ssa`` are lazy module handles, which load
@@ -43,7 +42,7 @@ import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import __version__, _lazy_submodule
 from .model import (
@@ -443,17 +442,16 @@ def _write_lines(fh, lines: Iterable[str]) -> None:
         write("\n")
 
 
-@contextlib.contextmanager
-def _atomic_file(path: Path) -> Iterator[TextIO]:
-    """A text handle on a temp file in the directory of the file ``path``
-    names (through any symlinks), which replaces that file when the
-    ``with`` body ends normally and is removed when it raises."""
+def _write_text(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, one at a time to a temp file
+    in the directory of the file ``path`` names (through any symlinks),
+    which then replaces that file; it is removed if ``lines`` raises."""
     target = Path(os.path.realpath(path))
     mode = _new_file_mode(target)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+            _write_lines(fh, lines)
             os.fchmod(fd, mode)
         os.replace(tmp_name, target)
     except BaseException:
@@ -462,86 +460,69 @@ def _atomic_file(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _write_text(path: Path, lines: Iterable[str]) -> None:
-    """Write ``lines``, each ended by a newline, atomically: one at a time
-    to a temp file in the target directory, then renamed."""
-    with _atomic_file(path) as fh:
-        _write_lines(fh, lines)
-
-
 @contextlib.contextmanager
-def _writer_process(
-    path: Path, lines: Callable[[Iterator], Iterable[str]]
-) -> Iterator[Callable[[tuple], None]]:
-    """Write ``lines(blocks)`` to ``path`` in a forked process, while the
-    caller goes on; ``blocks`` are the column blocks passed to the yielded
-    ``send``, pickled down a pipe.  This process owns the file, through
-    :func:`_atomic_file`; the writer only formats into the handle it
-    inherits, and reports any error on a second pipe.
+def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
+    """Iterate ``events`` in a forked process, and yield an iterator of the
+    blocks it pickles up a pipe, as they arrive.  After the last block the
+    process sends the run's end state, which ``events`` takes on, or, if
+    the run raised, the error's text, which the iterator raises as
+    OSError; so it does if the process dies.  The process never touches
+    a file, and is waited for however the ``with`` body ends: when the
+    body stops reading, the process meets a closed pipe and exits.
 
-    When the ``with`` body ends normally, None ends the stream, and the
-    file is in place once the context exits; OSError if the writer failed
-    or died.  When the body raises, the writer's pipe ends without the
-    None, and it is waited for and the temp file removed before the
-    exception goes on.  Fork before numpy is imported, so that the child
-    runs no threads; the writer imports numpy after the fork, while this
-    process imports its own.
+    Fork before numpy is imported, so that the child runs no threads; each
+    process then imports numpy on its own.
     """
     import pickle
     import signal
 
     sys.stdout.flush()
     sys.stderr.flush()
-    with _atomic_file(path) as fh:
-        source_fd, sink_fd = os.pipe()
-        report_r, report_w = os.pipe()
-        sigint = {signal.SIGINT}
-        # Blocked across the fork and for the child's whole life: Ctrl-C is the
-        # parent's to handle, and no KeyboardInterrupt can surface in the child.
-        signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
-        try:
-            pid = os.fork()
-        except BaseException:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-            for fd in (source_fd, sink_fd, report_r, report_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the writer; it leaves this branch only by os._exit
-            status = 1
-            try:
-                os.close(sink_fd)
-                os.close(report_r)
-                with os.fdopen(source_fd, "rb") as source:
-                    # A pipe closed before the None raises EOFError.
-                    _write_lines(fh, lines(iter(lambda: pickle.load(source), None)))
-                    fh.flush()
-                status = 0
-            except BaseException as exc:  # reported to the parent, which decides
-                text = str(exc) if isinstance(exc, OSError) else f"CSV writer process failed: {exc!r}"
-                with contextlib.suppress(OSError):
-                    os.write(report_w, text.encode("utf-8", "replace")[:4096])
-            finally:
-                os._exit(status)
+    source_fd, sink_fd = os.pipe()
+    sigint = {signal.SIGINT}
+    # Blocked across the fork and for the child's whole life: Ctrl-C is the
+    # parent's to handle, and no KeyboardInterrupt can surface in the child.
+    signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
+    try:
+        pid = os.fork()
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
         os.close(source_fd)
-        os.close(report_w)
-        sink = os.fdopen(sink_fd, "wb")
+        os.close(sink_fd)
+        raise
+    if pid == 0:  # the simulation; it leaves this branch only by os._exit
+        try:
+            os.close(source_fd)
+            with os.fdopen(sink_fd, "wb") as sink:
+                try:
+                    for block in events:
+                        pickle.dump(block, sink)
+                    end = vars(events)
+                except Exception as exc:  # its text is the parent's to report
+                    end = f"simulation process failed: {exc!r}"
+                pickle.dump(end, sink)
+        finally:
+            os._exit(0)
+    os.close(sink_fd)
+    source = os.fdopen(source_fd, "rb")
+
+    def blocks() -> Iterator[tuple]:
+        while isinstance(item := pickle.load(source), tuple):
+            yield item
+        if isinstance(item, str):
+            raise OSError(item)
+        vars(events).update(item)
+
+    try:
         try:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-            yield lambda block: pickle.dump(block, sink)
-            pickle.dump(None, sink)
-            sink.flush()
-        except BrokenPipeError:
-            pass  # the writer stopped reading; its report says why
+            yield blocks()
         finally:
-            with contextlib.suppress(OSError):
-                sink.close()
-            with os.fdopen(report_r, "rb") as report:
-                error = report.read().decode("utf-8", "replace")
+            source.close()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status < 0:
-            raise OSError(f"CSV writer process killed by signal {-status}")
-        if status > 0:
-            raise OSError(error or f"CSV writer process exited with status {status}")
+    except (EOFError, pickle.UnpicklingError):  # the pipe ended before the run did
+        how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise OSError(f"simulation process {how}") from None
 
 
 def _empirical_path(out: Path) -> Path:
@@ -653,16 +634,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         elide_nulls=cfg.elide_nulls,
     )
 
-    def lines(blocks: Iterator) -> Iterator[str]:  # run by the writer process
-        from .csvrows import csv_blocks
+    # The run goes on in a second process while this one formats and writes
+    # its record, so neither waits for the whole run.
+    with _simulation_process(events) as blocks:
+        from .csvrows import csv_blocks  # it imports numpy, so after the fork
 
-        return chain([header], csv_blocks(blocks, cfg.agents))
-
-    # The record is formatted and written by a second process while this
-    # one simulates, so neither waits for the whole run.
-    with _writer_process(cfg.out, lines) as send:
-        for block in events:
-            send(block)
+        _write_text(cfg.out, chain([header], csv_blocks(blocks, cfg.agents)))
     summary = {
         "final_count_x1": events.final_state.count_x1,
         "final_z": events.final_state.z,

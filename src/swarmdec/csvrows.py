@@ -12,8 +12,9 @@ The rest of a row depends only on the event's kind and ``k`` and on the
 count, and each block formats the text of its own distinct keys once
 (:func:`_texts`), with nothing kept from one block to the next.
 
-Only the ``simulate`` writer process and :func:`swarmdec.ssa.trajectory_csv_lines`
-import this module, so no other command loads it or numpy.
+Only ``simulate``, after it forks its simulating process, and
+:func:`swarmdec.ssa.trajectory_csv_lines` import this module, so no other
+command loads it or numpy.
 """
 
 from __future__ import annotations

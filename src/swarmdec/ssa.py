@@ -21,19 +21,20 @@ that stops earlier is therefore an exact prefix of a longer one.  The
 picks are those ``Generator.integers`` draws, computed from whole random
 words at once (:func:`_pick_drawer`).
 
-There is one event loop, :class:`EventBlocks`.  It does with numpy, eight
-blocks at a time, all that does not depend on ``K``: the clock, and, up to
-:data:`_SORTED_GROUPS` agents a group, each group event's ``G`` sorted urn
-thresholds, whose number ``<= K`` is its ``k`` at count ``K``
+There is one event loop, :class:`EventBlocks`.  It does with numpy, a
+batch of blocks at a time, all that does not depend on ``K``: the clock,
+and, up to :data:`_SORTED_GROUPS` agents a group, each group event's ``G``
+sorted urn thresholds, whose number ``<= K`` is its ``k`` at count ``K``
 (:func:`_urn_thresholds`).  Only that lookup (or, for larger groups, the
 urn itself) and the count are left to a per-event loop, which records one
 code per event: its ``k``, or a noise code.  The count path, kinds and
 ``k`` column are table lookups of those codes.  It yields the record of
 each batch as a block of columns while the run goes on, and knows the
 run's end once it is exhausted.  :func:`simulate` joins the
-blocks into a :class:`Trajectory`, and the ``simulate`` command passes
-each block on to a writer process as it comes (see :mod:`swarmdec.cli`),
-so the command's memory does not grow with the number of events.
+blocks into a :class:`Trajectory`; the ``simulate`` command iterates them
+in a forked process, which passes each block on to the formatting one as
+it comes (see :mod:`swarmdec.cli`), so the command's memory does not grow
+with the number of events.
 
 With ``rule_rate = 0.5`` and ``noise_rate = epsilon / 2`` the expected
 motion of ``z = 2K/N - 1`` per unit time equals the analytic drift
@@ -46,9 +47,9 @@ concurrently, each with its own generator (seed ``base + index``).
 numpy is imported only where it is used: where random numbers are drawn
 (iterating :class:`EventBlocks`) and where CSV rows are formatted
 (:mod:`swarmdec.csvrows`, imported only then).  Importing this module
-loads neither.  Of the commands only ``simulate`` runs it, and its writer
-process, forked first, imports them while the simulating process imports
-numpy.
+loads neither.  Of the commands only ``simulate`` runs it: its simulating
+process, forked first, imports numpy, while the process that forked it
+imports :mod:`swarmdec.csvrows`.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ RULE, NULL, NOISE12, NOISE21 = range(len(EVENT_LABELS))
 #: Events per block of random draws in :class:`EventBlocks`.
 BLOCK_EVENTS = 256
 #: Events per batch of blocks of draws that :class:`EventBlocks` handles
-#: with numpy at once (2048), and most rows of a block it yields; larger
-#: batches cost fewer numpy calls an event but hold more memory while they run.
+#: with numpy at once (2048) up to :data:`_SORTED_GROUPS` agents a group,
+#: and most rows of a block it yields; larger batches cost fewer numpy calls
+#: an event but hold more memory while they run.  A larger group's batch is
+#: one block.
 _BATCH_EVENTS = 8 * BLOCK_EVENTS
 #: Largest group size whose urn thresholds :class:`EventBlocks` computes:
 #: that costs ``G**2 / 2`` numpy steps an event, where running the urn in
@@ -259,7 +262,8 @@ class EventBlocks:
     bound of ``config`` hits, and yields ``(times, kinds, ks, counts)``
     blocks of :class:`array.array` columns, laid out as in
     :class:`Trajectory`: one block per batch of up to
-    :data:`_BATCH_EVENTS` events that recorded any.  ``final_state``,
+    :data:`_BATCH_EVENTS` events (:data:`BLOCK_EVENTS` above
+    :data:`_SORTED_GROUPS` agents a group) that recorded any.  ``final_state``,
     ``final_time``, ``n_events`` and :meth:`event_counts` describe the run
     up to the last block yielded, and its end once the iteration is
     exhausted.  Iterating again replays the same run.
@@ -332,11 +336,14 @@ class EventBlocks:
             noise = config.noise_rate
             sort = group_size <= _SORTED_GROUPS
             drawn = bisect_right if sort else _urn_count
+            # The urn's picks fill G words an event, so a large group draws
+            # a batch of one block: its picks are most of what the run holds.
+            batch = _BATCH_EVENTS if sort else BLOCK_EVENTS
         while running:
             # Draws of one batch: clock[0] is the time before it, then the waits.
-            clock, us = np.empty(_BATCH_EVENTS + 1), np.empty(_BATCH_EVENTS)
-            picks = np.empty((_BATCH_EVENTS, group_size), dtype=np.int64)
-            for lo in range(0, _BATCH_EVENTS, BLOCK_EVENTS):
+            clock, us = np.empty(batch + 1), np.empty(batch)
+            picks = np.empty((batch, group_size), dtype=np.int64)
+            for lo in range(0, batch, BLOCK_EVENTS):
                 block = slice(lo, lo + BLOCK_EVENTS)
                 rng.standard_exponential(out=clock[1:][block])
                 rng.random(out=us[block])
@@ -381,7 +388,7 @@ class EventBlocks:
             count = int(path[-1])
             n_events += done
             t = float(clock[done])
-            running = done == _BATCH_EVENTS and n_events < max_events and count not in stops
+            running = done == batch and n_events < max_events and count not in stops
             self.final_state, self.final_time, self.n_events = SwarmState(n, count), t, n_events
             codes = codes[:done]
             rows = [clock[1 : done + 1], kind_of[codes], k_of[codes], path[1:]]

@@ -491,10 +491,9 @@ class TestSimulate:
 class TestSimulateMemory:
     def test_peak_does_not_grow_with_events(self, tmp_path, capsys):
         # Held as a Trajectory before the write, the record peaked at 2.0 MiB
-        # at 2*10**4 events and 4.0 MiB at 2*10**5 here.  Streamed to the
-        # writer process, the peak is 0.67 MiB at both, about one batch of
-        # 2048 events' draws and columns.  tracemalloc slows the SSA about
-        # tenfold, hence 2*10**5.
+        # at 2*10**4 events and 4.0 MiB at 2*10**5 here.  Streamed from the
+        # simulating process, the peak is 0.60 MiB at both, about one batch
+        # of 2048 events' columns and their text.
         args = ["simulate", "--rules", "Mmm", "--epsilon", "0.1", "--seed", "1",
                 "--out", str(tmp_path / "run.csv")]
         assert main([*args, "--events", "1000"]) == EXIT_OK  # imports, caches
@@ -514,22 +513,37 @@ class TestSimulateMemory:
     def test_writer_peak_does_not_grow_with_events_at_large_n(self, tmp_path):
         # With N = 10**9 + 1 nearly every count is new: the writer that kept
         # the text of every (kind, k, count) it had seen peaked at 127 MiB at
-        # 10**6 events and 395 MiB at 3 * 10**6.  Its tables now hold at
-        # most 8192 keys across blocks.
+        # 10**6 events and 395 MiB at 3 * 10**6.  Each block now formats its
+        # own keys alone; the process that formats is the one main runs in.
         peaks = []
         for events in (100_000, 400_000):
             argv = ["simulate", "--agents", "1000000001", "--rules", "Mmm", "--epsilon", "0.1",
                     "--init-z", "0.5", "--events", str(events), "--out", str(tmp_path / "run.csv")]
-            code, peak = json.loads(_fresh_run(_WRITER_PEAK_PROBE, json.dumps(argv), cwd=tmp_path))
+            code, _, peak = json.loads(_fresh_run(_PEAKS_PROBE, json.dumps(argv), cwd=tmp_path))
             assert code == EXIT_OK
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 2**11  # KiB
 
+    def test_simulating_peak_does_not_grow_with_wide_groups(self, tmp_path):
+        # A batch of 2048 events held the G urn picks of each as 64-bit
+        # integers, with numpy's temporaries beside them: G = 1001 peaked
+        # 46 000 KiB above G = 101.  The Python urn (G > 25) now draws one
+        # block of 256 events a batch, 12 000 KiB above.
+        peaks = []
+        for rules in ("M" * 50, "M" * 500):
+            argv = ["simulate", "--agents", "4001", "--rules", rules, "--epsilon", "0.1",
+                    "--events", "20000", "--out", str(tmp_path / "run.csv")]
+            code, *both = json.loads(_fresh_run(_PEAKS_PROBE, json.dumps(argv), cwd=tmp_path))
+            assert code == EXIT_OK
+            peaks.append(max(both))
+        assert peaks[1] - peaks[0] < 16_000  # KiB
+
 
 #: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit code
-#: and the peak resident memory, in KiB, of the writer process it forked.
-_WRITER_PEAK_PROBE = """\
-import json, os, sys
+#: and the peak resident memory, in KiB, of the simulating process it forked
+#: and of its own process.
+_PEAKS_PROBE = """\
+import json, os, resource, sys
 from swarmdec import cli
 peaks = []
 def waitpid(pid, options):
@@ -538,7 +552,7 @@ def waitpid(pid, options):
     return pid, status
 os.waitpid = waitpid
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, peaks[0]]))
+print(json.dumps([code, peaks[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
 """
 
 
@@ -575,17 +589,17 @@ def _probe_result(proc: subprocess.Popen, timeout: float = 120) -> tuple[list[di
 
 
 def _wait_for_temp_file(directory: Path, proc: subprocess.Popen) -> Path:
-    """The temp file the writer process is filling, once rows reach it."""
+    """The temp file the run is filling, once rows reach it."""
     for _ in range(6000):
         found = [p for p in directory.glob(".run.csv.*.tmp") if p.stat().st_size]
         if found:
             return found[0]
-        assert proc.poll() is None, "the run ended before its writer started"
+        assert proc.poll() is None, "the run ended before it wrote a row"
         time.sleep(0.01)
     raise AssertionError("no temp file appeared")
 
 
-def _writer_pid(pid: int) -> int:
+def _child_pid(pid: int) -> int:
     """The one child process of ``pid`` (Linux /proc), or skip."""
     path = Path(f"/proc/{pid}/task/{pid}/children")
     if not path.exists():
@@ -595,8 +609,9 @@ def _writer_pid(pid: int) -> int:
 
 
 class TestWriterProcess:
-    """``simulate`` writes its CSV from a forked process; every way that can
-    fail leaves no traceback, no file, no temp file and no child process."""
+    """``simulate`` writes its CSV while a forked process simulates; every
+    way that can fail leaves no traceback, no file, no temp file and no
+    child process."""
 
     LONG_RUN = ["simulate", "--rules", "Mmm", "--epsilon", "0.1", "--events", str(10**7),
                 "--seed", "1", "--out", "run.csv"]
@@ -617,28 +632,60 @@ class TestWriterProcess:
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_fails_mid_stream(self, tmp_path, monkeypatch, capsys):
-        # The parent creates the file, so an unwritable directory fails
-        # before the fork; a full disk still fails in the writer, whose
-        # _write_lines (patched before the fork) raises after the provenance
-        # line, the CSV header and the first block of rows.
-        write_lines, fork, children = cli._write_lines, os.fork, []
+        # A full disk fails in this process, whose _write_lines raises after
+        # the provenance line, the CSV header and the first block of rows;
+        # the simulating process then meets a closed pipe.
+        write_lines = cli._write_lines
 
         def disk_full_after_one_block(fh, lines):
             write_lines(fh, itertools.islice(lines, 3))
             fh.flush()
             raise OSError(28, "No space left on device")
 
+        monkeypatch.setattr(cli, "_write_lines", disk_full_after_one_block)
+        code, err, children = self._run_recording_forks(tmp_path, monkeypatch, capsys)
+        assert code == EXIT_IO
+        assert err == "swarmdec: [Errno 28] No space left on device\n"
+        self._assert_no_trace(tmp_path, children)
+
+    def test_simulation_fails_mid_stream(self, tmp_path, monkeypatch, capsys):
+        # An error raised in the simulating process, here after its first
+        # block, used to escape main as a traceback.
+        from swarmdec import ssa
+
+        events = ssa.EventBlocks.__iter__
+
+        def out_of_memory_after_one_block(self):
+            yield next(events(self))
+            raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+        monkeypatch.setattr(ssa.EventBlocks, "__iter__", out_of_memory_after_one_block)
+        code, err, children = self._run_recording_forks(tmp_path, monkeypatch, capsys)
+        assert code == EXIT_IO
+        assert err == (
+            "swarmdec: simulation process failed: "
+            "MemoryError('Unable to allocate 1.49 GiB for an array')\n"
+        )
+        self._assert_no_trace(tmp_path, children)
+
+    @staticmethod
+    def _run_recording_forks(tmp_path, monkeypatch, capsys) -> tuple[int, str, list[int]]:
+        """Exit code and standard error of a ``simulate`` run in ``tmp_path``,
+        and the pids that its ``os.fork`` calls returned."""
+        fork, children = os.fork, []
+
         def recorded_fork():
             pid = fork()
             children.append(pid)
             return pid
 
-        monkeypatch.setattr(cli, "_write_lines", disk_full_after_one_block)
         monkeypatch.setattr(os, "fork", recorded_fork)
         monkeypatch.chdir(tmp_path)
         code = main(["simulate", "--rules", "MMm", "--events", "100000", "--out", "run.csv"])
-        assert code == EXIT_IO
-        assert capsys.readouterr().err == "swarmdec: [Errno 28] No space left on device\n"
+        return code, capsys.readouterr().err, children
+
+    @staticmethod
+    def _assert_no_trace(tmp_path, children) -> None:
         assert list(tmp_path.iterdir()) == []
         (child,) = children
         with pytest.raises(ChildProcessError):  # already reaped
@@ -658,10 +705,10 @@ class TestWriterProcess:
     def test_killed_writer(self, tmp_path):
         proc = _start_probe(self.LONG_RUN, tmp_path)
         _wait_for_temp_file(tmp_path, proc)
-        os.kill(_writer_pid(proc.pid), signal.SIGKILL)
+        os.kill(_child_pid(proc.pid), signal.SIGKILL)
         results, err = _probe_result(proc)
         assert results == [{"code": EXIT_IO, "children": False}]
-        assert err == "swarmdec: CSV writer process killed by signal 9\n"
+        assert err == "swarmdec: simulation process killed by signal 9\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1842,7 +1889,8 @@ if st is not None:
 #: (case, sha256 of the CSV, JSON summary line, arguments) of seeded
 #: ``simulate`` runs.  They pin the SSA's RNG stream, where each run stops,
 #: the CSV bytes and the summary, for every stopping bound, null elision,
-#: the noise-only system, starts at consensus and 16-bit columns (N > 255).
+#: the noise-only system, starts at consensus, 16-bit columns (N > 255) and
+#: groups of more than 25 agents.
 SIMULATE_OUTPUTS = [
     ("events", "bcec4254c613e919d64d8bb1373bdcfd43c373677734e425261241897933512a",
      '{"event_counts": {"noise12": 891, "noise21": 897, "null": 253, "rule": 17959}, '
@@ -1906,6 +1954,19 @@ SIMULATE_OUTPUTS = [
      '"n_events": 3000, "seed": 23}',
      ["--rules", "Mmm", "--epsilon", "0", "--rule-rate", "1e-9", "--events", "3000",
       "--seed", "23"]),
+    # Groups above 25 agents, whose urn runs event by event in Python.
+    ("wide_group", "8fee7f37bfa09fedad17cab8c9b698b29aeb63a765954155e74e6d882e1a7425",
+     '{"event_counts": {"noise12": 424, "noise21": 24, "null": 3581, "rule": 971}, '
+     '"final_count_x1": 100, "final_time": 89.54461837658458, "final_z": 0.9801980198019802, '
+     '"n_events": 5000, "seed": 17}',
+     ["--agents", "101", "--rules", "MMmMmMmMMmmMM", "--epsilon", "0.1", "--events", "5000",
+      "--init-z", "0", "--seed", "17"]),
+    ("wide_group_t_max", "ec4879e027d8c6dca89e7c3ba7b9402451b781c81264c7c324a4152ac8d69fa3",
+     '{"event_counts": {"noise12": 112, "noise21": 43, "null": 0, "rule": 3066}, '
+     '"final_count_x1": 679, "final_time": 5.997828352702132, "final_z": 0.35664335664335667, '
+     '"n_events": 3221, "seed": 19}',
+     ["--agents", "1001", "--rules", "MmMMmmMMmmMmMMmMMM", "--epsilon", "0.05", "--t-max", "6",
+      "--init-k", "600", "--seed", "19"]),
 ]
 
 
@@ -2032,19 +2093,20 @@ print(code, *sorted(n for n, m in sys.modules.items() if n.startswith("swarmdec"
 """
 
 #: Wraps the traced benchmark's targets after ``import swarmdec.cli``, as
-#: ``bench/inproc.py`` does, and prints the span names of one drift command.
+#: ``bench/inproc.py`` does, runs the commands given as a JSON list of
+#: argument lists, and prints the largest exit code and the span names.
 _TRACED_PROBE = """\
-import importlib.util, sys
+import importlib.util, json, sys
 import swarmdec.cli as cli
 spec = importlib.util.spec_from_file_location("bench_inproc", sys.argv[1])
 inproc = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(inproc)
 tracer = inproc.Tracer()
 inproc.install(tracer)
-codes = [cli.main(["drift", "--rules", "MMm", "--grid", "11", "--out", "d.csv"]),
-         cli.main(["probs", "--group", "5", "--agents", "11", "--out", "p.csv"])]
+codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
 print(max(codes), *sorted({span[0] for span in tracer.spans}))
 """
+_INPROC = Path(__file__).resolve().parents[1] / "bench" / "inproc.py"
 
 
 class TestLazyModules:
@@ -2086,11 +2148,20 @@ class TestLazyModules:
         assert _fresh_run(probe, cwd=tmp_path) == "[]"
 
     def test_traced_benchmark_wraps_the_lazy_modules(self, tmp_path):
-        inproc = Path(__file__).resolve().parents[1] / "bench" / "inproc.py"
-        code, *spans = _fresh_run(_TRACED_PROBE, str(inproc), cwd=tmp_path).split()
+        ops = [["drift", "--rules", "MMm", "--grid", "11", "--out", "d.csv"],
+               ["probs", "--group", "5", "--agents", "11", "--out", "p.csv"]]
+        code, *spans = _fresh_run(_TRACED_PROBE, str(_INPROC), json.dumps(ops), cwd=tmp_path).split()
         assert code == "0"
         # drift reads no table, probs one per state.
         assert {"cli.drift", "drift.analytic_drift_curve", "cli.probs", "hypergeom.pmf_table"} <= set(spans)
+
+    def test_traced_simulate_records_its_write(self, tmp_path):
+        # The trajectory CSV was written by a forked writer, outside every
+        # traced function, so the benchmark's write metrics read 0 on simulate.
+        ops = [["simulate", "--rules", "Mmm", "--events", "5000", "--out", "s.csv"]]
+        code, *spans = _fresh_run(_TRACED_PROBE, str(_INPROC), json.dumps(ops), cwd=tmp_path).split()
+        assert code == "0"
+        assert {"cli.simulate", "cli.write"} <= set(spans)
 
     def test_parser_of_one_command_has_no_other_options(self):
         parser = build_parser(["probs"])
