@@ -467,8 +467,7 @@ def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
     process sends the run's end state, which ``events`` takes on, or, if
     the run raised, the error's text, which the iterator raises as
     OSError; so it does if the process dies.  The process never touches
-    a file, and is waited for however the ``with`` body ends: when the
-    body stops reading, the process meets a closed pipe and exits.
+    a file, and is killed and waited for however the ``with`` body ends.
 
     Fork before numpy is imported, so that the child runs no threads; each
     process then imports numpy on its own.
@@ -478,6 +477,7 @@ def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
 
     sys.stdout.flush()
     sys.stderr.flush()
+    parent = os.getpid()
     source_fd, sink_fd = os.pipe()
     sigint = {signal.SIGINT}
     # Blocked across the fork and for the child's whole life: Ctrl-C is the
@@ -492,6 +492,15 @@ def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
         raise
     if pid == 0:  # the simulation; it leaves this branch only by os._exit
         try:
+            # A run that records no rows sends no block to meet a closed pipe
+            # with, so on Linux the process is killed when the parent dies
+            # (PR_SET_PDEATHSIG), by whatever signal; and ends if it already has.
+            if sys.platform == "linux":
+                import ctypes
+
+                ctypes.CDLL(None).prctl(1, signal.SIGKILL)
+            if os.getppid() != parent:
+                os._exit(0)
             os.close(source_fd)
             with os.fdopen(sink_fd, "wb") as sink:
                 try:
@@ -519,6 +528,10 @@ def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
             yield blocks()
         finally:
             source.close()
+            # Not left to meet the closed pipe: a run that records no rows
+            # sends no block, and may draw on for as long as --events allows.
+            # A process that has sent its end, or died, keeps its status.
+            os.kill(pid, signal.SIGKILL)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     except (EOFError, pickle.UnpicklingError):  # the pipe ended before the run did
         how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"

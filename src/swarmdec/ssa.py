@@ -339,10 +339,11 @@ class EventBlocks:
             # The urn's picks fill G words an event, so a large group draws
             # a batch of one block: its picks are most of what the run holds.
             batch = _BATCH_EVENTS if sort else BLOCK_EVENTS
-        while running:
-            # Draws of one batch: clock[0] is the time before it, then the waits.
+            # Draws of one batch, refilled by each: clock[0] is the time
+            # before it, then the waits.  Made once, their pages are touched once.
             clock, us = np.empty(batch + 1), np.empty(batch)
             picks = np.empty((batch, group_size), dtype=np.int64)
+        while running:
             for lo in range(0, batch, BLOCK_EVENTS):
                 block = slice(lo, lo + BLOCK_EVENTS)
                 rng.standard_exponential(out=clock[1:][block])

@@ -514,21 +514,23 @@ class TestSimulateMemory:
         # With N = 10**9 + 1 nearly every count is new: the writer that kept
         # the text of every (kind, k, count) it had seen peaked at 127 MiB at
         # 10**6 events and 395 MiB at 3 * 10**6.  Each block now formats its
-        # own keys alone; the process that formats is the one main runs in.
+        # own keys alone; the process that formats is the one main runs in,
+        # and the simulating process it forks holds no more than a batch.
         peaks = []
         for events in (100_000, 400_000):
             argv = ["simulate", "--agents", "1000000001", "--rules", "Mmm", "--epsilon", "0.1",
                     "--init-z", "0.5", "--events", str(events), "--out", str(tmp_path / "run.csv")]
-            code, _, peak = json.loads(_fresh_run(_PEAKS_PROBE, json.dumps(argv), cwd=tmp_path))
+            code, *both = json.loads(_fresh_run(_PEAKS_PROBE, json.dumps(argv), cwd=tmp_path))
             assert code == EXIT_OK
-            peaks.append(peak)
-        assert peaks[1] - peaks[0] < 2**11  # KiB
+            peaks.append(both)
+        for first, last in zip(*peaks):  # simulating, then formatting
+            assert last - first < 2**11  # KiB
 
     def test_simulating_peak_does_not_grow_with_wide_groups(self, tmp_path):
         # A batch of 2048 events held the G urn picks of each as 64-bit
         # integers, with numpy's temporaries beside them: G = 1001 peaked
         # 46 000 KiB above G = 101.  The Python urn (G > 25) now draws one
-        # block of 256 events a batch, 12 000 KiB above.
+        # block of 256 events a batch, 9 000 KiB above.
         peaks = []
         for rules in ("M" * 50, "M" * 500):
             argv = ["simulate", "--agents", "4001", "--rules", rules, "--epsilon", "0.1",
@@ -578,20 +580,28 @@ def _start_probe(argv: list[str], cwd: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-c", _PIPELINE_PROBE, json.dumps(argv)],
         cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
 
 
 def _probe_result(proc: subprocess.Popen, timeout: float = 120) -> tuple[list[dict], str]:
-    """The probe's result lines (one per return from ``main``) and its stderr."""
-    out, err = proc.communicate(timeout=timeout)
+    """The probe's result lines (one per return from ``main``) and its
+    stderr; past ``timeout`` its whole process group is killed."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
     results = [json.loads(line) for line in out.splitlines() if line.startswith('{"code"')]
     return results, err
 
 
-def _wait_for_temp_file(directory: Path, proc: subprocess.Popen) -> Path:
-    """The temp file the run is filling, once rows reach it."""
+def _wait_for_temp_file(directory: Path, proc: subprocess.Popen, rows: bool = True) -> Path:
+    """The temp file the run is filling, once rows reach it (or, with
+    ``rows`` false, once it is made)."""
     for _ in range(6000):
-        found = [p for p in directory.glob(".run.csv.*.tmp") if p.stat().st_size]
+        found = [p for p in directory.glob(".run.csv.*.tmp") if p.stat().st_size or not rows]
         if found:
             return found[0]
         assert proc.poll() is None, "the run ended before it wrote a row"
@@ -606,6 +616,15 @@ def _child_pid(pid: int) -> int:
         pytest.skip("/proc/PID/task/TID/children is not available")
     (child,) = map(int, path.read_text().split())
     return child
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is no zombie (Linux /proc)."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestWriterProcess:
@@ -701,6 +720,49 @@ class TestWriterProcess:
         assert results == [{"code": 130, "children": False}]
         assert err == "swarmdec: interrupted\n"
         assert list(tmp_path.iterdir()) == []
+
+    # At consensus without noise every event is null, so this elided run
+    # sends no block: its process used to draw on after the write had
+    # stopped, to the end of its 10**10 events (about an hour).
+    AT_CONSENSUS = ["simulate", "--agents", "101", "--init-k", "101", "--rules", "MMm",
+                    "--epsilon", "0", "--elide-nulls", "--events", str(10**10)]
+
+    def test_sigint_stops_a_run_that_records_no_rows(self, tmp_path):
+        proc = _start_probe([*self.AT_CONSENSUS, "--out", "run.csv"], tmp_path)
+        _wait_for_temp_file(tmp_path, proc, rows=False)
+        start = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        results, err = _probe_result(proc, timeout=60)
+        assert time.monotonic() - start < 1.0
+        assert results == [{"code": 130, "children": False}]
+        assert err == "swarmdec: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_stops_a_run_that_records_no_rows(self, tmp_path):
+        proc = _start_probe([*self.AT_CONSENSUS, "--out", "missing/run.csv"], tmp_path)
+        results, err = _probe_result(proc, timeout=60)
+        assert results == [{"code": EXIT_IO, "children": False}]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("swarmdec: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_killed_parent_stops_a_run_that_records_no_rows(self, tmp_path):
+        # Killed, the process main runs in can neither kill nor wait for
+        # the simulating one, which dies with it all the same.
+        proc = _start_probe([*self.AT_CONSENSUS, "--out", "run.csv"], tmp_path)
+        _wait_for_temp_file(tmp_path, proc, rows=False)
+        child = _child_pid(proc.pid)
+        proc.kill()
+        proc.wait()  # not communicate: a live child would hold its pipes open
+        proc.stdout.close()
+        proc.stderr.close()
+        deadline = time.monotonic() + 1.0
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        survived = _running(child)
+        if survived:
+            os.kill(child, signal.SIGKILL)
+        assert not survived
 
     def test_killed_writer(self, tmp_path):
         proc = _start_probe(self.LONG_RUN, tmp_path)
