@@ -12,17 +12,14 @@ validate      the cross-checks of ``drift.validation_checks`` -> JSON
 Every output file starts with a provenance comment line recording the
 package version and the resolved configuration, and all commands are
 deterministic given identical flags (including the seed).  Exit codes:
-0 success, 2 configuration error, 3 I/O error (also when the simulating
-process of ``simulate`` fails or dies), 4 validation failure, 130
-interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it).
+0 success, 2 configuration error, 3 I/O error or any other failure (also
+when the simulating process of ``simulate`` fails or dies), 4 validation
+failure, 130 interrupted (Ctrl-C; 128 + SIGINT, as a shell reports it),
+143 terminated (SIGTERM, once :func:`run` handles it).
 
-``simulate`` runs the simulation in a forked process
-(:func:`_simulation_process`), which pickles the column block of each
-batch of events up a pipe; this process formats each block as it arrives
-and writes it, so memory does not grow with ``--events``.  This needs
-``os.fork`` (POSIX).  Every command writes its output through
-:func:`_write_text`, a line at a time (:func:`_write_lines`), so the file
-handle's buffer bounds what a write holds.
+Every command writes its output through :func:`_write_text`, a line at a
+time (:func:`_write_lines`), so the file handle's buffer bounds what a
+write holds.
 
 A process compiles and runs only the modules its command uses: ``drift``,
 ``hypergeom``, ``schema`` and ``ssa`` are lazy module handles, which load
@@ -404,19 +401,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _provenance(
-    agents=None, group=None, rules=None, epsilon=None, seed=None, **extra
-) -> str:
-    parts = [
-        f"# swarmdec {__version__}",
-        f"agents={_fmt(agents)}",
-        f"group={_fmt(group)}",
-        f"rules={_fmt(rules)}",
-        f"epsilon={_fmt(epsilon)}",
-        f"seed={_fmt(seed)}",
-    ]
-    parts.extend(f"{key.replace('_', '-')}={_fmt(value)}" for key, value in extra.items())
-    return " ".join(parts)
+def _provenance(agents=None, group=None, rules=None, epsilon=None, seed=None, **extra) -> str:
+    """The provenance line: the package version, then each field, ``-`` for None."""
+    fields = dict(agents=agents, group=group, rules=rules, epsilon=epsilon, seed=seed, **extra)
+    parts = (f"{key.replace('_', '-')}={_fmt(value)}" for key, value in fields.items())
+    return " ".join([f"# swarmdec {__version__}", *parts])
 
 
 def _run_header(cfg: ExperimentConfig, **extra) -> str:
@@ -458,84 +447,6 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
-
-
-@contextlib.contextmanager
-def _simulation_process(events: ssa.EventBlocks) -> Iterator[Iterator[tuple]]:
-    """Iterate ``events`` in a forked process, and yield an iterator of the
-    blocks it pickles up a pipe, as they arrive.  After the last block the
-    process sends the run's end state, which ``events`` takes on, or, if
-    the run raised, the error's text, which the iterator raises as
-    OSError; so it does if the process dies.  The process never touches
-    a file, and is killed and waited for however the ``with`` body ends.
-
-    Fork before numpy is imported, so that the child runs no threads; each
-    process then imports numpy on its own.
-    """
-    import pickle
-    import signal
-
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    source_fd, sink_fd = os.pipe()
-    sigint = {signal.SIGINT}
-    # Blocked across the fork and for the child's whole life: Ctrl-C is the
-    # parent's to handle, and no KeyboardInterrupt can surface in the child.
-    signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
-    try:
-        pid = os.fork()
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-        os.close(source_fd)
-        os.close(sink_fd)
-        raise
-    if pid == 0:  # the simulation; it leaves this branch only by os._exit
-        try:
-            # A run that records no rows sends no block to meet a closed pipe
-            # with, so on Linux the process is killed when the parent dies
-            # (PR_SET_PDEATHSIG), by whatever signal; and ends if it already has.
-            if sys.platform == "linux":
-                import ctypes
-
-                ctypes.CDLL(None).prctl(1, signal.SIGKILL)
-            if os.getppid() != parent:
-                os._exit(0)
-            os.close(source_fd)
-            with os.fdopen(sink_fd, "wb") as sink:
-                try:
-                    for block in events:
-                        pickle.dump(block, sink)
-                    end = vars(events)
-                except Exception as exc:  # its text is the parent's to report
-                    end = f"simulation process failed: {exc!r}"
-                pickle.dump(end, sink)
-        finally:
-            os._exit(0)
-    os.close(sink_fd)
-    source = os.fdopen(source_fd, "rb")
-
-    def blocks() -> Iterator[tuple]:
-        while isinstance(item := pickle.load(source), tuple):
-            yield item
-        if isinstance(item, str):
-            raise OSError(item)
-        vars(events).update(item)
-
-    try:
-        try:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-            yield blocks()
-        finally:
-            source.close()
-            # Not left to meet the closed pipe: a run that records no rows
-            # sends no block, and may draw on for as long as --events allows.
-            # A process that has sent its end, or died, keeps its status.
-            os.kill(pid, signal.SIGKILL)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except (EOFError, pickle.UnpicklingError):  # the pipe ended before the run did
-        how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
-        raise OSError(f"simulation process {how}") from None
 
 
 def _empirical_path(out: Path) -> Path:
@@ -594,9 +505,7 @@ def cmd_drift(cfg: ExperimentConfig) -> int:
 
 def _probs_csv(cfg: ExperimentConfig, tables: Iterable, **extra) -> Iterator[str]:
     """The ``probs`` CSV, row by row, of one table per lattice state K."""
-    yield _provenance(
-        agents=cfg.agents, group=cfg.group, rules=None, epsilon=None, seed=cfg.seed, **extra
-    )
+    yield _provenance(agents=cfg.agents, group=cfg.group, seed=cfg.seed, **extra)
     yield "z," + ",".join(f"p{k}" for k in range(cfg.group + 1))
     for count, table in enumerate(tables):
         row = ",".join(f"{p:.17g}" for p in table)
@@ -646,13 +555,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stop_at_consensus=cfg.stop_at_consensus,
         elide_nulls=cfg.elide_nulls,
     )
-
-    # The run goes on in a second process while this one formats and writes
-    # its record, so neither waits for the whole run.
-    with _simulation_process(events) as blocks:
-        from .csvrows import csv_blocks  # it imports numpy, so after the fork
-
-        _write_text(cfg.out, chain([header], csv_blocks(blocks, cfg.agents)))
+    with events._forked() as rows:
+        _write_text(cfg.out, chain([header], rows))
     summary = {
         "final_count_x1": events.final_state.count_x1,
         "final_z": events.final_state.z,
@@ -701,7 +605,7 @@ def _ruleset_listing(group: int) -> Iterator[str]:
 def cmd_rulesets(cfg: ExperimentConfig) -> int:
     lines = _ruleset_listing(cfg.group)
     if cfg.out is not None:
-        header = _provenance(agents=None, group=cfg.group, rules=None, epsilon=None, seed=None)
+        header = _provenance(group=cfg.group)
         _write_text(cfg.out, chain([header], lines))
     else:
         _write_lines(sys.stdout, lines)
@@ -716,12 +620,20 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     text = json.dumps(report, indent=2)
     sys.stdout.write(text + "\n")
     if cfg.out is not None:
-        header = _provenance(agents=None, group=None, rules=None, epsilon=None, seed=None)
+        header = _provenance()
         _write_text(cfg.out, [header, text])
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 _HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name, *_ in _COMMANDS}
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised where it arrives once :func:`run` handles it, as Ctrl-C is."""
+
+
+def _terminate(signum, frame) -> None:
+    raise _Terminated
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -746,9 +658,18 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("swarmdec: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT
+    except _Terminated:
+        print("swarmdec: terminated", file=sys.stderr)
+        return 143  # 128 + SIGTERM
+    except Exception as exc:
+        print(f"swarmdec: failed: {exc!r}", file=sys.stderr)
+        return EXIT_IO
 
 
 def run() -> None:
+    import signal
+
+    signal.signal(signal.SIGTERM, _terminate)
     raise SystemExit(main(sys.argv[1:]))
 
 

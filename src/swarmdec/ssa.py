@@ -31,10 +31,7 @@ code per event: its ``k``, or a noise code.  The count path, kinds and
 ``k`` column are table lookups of those codes.  It yields the record of
 each batch as a block of columns while the run goes on, and knows the
 run's end once it is exhausted.  :func:`simulate` joins the
-blocks into a :class:`Trajectory`; the ``simulate`` command iterates them
-in a forked process, which passes each block on to the formatting one as
-it comes (see :mod:`swarmdec.cli`), so the command's memory does not grow
-with the number of events.
+blocks into a :class:`Trajectory`.
 
 With ``rule_rate = 0.5`` and ``noise_rate = epsilon / 2`` the expected
 motion of ``z = 2K/N - 1`` per unit time equals the analytic drift
@@ -47,15 +44,21 @@ concurrently, each with its own generator (seed ``base + index``).
 numpy is imported only where it is used: where random numbers are drawn
 (iterating :class:`EventBlocks`) and where CSV rows are formatted
 (:mod:`swarmdec.csvrows`, imported only then).  Importing this module
-loads neither.  Of the commands only ``simulate`` runs it: its simulating
-process, forked first, imports numpy, while the process that forked it
-imports :mod:`swarmdec.csvrows`.
+loads neither, so ``EventBlocks._forked``, which the ``simulate`` command
+runs, forks a process that runs no threads.  That process iterates the
+run and pickles each block up a pipe, then the run's end state or its
+error's text, while the parent formats each block as it arrives and takes
+on the end, so neither holds more than a batch.  The child never touches
+a file, is killed and reaped however the reading ends, and on Linux dies
+with its parent.  This needs ``os.fork`` (POSIX).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import sys
 from array import array
 from bisect import bisect_right
@@ -269,8 +272,8 @@ class EventBlocks:
     exhausted.  Iterating again replays the same run.
 
     ``seed`` seeds the numpy generator made when the iteration starts, so
-    that a caller can check the configuration and fork before numpy is
-    loaded.  The configuration is checked here, before any event:
+    that importing numpy waits for the first event.  The configuration is
+    checked here, before any event:
     ValueError for an impossible or overflowing one,
     :class:`FrozenSystemError` when every propensity is zero.  A run that
     stops before its first event (``stop_at_consensus`` from a consensus)
@@ -402,6 +405,82 @@ class EventBlocks:
                 for column, row in zip(columns, rows):
                     column.frombytes(row.astype(column.typecode).tobytes())
                 yield columns
+
+    @contextlib.contextmanager
+    def _forked(self) -> Iterator[Iterator[str]]:
+        """Iterate in a forked process, and yield an iterator of the run's CSV
+        lines (:func:`swarmdec.csvrows.csv_blocks`), each block formatted
+        here as it arrives; once they are read, this object holds the run's
+        end.  The iterator raises OSError with the text of the run's error,
+        or if the process dies."""
+        import pickle
+        import signal
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        parent = os.getpid()
+        source_fd, sink_fd = os.pipe()
+        sigint = {signal.SIGINT}
+        # Blocked across the fork and for the child's whole life: Ctrl-C is the
+        # parent's to handle, and no KeyboardInterrupt can surface in the child.
+        signal.pthread_sigmask(signal.SIG_BLOCK, sigint)
+        try:
+            pid = os.fork()
+        except BaseException:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+            os.close(source_fd)
+            os.close(sink_fd)
+            raise
+        if pid == 0:  # the simulation; it leaves this branch only by os._exit
+            try:
+                # SIGTERM ends this process, whatever handler the parent has.
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                # A run that records no rows sends no block to meet a closed pipe
+                # with, so on Linux the process is killed when the parent dies
+                # (PR_SET_PDEATHSIG), by whatever signal; and ends if it already has.
+                if sys.platform == "linux":
+                    import ctypes
+
+                    ctypes.CDLL(None).prctl(1, signal.SIGKILL)
+                if os.getppid() != parent:
+                    os._exit(0)
+                os.close(source_fd)
+                with os.fdopen(sink_fd, "wb") as sink:
+                    try:
+                        for block in self:
+                            pickle.dump(block, sink)
+                        end = vars(self)
+                    except Exception as exc:  # its text is the parent's to report
+                        end = f"simulation process failed: {exc!r}"
+                    pickle.dump(end, sink)
+            finally:
+                os._exit(0)
+        os.close(sink_fd)
+        source = os.fdopen(source_fd, "rb")
+
+        def blocks() -> Iterator[tuple]:
+            while isinstance(item := pickle.load(source), tuple):
+                yield item
+            if isinstance(item, str):
+                raise OSError(item)
+            vars(self).update(item)
+
+        try:
+            try:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
+                from .csvrows import csv_blocks  # it imports numpy, so after the fork
+
+                yield csv_blocks(blocks(), self.initial.n_agents)
+            finally:
+                source.close()
+                # Not left to meet the closed pipe: a run that records no rows
+                # sends no block, and may draw on for as long as max_events allows.
+                # A process that has sent its end, or died, keeps its status.
+                os.kill(pid, signal.SIGKILL)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except (EOFError, pickle.UnpicklingError):  # the pipe ended before the run did
+            how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
+            raise OSError(f"simulation process {how}") from None
 
 
 def simulate(

@@ -573,12 +573,15 @@ print(json.dumps({"code": code, "children": children}))
 """
 
 
-def _start_probe(argv: list[str], cwd: Path) -> subprocess.Popen:
+def _start_probe(argv: list[str], cwd: Path, entry: bool = False) -> subprocess.Popen:
+    """The probe, or with ``entry`` the command's own entry point
+    (``python -m swarmdec.cli``), running ``argv`` in a session of its own."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    args = ["-m", "swarmdec.cli", *argv] if entry else ["-c", _PIPELINE_PROBE, json.dumps(argv)]
     return subprocess.Popen(
-        [sys.executable, "-c", _PIPELINE_PROBE, json.dumps(argv)],
+        [sys.executable, *args],
         cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
@@ -687,6 +690,20 @@ class TestWriterProcess:
         )
         self._assert_no_trace(tmp_path, children)
 
+    def test_formatting_fails_mid_stream(self, tmp_path, monkeypatch, capsys):
+        # An error other than OSError raised in this process, here where it
+        # formats the first block, used to escape main as a traceback.
+        from swarmdec import csvrows
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+        monkeypatch.setattr(csvrows, "_rows_text", out_of_memory)
+        code, err, children = self._run_recording_forks(tmp_path, monkeypatch, capsys)
+        assert code == EXIT_IO
+        assert err == "swarmdec: failed: MemoryError('Unable to allocate 1.49 GiB for an array')\n"
+        self._assert_no_trace(tmp_path, children)
+
     @staticmethod
     def _run_recording_forks(tmp_path, monkeypatch, capsys) -> tuple[int, str, list[int]]:
         """Exit code and standard error of a ``simulate`` run in ``tmp_path``,
@@ -720,6 +737,18 @@ class TestWriterProcess:
         assert results == [{"code": 130, "children": False}]
         assert err == "swarmdec: interrupted\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_sigterm_exits_143(self, tmp_path):
+        # Only KeyboardInterrupt unwound the write, so SIGTERM ended the
+        # process where it stood and left the output's temp file behind.
+        proc = _start_probe(self.LONG_RUN, tmp_path, entry=True)
+        _wait_for_temp_file(tmp_path, proc)
+        child = _child_pid(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        _, err = _probe_result(proc)
+        assert (proc.returncode, err) == (143, "swarmdec: terminated\n")
+        assert list(tmp_path.iterdir()) == []
+        assert not _running(child)
 
     # At consensus without noise every event is null, so this elided run
     # sends no block: its process used to draw on after the write had

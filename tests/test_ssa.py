@@ -535,6 +535,33 @@ class TestEventBlocks:
         assert (run.n_events, run.final_time) == (config.max_events, replay[-1][0])
         assert run.event_counts()["null"] == len(replay) - len(expected)
 
+    @pytest.mark.parametrize("group_size", [7, 27], ids=["G7", "G27"])
+    @pytest.mark.parametrize("bound", ["elided-nulls", "t-max"])
+    def test_forked_run_hands_over_its_blocks_and_end(self, monkeypatch, group_size, bound):
+        # The forked process pickles each block, then its end state, up a
+        # pipe.  With the CSV formatting passed by, what arrives is what an
+        # iteration in this process yields, and the object ends as it does.
+        from swarmdec import csvrows
+
+        monkeypatch.setattr(csvrows, "csv_blocks", lambda blocks, n_agents: blocks)
+        rules = parse_polarity_string("M" * (group_size // 2), group_size)
+        if bound == "elided-nulls":  # near X2 consensus most draws are null
+            initial = SwarmState(101, 3)
+            config = SimConfig(noise_rate=0.01, max_events=3 * _BATCH_EVENTS + 5, record_null_draws=False)
+        else:
+            initial = SwarmState(101, 51)
+            config = SimConfig(noise_rate=0.05, t_max=100.0)
+        forked, local = (EventBlocks(initial, rules, config, 11) for _ in range(2))
+        with forked._forked() as blocks:
+            received = list(blocks)
+        expected = list(local)
+        assert len(expected) > 1
+        assert received == expected
+        assert [[c.typecode for c in b] for b in received] == [[c.typecode for c in b] for b in expected]
+        ends = [(e.final_state, e.final_time, e.n_events, e.event_counts()) for e in (forked, local)]
+        assert ends[0] == ends[1]
+        assert local.final_state != initial and local.event_counts()["null"] > 0
+
     def test_configuration_checked_before_any_event(self):
         frozen = SimConfig(rule_rate=0.0, noise_rate=0.0, max_events=10)
         with pytest.raises(FrozenSystemError):
