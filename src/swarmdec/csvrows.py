@@ -9,8 +9,11 @@ digits are computed exactly as an integer (Dekker's two-product with a
 power of ten, rounded half to even) and laid out without an exponent
 (:func:`_time_text`); other times are left to ``'%.17g'``, one by one.
 The rest of a row depends only on the event's kind and ``k`` and on the
-count, and each block formats the text of its own distinct keys once
-(:func:`_texts`), with nothing kept from one block to the next.
+count.  A run's count steps by at most one, so a block's counts span no
+more values than it has rows, and each value of the span is looked up
+once (:func:`_texts`).  The :data:`_CACHED_TEXTS` event texts and as many
+count texts used last are kept for the next blocks, so memory stays
+bounded by the block, not by ``N`` or ``G``.
 
 Only :mod:`swarmdec.ssa` imports this module, where it writes a CSV, so
 no command but ``simulate`` loads it or numpy.
@@ -18,6 +21,7 @@ no command but ``simulate`` loads it or numpy.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from typing import Callable, Iterable, Iterator
 
@@ -38,8 +42,22 @@ _POWERS_LOW = _POWERS - _POWERS_HIGH
 #: The double nearest to ``10**e`` for e in -4..16, which is also the least
 #: at or above it.
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
-#: The four ASCII digits of each number 0..9999, as one little-endian uint32.
-_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), "<u4")
+#: How many event texts, and how many count texts, :func:`csv_blocks` keeps
+#: from block to block (the ones used last).
+_CACHED_TEXTS = 4096
+
+
+def _quads() -> np.ndarray:
+    """The four ASCII digits of each number 0..9999, as one little-endian
+    uint32, then the same with the zeros after their last nonzero digit as
+    NULs."""
+    digits = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+    ascii = (digits + ord("0")).astype(np.uint8)
+    kept = digits[:, ::-1].cumsum(1)[:, ::-1] > 0  # a nonzero digit at or after it
+    return np.concatenate([ascii, ascii * kept]).view("<u4").ravel()
+
+
+_QUADS = _quads()
 
 
 def _significant_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +83,9 @@ def _significant_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64), exponents
 
 
-def _time_text(times: np.ndarray) -> np.ndarray:
-    """``'%.17g' % t`` of each time, as rows of 24 NUL-padded bytes.
+def _time_text(times: np.ndarray, text: np.ndarray) -> None:
+    """Write ``'%.17g' % t`` of each time into the NUL-filled rows of
+    ``text``, 24 bytes each.
 
     ``'%.17g'`` writes a number from ``1e-4`` up to ``1e17`` without an
     exponent, with its 17 significant digits but their trailing zeros
@@ -76,55 +95,60 @@ def _time_text(times: np.ndarray) -> np.ndarray:
     """
     fixed = (times >= 1e-4) & (times < 1e16)
     digits, exponents = _significant_digits(np.where(fixed, times, 1.0))
-    # The 17 digits in ASCII: the first, then four groups of four.
+    # The 17 digits in ASCII: the first, then four groups of four, where the
+    # zeros after the last nonzero digit are NULs.
     words = np.empty((len(times), 5), "<u4")
-    rest = digits
+    # `half` picks the NUL-trimmed half of the table while every digit after
+    # the group is a zero.
+    rest, half = digits, np.full(len(times), 10_000)
     for i in range(4, 0, -1):
-        rest, group = np.divmod(rest, 10_000)
-        words[:, i] = _QUADS[group]
+        high = rest // 10_000  # a floor division by a constant is faster than divmod
+        group = rest - 10_000 * high
+        words[:, i] = _QUADS[half + group]
+        half *= group == 0
+        rest = high
     words[:, 0] = (rest + ord("0")) << 24
     ascii = words.view(np.uint8)[:, 3:]
-    text = np.zeros((len(times), 24), np.uint8)
+    # Laid out with the point, which goes when no digit follows it; the
+    # zeros before the point stay.
     first, last = int(exponents.min()), int(exponents.max())
     for e in range(first, last + 1):
         rows = exponents == e if first < last else slice(None)
         if e >= 0:  # the point after the first e + 1 digits
-            text[rows, : e + 1] = ascii[rows, : e + 1]
-            text[rows, e + 1] = ord(".")
+            text[rows, : e + 1] = np.maximum(ascii[rows, : e + 1], ord("0"))
+            text[rows, e + 1] = (ascii[rows, e + 1] != 0) * ord(".")
             text[rows, e + 2 : 18] = ascii[rows, e + 1 :]
         else:  # 0.ddd, with -e - 1 zeros before the first digit
             text[rows, : 1 - e] = np.frombuffer(b"0.000", np.uint8)[: 1 - e]
             text[rows, 1 - e : 18 - e] = ascii[rows]
-    # Trailing zeros after the point go, and the point if no digit is left
-    # after it: a row that ends in a zero keeps its first `end` bytes.
-    ends = np.flatnonzero(digits % 10 == 0)
-    if len(ends):
-        e = exponents[ends]
-        kept = 17 - np.argmax(ascii[ends, ::-1] != ord("0"), axis=1)
-        end = np.where(kept > e + 1, kept + 1, e + 1) + np.maximum(-e, 0)
-        text[ends] *= np.arange(24) < end[:, None]
     slow = np.flatnonzero(~fixed)
     if len(slow):
         texts = np.array([b"%.17g" % t for t in times[slow].tolist()], "S24")
         text[slow] = texts.view(np.uint8).reshape(-1, 24)
-    return text
 
 
-def _texts(keys: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
-    """``text(key)`` of each key, as rows of NUL-padded bytes; each
-    distinct key is formatted once."""
-    unique, index = np.unique(keys, return_inverse=True)
-    table = np.array([text(key).encode() for key in unique.tolist()], "S")
-    return table[index].view(np.uint8).reshape(len(keys), -1)
+def _texts(keys: np.ndarray, text: Callable[[int], bytes]) -> np.ndarray:
+    """``text(key)`` of each key, as an ``S`` array.  When the keys span no
+    more values than there are keys, as a run's counts do (they step by at
+    most one), ``text`` is called once for each value of the span; otherwise
+    once for each key."""
+    lo, hi = int(keys.min()), int(keys.max())
+    if hi - lo < len(keys):
+        return np.array([text(key) for key in range(lo, hi + 1)], "S")[keys - lo]
+    return np.array([text(key) for key in keys.tolist()], "S")
 
 
 def _rows_text(times: np.ndarray, events: np.ndarray, states: np.ndarray) -> str:
-    """The CSV rows of a block, joined by newlines: its times, as
-    :func:`_time_text` writes them, and the NUL-padded text of each row's
-    event and state, side by side without their NULs."""
-    newlines = np.full((len(times), 1), ord("\n"), np.uint8)
-    newlines[0] = 0
-    text = np.concatenate([newlines, _time_text(times), events, states], axis=1)
+    """The CSV rows of a block, joined by newlines: each row's time, as
+    :func:`_time_text` writes it, and the text of its event and state, laid
+    side by side in one NUL-filled buffer and taken without the NULs."""
+    widths = [1, 24, events.itemsize, states.itemsize]
+    text = np.zeros((len(times), sum(widths)), np.uint8)
+    newline, time, event, state = np.split(text, np.cumsum(widths[:-1]), axis=1)
+    newline[1:] = ord("\n")
+    _time_text(times, time)
+    event[:] = events.view(np.uint8).reshape(len(times), -1)
+    state[:] = states.view(np.uint8).reshape(len(times), -1)
     return str(text[text != 0], "ascii")
 
 
@@ -138,16 +162,18 @@ def csv_blocks(
 
     numpy formats each block as it comes: the time as ``'%.17g'`` does
     (:func:`_time_text`), then the text of its ``(kind, k)`` and of its
-    count and ``z``, each distinct key of the block formatted once
-    (:func:`_texts`).
+    count and ``z``, looked up once for each value of the block's span
+    (:func:`_texts`) among the texts the run keeps.
     """
 
-    def event_text(code: int) -> str:
+    @functools.lru_cache(_CACHED_TEXTS)
+    def event_text(code: int) -> bytes:
         kind, k = code % 4, code // 4
-        return f",{EVENT_LABELS[kind]},{'' if kind in (NOISE12, NOISE21) else k},"
+        return f",{EVENT_LABELS[kind]},{'' if kind in (NOISE12, NOISE21) else k},".encode()
 
-    def state_text(count: int) -> str:
-        return f"{count},{lattice_z(count, n_agents):.17g}"
+    @functools.lru_cache(_CACHED_TEXTS)
+    def state_text(count: int) -> bytes:
+        return f"{count},{lattice_z(count, n_agents):.17g}".encode()
 
     yield CSV_HEADER
     for times, kinds, ks, counts in blocks:

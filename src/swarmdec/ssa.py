@@ -43,13 +43,17 @@ concurrently, each with its own generator (seed ``base + index``).
 
 numpy is imported only where it is used: where random numbers are drawn
 (iterating :class:`EventBlocks`) and where CSV rows are formatted
-(:mod:`swarmdec.csvrows`, imported only then).  Importing this module
-loads neither, so ``EventBlocks._forked``, which the ``simulate`` command
-runs, forks a process that runs no threads.  That process iterates the
-run and pickles each block up a pipe, then the run's end state or its
-error's text, while the parent formats each block as it arrives and takes
-on the end, so neither holds more than a batch.  The child never touches
-a file, is killed and reaped however the reading ends, and on Linux dies
+(:mod:`swarmdec.csvrows`, imported only then), so importing this module
+loads neither.  ``EventBlocks._forked``, which the ``simulate`` command
+runs once its configuration is checked, imports :mod:`swarmdec.csvrows`,
+and numpy with it, before it forks: the forked process finds numpy loaded
+instead of importing it beside its parent.  The fork stays single-threaded,
+as the thread pool of numpy's OpenBLAS stops at a fork (its own
+``pthread_atfork`` handler).  The forked process iterates the run and
+pickles each block up a pipe, then the run's end state or its error's
+text, while the parent formats each block as it arrives and takes on the
+end, so neither holds more than a batch.  The child never touches a
+file, is killed and reaped however the reading ends, and on Linux dies
 with its parent.  This needs ``os.fork`` (POSIX).
 """
 
@@ -416,6 +420,9 @@ class EventBlocks:
         import pickle
         import signal
 
+        # Before the fork, so that numpy is imported once and the child inherits it.
+        from .csvrows import csv_blocks
+
         sys.stdout.flush()
         sys.stderr.flush()
         parent = os.getpid()
@@ -468,8 +475,6 @@ class EventBlocks:
         try:
             try:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, sigint)
-                from .csvrows import csv_blocks  # it imports numpy, so after the fork
-
                 yield csv_blocks(blocks(), self.initial.n_agents)
             finally:
                 source.close()

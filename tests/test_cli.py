@@ -645,6 +645,15 @@ class TestWriterProcess:
         assert err == ""
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+    def test_fork_is_single_threaded(self, tmp_path):
+        # numpy is loaded before the fork, and its BLAS thread pool stops at
+        # the fork: the parent counts its threads as the fork returns, and the
+        # simulating process sends its own count up the pipe as a block's count.
+        code, numpy, parent, row = _fresh_run(_FORK_THREADS_PROBE, cwd=tmp_path).split(" ")
+        assert (code, numpy, parent) == (str(EXIT_OK), "True", "1")
+        assert row.split(",")[3] == "1"
+
     def test_unwritable_out_directory(self, tmp_path):
         argv = ["simulate", "--rules", "MMm", "--events", "100000", "--out", "missing/run.csv"]
         results, err = _probe_result(_start_probe(argv, tmp_path))
@@ -2084,6 +2093,36 @@ print(json.dumps([code, "numpy" in sys.modules]))
 """
 
 
+#: Runs ``simulate`` in a fresh interpreter with ``os.fork`` wrapped to count
+#: the threads of each side as the fork returns, and a run whose one block
+#: carries the simulating process's count as its count; prints the exit code,
+#: whether numpy was loaded at the fork, the parent's count and the CSV's last row.
+_FORK_THREADS_PROBE = """\
+import os, sys
+from array import array
+from swarmdec import cli, ssa
+
+fork, threads, loaded = os.fork, [], []
+
+
+def counting_fork():
+    loaded.append("numpy" in sys.modules)
+    pid = fork()
+    threads.append(len(os.listdir("/proc/self/task")))
+    return pid
+
+
+def one_block(self):
+    yield array("d", [1.0]), array("B", [ssa.NULL]), array("q", [0]), array("q", threads)
+
+
+os.fork, ssa.EventBlocks.__iter__ = counting_fork, one_block
+code = cli.main(["simulate", "--rules", "MMm", "--events", "10", "--out", "run.csv"])
+with open("run.csv") as fh:
+    print(code, *loaded, *threads, fh.read().splitlines()[-1])
+"""
+
+
 def _fresh_run(code: str, *args: str, cwd: Path) -> str:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -2115,6 +2154,8 @@ class TestNumpyOnlyWhenSampling:
             (["validate"], EXIT_OK, False),
             (["drift", "--agents", "100", "--rules", "M", "--out", "d.csv"], EXIT_CONFIG, False),
             (["simulate", "--rules", "MMM", "--events", "100", "--out", "s.csv"], EXIT_OK, True),
+            # Refused at configuration, before numpy is imported for the fork.
+            (["simulate", "--rules", "MMM", "--epsilon", "1e308", "--out", "s.csv"], EXIT_CONFIG, False),
             (["drift", "--rules", "M", "--agents", "11", "--empirical", "--samples", "10",
               "--out", "d.csv"], EXIT_OK, False),
             (["probs", "--group", "3", "--agents", "11", "--empirical", "--samples", "10",
